@@ -31,6 +31,7 @@ from .presheaf import (
     MonoSquare,
     MonotoneMap,
     NatTrans,
+    StreamSquare,
     dump_presheaf,
     elements_poset,
     enumerate_mono_squares,

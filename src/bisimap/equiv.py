@@ -54,6 +54,8 @@ class Verdict:
     def __post_init__(self):
         if self.holds and self.witness is not None:
             raise PreconditionError("a holding verdict carries no witness")
+        if not self.holds and self.witness is None:
+            raise PreconditionError("a failing verdict carries a witness")
 
     def to_record(self) -> dict:
         return {
@@ -981,10 +983,18 @@ def check_bisim_map(f: dict, source, target, mode: str,
     """Lift f to the mode's semantic presheaves, run the bounded square-filler
     check, and evaluate the concrete characterization alongside.
 
-    A concrete refusal is always matched by a failing square within the depth.
-    In the silent-step modes the converse is depth-sensitive: anchors carrying
-    silent padding can exhaust the truncation and make the filler check refuse
-    conservatively, which is why both verdicts are reported side by side."""
+    In strong mode the two verdicts agree.  In the other modes they can
+    differ, which is why both are reported side by side:
+
+    * fair: the filler check can accept a map that the concrete check
+      refuses.  A square sees only finite prefixes of an infinite run, and
+      every prefix of an unfair source run can extend to a fair lasso, while
+      the concrete check asks that every run with a fair image be fair
+      (a loop ``s1 -a-> s1`` that must visit ``s0`` infinitely often, mapped
+      onto a one-state loop, is refused concretely and accepted here at
+      every depth tried, 2 to 5);
+    * branching: the filler check refuses some maps that the concrete check
+      accepts, at every depth tried so far."""
     bounds = {
         "depth": depth,
         "stage_bound": stage_bound,

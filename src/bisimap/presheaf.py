@@ -2,14 +2,27 @@
 
 Stage sets are finite and explicitly materialized; restriction maps are stored
 for every strictly comparable pair.  Monos are stage-wise injections, which is
-the standard characterization in a presheaf category.  The diagonal-filler
-search is exhaustive over a fixed deterministic order, so verdicts and
-witnesses are reproducible.
+the standard characterization in a presheaf category.
+
+Each poset indexes itself once: its down-sets, strict down-sets and
+``element_key`` order are computed from the relation on first use and then
+looked up.  The word posets build that relation from prefix chains.  Each
+natural transformation likewise indexes its fibers, stage by stage.
+
+The squares that ``enumerate_mono_squares`` streams have a Q generated by one
+or two elements, so by Yoneda a filler is fixed by its values at those
+generators.  ``is_bisim_map_bounded`` therefore decides every square from its
+generators and the fiber index (``StreamSquare.has_filler``) and builds only
+the witness square.  The generic diagonal-filler search, ``find_filler``, is
+exhaustive over a fixed deterministic order and works for any square; it is
+the oracle the tests hold the generator decision to.  Verdicts and witnesses
+are reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InternalCheckError, PreconditionError, UnsupportedError
 from .words import (
@@ -29,20 +42,45 @@ from .words import (
 
 @dataclass(frozen=True)
 class FinPoset:
-    """A finite poset; the relation is stored reflexively closed."""
+    """A finite poset; the relation is stored reflexively closed.
+
+    The down-sets, the strict down-sets and the elements sorted by
+    ``element_key`` are computed from ``relation`` once, on first use, and
+    kept with the poset; they are not fields, so they take no part in
+    equality or the repr."""
 
     elements: tuple
     relation: frozenset
     dialect: str = ""
 
+    @cached_property
+    def _down(self) -> dict:
+        index = {e: i for i, e in enumerate(self.elements)}
+        below = {e: [] for e in self.elements}
+        for (a, b) in self.relation:
+            if a in index and b in index:
+                below[b].append(a)
+        return {e: tuple(sorted(xs, key=index.__getitem__)) for e, xs in below.items()}
+
+    @cached_property
+    def _strictly_below(self) -> dict:
+        return {e: tuple(x for x in xs if x != e) for e, xs in self._down.items()}
+
+    @cached_property
+    def keyed(self) -> tuple:
+        """The elements sorted by ``element_key`` (smaller elements first)."""
+        return tuple(sorted(self.elements, key=element_key))
+
     def leq(self, a, b) -> bool:
         return (a, b) in self.relation
 
     def down(self, e) -> tuple:
-        return tuple(x for x in self.elements if self.leq(x, e))
+        """The elements below e, e included, in ``elements`` order."""
+        return self._down.get(e, ())
 
     def strictly_below(self, e) -> tuple:
-        return tuple(x for x in self.elements if x != e and self.leq(x, e))
+        """The elements strictly below e, in ``elements`` order."""
+        return self._strictly_below.get(e, ())
 
     def up(self, e) -> tuple:
         return tuple(x for x in self.elements if self.leq(e, x))
@@ -94,19 +132,38 @@ def _all_words(labels, depth):
     return words
 
 
+def _prefix_poset(labels, depth, extras=(), leq=None, dialect="") -> FinPoset:
+    """All words over the labels up to the depth plus the extra elements,
+    ordered by ``leq``, which must order words by prefix.
+
+    The same poset, relation included, as ``poset_from_leq``, but words are
+    compared only with their own prefixes: ``leq`` is asked only about pairs
+    with an extra element."""
+    elements = tuple(sorted(_all_words(tuple(labels), depth) + list(extras), key=element_key))
+    others = [e for e in elements if not isinstance(e, Word)]
+    ups = {e: [] for e in elements}
+    for b in elements:
+        if isinstance(b, Word):
+            for n in range(len(b) + 1):
+                ups[b.prefix(n)].append(b)
+            below = others
+        else:
+            below = elements
+        for a in below:
+            if leq(a, b):
+                ups[a].append(b)
+    rel = frozenset((a, b) for a in elements for b in ups[a])
+    return FinPoset(elements, rel, dialect)
+
+
 def word_poset(labels, depth: int, dialect: str = "words") -> FinPoset:
     """All words over the labels up to the depth, prefix-ordered."""
-    return poset_from_leq(
-        _all_words(tuple(labels), depth),
-        lambda a, b: a.is_prefix_of(b),
-        dialect,
-    )
+    return _prefix_poset(labels, depth, dialect=dialect)
 
 
 def barred_source_poset(labels, depth: int) -> FinPoset:
     """Words over the labels plus one stretch point per positive tick; only
     the empty word sits below the stretch points."""
-    elems = _all_words(tuple(labels), depth) + [StretchPoint(n) for n in range(1, depth + 1)]
 
     def leq(a, b):
         if isinstance(a, Word) and isinstance(b, Word):
@@ -117,7 +174,8 @@ def barred_source_poset(labels, depth: int) -> FinPoset:
             return a.tick <= b.tick
         return False
 
-    return poset_from_leq(elems, leq, "barred-words")
+    stretch = [StretchPoint(n) for n in range(1, depth + 1)]
+    return _prefix_poset(labels, depth, stretch, leq, "barred-words")
 
 
 def branching_target_poset(labels, depth: int) -> FinPoset:
@@ -125,7 +183,6 @@ def branching_target_poset(labels, depth: int) -> FinPoset:
     sits above exactly the empty word."""
     if any(l is TAU for l in labels):
         raise PreconditionError("target poset is over visible labels only")
-    elems = _all_words(tuple(labels), depth) + [TAU_BAR]
 
     def leq(a, b):
         if isinstance(a, Word) and isinstance(b, Word):
@@ -136,13 +193,12 @@ def branching_target_poset(labels, depth: int) -> FinPoset:
             return True
         return False
 
-    return poset_from_leq(elems, leq, "barred-visible-words")
+    return _prefix_poset(labels, depth, [TAU_BAR], leq, "barred-visible-words")
 
 
 def fair_target_poset(labels, depth: int, traces) -> FinPoset:
     """Visible words up to the depth plus one point per ultimately periodic
     trace, each sitting above its finite prefixes."""
-    elems = _all_words(tuple(labels), depth) + sorted(set(traces), key=element_key)
 
     def leq(a, b):
         if isinstance(a, Word) and isinstance(b, Word):
@@ -153,7 +209,7 @@ def fair_target_poset(labels, depth: int, traces) -> FinPoset:
             return a == b
         return False
 
-    return poset_from_leq(elems, leq, "words-with-limits")
+    return _prefix_poset(labels, depth, set(traces), leq, "words-with-limits")
 
 
 def time_poset(depth: int) -> FinPoset:
@@ -196,11 +252,12 @@ def make_presheaf(base: FinPoset, stage_of, restrict_to) -> FinPresheaf:
     """Materialize a presheaf from a stage function and a restriction rule
     ``restrict_to(x, frm, to)`` for strictly comparable pairs."""
     stages = {e: _stage_sorted(stage_of(e)) for e in base.elements}
+    stage_sets = {e: set(xs) for e, xs in stages.items()}
     res = {}
     for hi in base.elements:
         for lo in base.strictly_below(hi):
             table = {}
-            lo_stage = set(stages[lo])
+            lo_stage = stage_sets[lo]
             for x in stages[hi]:
                 y = restrict_to(x, hi, lo)
                 if y not in lo_stage:
@@ -257,6 +314,22 @@ class NatTrans:
 
     def at(self, e, x):
         return self.comp[e][x]
+
+    @cached_property
+    def _fibers(self) -> dict:
+        return {}
+
+    def fiber(self, e, y) -> list:
+        """The elements of the source stage at e mapped to y, in stage order;
+        each stage is indexed once, on first use."""
+        fib = self._fibers.get(e)
+        if fib is None:
+            fib = {}
+            for x in self.source.stage(e):
+                fib.setdefault(self.comp[e][x], []).append(x)
+            # published only when complete, for callers on other threads
+            self._fibers[e] = fib
+        return fib.get(y, [])
 
 
 def nat_trans(source: FinPresheaf, target: FinPresheaf, component) -> NatTrans:
@@ -359,12 +432,14 @@ def _check_square(square: MonoSquare):
                 raise PreconditionError(f"square does not commute at {e}")
 
 
-def find_filler(square: MonoSquare, _fiber_cache: dict = None):
+def find_filler(square: MonoSquare):
     """Search for k: Q -> F with k.g = m and f.k = n.
 
     The search is exhaustive backtracking over stage functions, constrained by
     naturality and the two triangle identities, visiting stages and elements in
     a fixed deterministic order; it returns the first filler found or None.
+    It works for any square; ``StreamSquare.has_filler`` decides the squares
+    of the stream faster, and the tests hold it to this search.
     """
     _check_square(square)
     g, m, n, f = square.g, square.m, square.n, square.f
@@ -380,29 +455,14 @@ def find_filler(square: MonoSquare, _fiber_cache: dict = None):
             table[g.at(e, p)] = m.at(e, p)
         forced[e] = table
 
-    fibers = _fiber_cache if _fiber_cache is not None else {}
-
-    def fiber_at(e):
-        fib = fibers.get(e)
-        if fib is None:
-            fib = {}
-            for v in F.stage(e):
-                fib.setdefault(f.at(e, v), []).append(v)
-            fibers[e] = fib
-        return fib
-
-    slots = [
-        (e, q)
-        for e in sorted(base.elements, key=element_key)
-        for q in Q.stage(e)
-    ]
+    slots = [(e, q) for e in base.keyed for q in Q.stage(e)]
     assign = {}
 
     def candidates(e, q):
         if e in forced and q in forced[e]:
             opts = [forced[e][q]]
         else:
-            opts = fiber_at(e).get(n.at(e, q), [])
+            opts = f.fiber(e, n.at(e, q))
         out = []
         for v in opts:
             ok = True
@@ -445,6 +505,92 @@ def find_filler(square: MonoSquare, _fiber_cache: dict = None):
     return k
 
 
+def _build_square(f: NatTrans, family: str, about: tuple) -> MonoSquare:
+    """The full square of the stream with this family and about data."""
+    F, G = f.source, f.target
+    P0 = empty_presheaf(G.base)
+    if family == "pair":
+        e1, w1, e2, w2 = about
+        Q = sub_presheaf(G, [(e1, w1), (e2, w2)])
+    else:
+        e, w = about[:2]
+        Q = sub_presheaf(G, [(e, w)])
+    n = inclusion(Q, G)
+    if family in ("fiber", "pair"):
+        return MonoSquare(g=NatTrans(P0, Q, {}), m=NatTrans(P0, F, {}), n=n, f=f,
+                          family=family, about=about)
+    e, w, e2, x = about
+    P = sub_presheaf(F, [(e2, x)])
+    g = nat_trans(P, Q, lambda lo, p: G.restrict(w, e, lo))
+    return MonoSquare(g=g, m=inclusion(P, F), n=n, f=f, family=family, about=about)
+
+
+class StreamSquare:
+    """A square of ``enumerate_mono_squares``, held as its generators.
+
+    ``family`` and ``about`` fix the square.  Its legs g, m and n are built on
+    first use, so a stream square goes wherever a ``MonoSquare`` does
+    (``find_filler`` included), and ``build`` returns the full square.
+    """
+
+    __slots__ = ("f", "family", "about", "_built")
+
+    def __init__(self, f: NatTrans, family: str, about: tuple):
+        self.f = f
+        self.family = family
+        self.about = about
+        self._built = None
+
+    def build(self) -> MonoSquare:
+        """The full square, built on the first call."""
+        if self._built is None:
+            self._built = _build_square(self.f, self.family, self.about)
+        return self._built
+
+    @property
+    def g(self) -> NatTrans:
+        return self.build().g
+
+    @property
+    def m(self) -> NatTrans:
+        return self.build().m
+
+    @property
+    def n(self) -> NatTrans:
+        return self.build().n
+
+    def has_filler(self) -> bool:
+        """Decide the square at its generators, without building it.
+
+        Q is generated by one or two elements, so by Yoneda a filler is fixed
+        by its values there: for ``fiber`` any preimage v of w at e will do;
+        for ``extension`` and ``chain-limit`` a preimage that restricts to x at
+        e2; for ``pair`` preimages v1 of w1 and v2 of w2 that agree at every
+        common lower stage where w1 and w2 agree.  The answer equals
+        ``find_filler(self) is not None``.
+        """
+        f = self.f
+        if self.family == "fiber":
+            e, w = self.about
+            return bool(f.fiber(e, w))
+        F = f.source
+        if self.family == "pair":
+            e1, w1, e2, w2 = self.about
+            G = f.target
+            base = G.base
+            agree = [
+                s for s in base.down(e1)
+                if base.leq(s, e2) and G.restrict(w1, e1, s) == G.restrict(w2, e2, s)
+            ]
+            firsts = {tuple(F.restrict(v, e1, s) for s in agree) for v in f.fiber(e1, w1)}
+            return any(
+                tuple(F.restrict(v, e2, s) for s in agree) in firsts
+                for v in f.fiber(e2, w2)
+            )
+        e, w, e2, x = self.about
+        return any(F.restrict(v, e, e2) == x for v in f.fiber(e, w))
+
+
 def enumerate_mono_squares(f: NatTrans, stage_bound: int = 2, support_bound: int = 6):
     """A deterministic stream of commuting mono squares over f.
 
@@ -465,14 +611,16 @@ def enumerate_mono_squares(f: NatTrans, stage_bound: int = 2, support_bound: int
     base's word-length budget are dropped: they are unfillable for every map
     (the anchor's trace plus the missing visible letters exceeds the
     truncation), so a failure there would reflect the depth, not f.
+
+    The items are ``StreamSquare``s: the stream computes only their ``about``
+    data, from the poset index and f's fiber index, and builds no presheaf.
     """
     if stage_bound < 1:
         raise PreconditionError("stage bound must be >= 1")
     if support_bound < 1:
         raise PreconditionError("support bound must be >= 1")
-    F, G = f.source, f.target
+    G = f.target
     base = G.base
-    P0 = empty_presheaf(base)
     word_budget = max(
         (len(e) for e in base.elements if isinstance(e, Word)), default=0
     )
@@ -485,79 +633,60 @@ def enumerate_mono_squares(f: NatTrans, stage_bound: int = 2, support_bound: int
             return False
         return len(trace) + (len(e) - len(e2)) > word_budget
 
-    def empty_to(Q):
-        return NatTrans(P0, Q, {})
-
-    gens = [
-        (e, w)
-        for e in sorted(base.elements, key=element_key)
-        for w in G.stage(e)
-    ]
-
-    for (e, w) in gens:
-        Q = sub_presheaf(G, [(e, w)])
-        nQ = inclusion(Q, G)
-        yield MonoSquare(
-            g=empty_to(Q), m=empty_to(F), n=nQ, f=f,
-            family="fiber", about=(e, w),
-        )
+    keyed = base.keyed
+    for e in keyed:
         limit_top = isinstance(e, LassoTrace)
         below = sorted(base.strictly_below(e), key=element_key)
         max_below = below[-1] if below else None
-        for e2 in below:
-            w2 = G.restrict(w, e, e2)
-            for x in F.stage(e2):
-                if f.at(e2, x) != w2 or beyond_budget(e, e2, x):
-                    continue
-                P = sub_presheaf(F, [(e2, x)])
-                mP = inclusion(P, F)
-                gP = nat_trans(P, Q, lambda lo, p, _e2=e2, _x=x, _e=e, _w=w:
-                               G.restrict(w, _e, lo))
+        for w in G.stage(e):
+            yield StreamSquare(f, "fiber", (e, w))
+            for e2 in below:
                 family = "chain-limit" if (limit_top and e2 == max_below) else "extension"
-                yield MonoSquare(g=gP, m=mP, n=nQ, f=f, family=family, about=(e, w, e2, x))
+                for x in f.fiber(e2, G.restrict(w, e, e2)):
+                    if not beyond_budget(e, e2, x):
+                        yield StreamSquare(f, family, (e, w, e2, x))
 
-    for i, (e1, w1) in enumerate(gens):
-        hist1 = set(base.down(e1))
-        for (e2, w2) in gens[i + 1:]:
-            if base.comparable(e1, e2):
-                continue
-            support = hist1 | set(base.down(e2))
-            if len(support) > support_bound:
-                continue
-            stage_sizes_ok = True
-            for s in support:
-                vals = set()
-                if base.leq(s, e1):
-                    vals.add(G.restrict(w1, e1, s))
-                if base.leq(s, e2):
-                    vals.add(G.restrict(w2, e2, s))
-                if len(vals) > stage_bound:
-                    stage_sizes_ok = False
-                    break
-            if not stage_sizes_ok:
-                continue
-            Q = sub_presheaf(G, [(e1, w1), (e2, w2)])
-            yield MonoSquare(
-                g=empty_to(Q), m=empty_to(F), n=inclusion(Q, G), f=f,
-                family="pair", about=(e1, w1, e2, w2),
-            )
+    # pairs in the order of their generators (e1, w1) < (e2, w2); the stage
+    # bound can only bite at 1, since a stage of Q holds at most two values
+    down = {e: frozenset(base.down(e)) for e in keyed}
+    for i, e1 in enumerate(keyed):
+        if not G.stage(e1):
+            continue
+        partners = [
+            e2 for e2 in keyed[i + 1:]
+            if G.stage(e2) and e2 not in down[e1] and e1 not in down[e2]
+            and len(down[e1] | down[e2]) <= support_bound
+        ]
+        for w1 in G.stage(e1):
+            for e2 in partners:
+                for w2 in G.stage(e2):
+                    if stage_bound == 1 and any(
+                        G.restrict(w1, e1, s) != G.restrict(w2, e2, s)
+                        for s in down[e1] & down[e2]
+                    ):
+                        continue
+                    yield StreamSquare(f, "pair", (e1, w1, e2, w2))
 
 
 def is_bisim_map_bounded(f: NatTrans, stage_bound: int = 2, support_bound: int = 6):
-    """Run the filler search over the enumerated square stream.
+    """Decide every square of the enumerated stream at its generators.
+
+    Each square is decided by ``StreamSquare.has_filler`` from its ``about``
+    data, f's fiber index and the base's down-sets; no square is built except
+    the first one without a filler, which is returned in full as the witness.
+    The generic ``find_filler`` agrees on every square (the tests hold the two
+    together).
 
     A ``False`` verdict is definitive for the truncated semantics: the witness
     square has no filler at this depth.  A ``True`` verdict certifies only the
-    enumerated squares within the bounds.  For presheaves whose stage elements
-    carry silent padding (branching semantics), a refusal near the depth
-    boundary can reflect an exhausted padding budget rather than a genuine
-    reflection failure, so exact verdicts come from the concrete
-    characterizations.  Returns (verdict, witness square or None).
+    enumerated squares within the bounds.  In the branching and fair modes the
+    verdict can differ from the concrete characterization (see
+    ``check_bisim_map``), so exact verdicts come from the concrete checks.
+    Returns (verdict, witness square or None).
     """
-    fiber_cache = {}
     for square in enumerate_mono_squares(f, stage_bound, support_bound):
-        if find_filler(square, _fiber_cache=fiber_cache) is None:
-            return False, square
+        if not square.has_filler():
+            return False, square.build()
     return True, None
 
 

@@ -20,6 +20,7 @@ from bisimap.equiv import (
     extend_reduction,
     forall_fair_quotient,
     quotient_lts,
+    Verdict,
 )
 from bisimap.lts import FairLts, StreettSpec, adjacency, eps_closure
 
@@ -466,6 +467,35 @@ def test_bisim_map_branching_acceptance_is_sound_on_random_systems():
                 refused_concretely += 1
                 assert not report.presheaf_verdict.holds, (X, Y, f)
     assert sims >= 20 and accepted > 0 and refused_concretely > 0
+
+
+def test_fair_map_of_unfair_self_loop_onto_loop_splits_the_routes():
+    # s1 -a-> s1 forever is unfair (s0 must recur) but its image is fair, so
+    # the concrete check refuses; every finite prefix of that run extends to
+    # a fair lasso, so no chain square lacks a filler and the filler route
+    # accepts.  A known split of the two routes (ROADMAP item 3): when it is
+    # resolved, this test changes with it.
+    X = FairLts(
+        lts_of([("s0", "a", "s1"), ("s1", "a", "s0"), ("s1", "a", "s1")]),
+        StreettSpec(((frozenset({"s0", "s1"}), frozenset({"s0"})),)),
+    )
+    Y = FairLts(lts_of([("y", "a", "y")]), StreettSpec(()))
+    f = {"s0": "y", "s1": "y"}
+    for depth in (3, 4):
+        report = check_bisim_map(f, X, Y, "fair", depth=depth)
+        assert report.presheaf_verdict.holds
+        assert not report.concrete_verdict.holds
+        assert report.concrete_verdict.witness[0] == "chain-with-fair-image-but-no-fair-limit"
+        assert not report.agreement
+
+
+def test_verdict_carries_a_witness_exactly_when_it_fails():
+    assert Verdict("c", True).witness is None
+    assert Verdict("c", False, ("w",)).witness == ("w",)
+    with pytest.raises(PreconditionError):
+        Verdict("c", False)
+    with pytest.raises(PreconditionError):
+        Verdict("c", True, ("w",))
 
 
 def test_bisim_map_fair_identity_accepted(corpus):

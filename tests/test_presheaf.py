@@ -19,9 +19,13 @@ from bisimap import (
 )
 from bisimap.lts import Execution
 from bisimap.presheaf import (
+    FinPoset,
     MonoSquare,
     MonotoneMap,
+    barred_source_poset,
+    branching_target_poset,
     empty_presheaf,
+    fair_target_poset,
     identity_trans,
     inclusion,
     make_presheaf,
@@ -36,8 +40,8 @@ from bisimap.presheaf import (
     word_length_presheaf,
     word_poset,
 )
-from bisimap.semantics import base_presheaf, fair_sem_map, strong_sem, strong_sem_map
-from bisimap.words import EPSILON, TAU, LassoTrace, StretchPoint, Word
+from bisimap.semantics import base_presheaf, fair_sem, fair_sem_map, strong_sem, strong_sem_map
+from bisimap.words import EPSILON, TAU, TAU_BAR, LassoTrace, StretchPoint, Word
 
 from conftest import lts_of
 
@@ -66,6 +70,66 @@ def test_corrupted_restriction_reported_with_triple():
     report = validate(broken)
     assert not report.ok
     assert any(v[0] == "composition" and v[1:4] == (1, 2, 3) for v in report.violations)
+
+
+# ---------------------------------------------------------------------------
+# Posets
+
+
+def _words(labels, depth):
+    out = [EPSILON]
+    for _ in range(depth):
+        out += [w.append(l) for w in out if len(w) == len(out[-1]) for l in labels]
+    return out
+
+
+def _scan_order(extra_leq):
+    def leq(a, b):
+        if isinstance(a, Word) and isinstance(b, Word):
+            return a.is_prefix_of(b)
+        return extra_leq(a, b)
+
+    return leq
+
+
+def test_prefix_built_posets_equal_pairwise_comparison(corpus):
+    traces = [e for e in fair_sem(corpus.union_sys.system, 2).base.elements
+              if isinstance(e, LassoTrace)]
+    assert traces
+    cases = [
+        (word_poset(("a", "b"), 3, "w"), _words(("a", "b"), 3),
+         lambda a, b: False, "w"),
+        (barred_source_poset(("a", TAU), 3),
+         _words(("a", TAU), 3) + [StretchPoint(n) for n in (1, 2, 3)],
+         lambda a, b: (a == EPSILON and isinstance(b, StretchPoint))
+         or (isinstance(a, StretchPoint) and isinstance(b, StretchPoint) and a.tick <= b.tick),
+         "barred-words"),
+        (branching_target_poset(("a", "b"), 2), _words(("a", "b"), 2) + [TAU_BAR],
+         lambda a, b: b is TAU_BAR and (a == EPSILON or a is TAU_BAR),
+         "barred-visible-words"),
+        (fair_target_poset(("a",), 3, traces), _words(("a",), 3) + traces,
+         lambda a, b: isinstance(b, LassoTrace) and (
+             a == b or (isinstance(a, Word) and a == b.word_prefix(len(a)))),
+         "words-with-limits"),
+    ]
+    for built, elems, extra_leq, dialect in cases:
+        reference = poset_from_leq(elems, _scan_order(extra_leq), dialect)
+        assert built == reference
+        # same insertion order, so the same iteration order and repr
+        assert list(built.relation) == list(reference.relation)
+        assert not built.violations()
+
+
+def test_poset_index_matches_relation_scan():
+    P = barred_source_poset(("a", TAU), 2)
+    for e in P.elements:
+        assert P.down(e) == tuple(x for x in P.elements if P.leq(x, e))
+        assert P.strictly_below(e) == tuple(x for x in P.elements if x != e and P.leq(x, e))
+    assert P.keyed == P.elements
+    assert P.down(Word.of("b")) == () and P.strictly_below(Word.of("b")) == ()
+    unsorted = FinPoset((2, 0, 1), frozenset({(0, 0), (1, 1), (2, 2), (0, 2), (1, 2)}))
+    assert unsorted.down(2) == (2, 0, 1) and unsorted.strictly_below(2) == (0, 1)
+    assert unsorted.keyed == (0, 1, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,194 @@
+"""The fast square decision against its slow oracles.
+
+``is_bisim_map_bounded`` decides each stream square at its generators
+(``StreamSquare.has_filler``); the generic backtracking ``find_filler`` must
+agree on every square, and a loop of generic searches over the same stream
+must give the same verdict and witness.  The stream itself is compared with a
+direct enumeration of its ``about`` data over all generator pairs.
+"""
+
+import random
+from collections import Counter
+
+import pytest
+
+from bisimap.equiv import PartitionRelation, branching_quotient, quotient_lts
+from bisimap.errors import PreconditionError
+from bisimap.lts import FairLts, StreettSpec, is_simulation
+from bisimap.presheaf import (
+    MonoSquare,
+    enumerate_mono_squares,
+    find_filler,
+    is_bisim_map_bounded,
+)
+from bisimap.semantics import (
+    branching_sem_map,
+    branching_simulation_violation,
+    fair_sem_map,
+    fair_simulation_violation,
+    strong_sem_map,
+)
+from bisimap.words import LassoTrace, Word, element_key
+
+from conftest import random_lts, random_total_map
+
+DEPTH = 3
+BOUNDS = ((2, 6), (1, 4))
+
+
+def _random_partition_map(rng, X):
+    k = rng.randint(1, len(X.states))
+    return {s: f"b{rng.randrange(k)}" for s in X.states}
+
+
+def strong_maps(rng, count):
+    while count:
+        X = random_lts(rng, 3, ("a", "b"), density=1.4)
+        if rng.random() < 0.3:
+            blocks = _random_partition_map(rng, X)
+            rel = PartitionRelation(X.states, frozenset(
+                (a, b) for a in X.states for b in X.states if blocks[a] == blocks[b]))
+            Y, f = quotient_lts(X, rel)
+            maps = [f]
+        else:
+            Y = X if rng.random() < 0.5 else random_lts(rng, 3, ("a", "b"), density=1.4)
+            maps = [random_total_map(rng, X, Y) for _ in range(4)]
+        for f in maps:
+            if count and is_simulation(f, X, Y)[0]:
+                count -= 1
+                yield strong_sem_map(f, X, Y, DEPTH)
+
+
+def branching_maps(rng, count):
+    while count:
+        X = random_lts(rng, 3, ("a", "b"), tau_prob=0.35, density=1.5)
+        if rng.random() < 0.4:
+            Y, f = branching_quotient(X)
+            maps = [f]
+        else:
+            Y = random_lts(rng, 3, ("a", "b"), tau_prob=0.35, density=1.5)
+            maps = [random_total_map(rng, X, Y) for _ in range(4)]
+        for f in maps:
+            try:
+                if branching_simulation_violation(f, X, Y) is not None:
+                    continue
+            except PreconditionError:
+                continue
+            if count:
+                count -= 1
+                yield branching_sem_map(f, X, Y, DEPTH, with_stretch=rng.random() < 0.7)
+
+
+def _streett(rng, lts):
+    pairs = []
+    for _ in range(rng.randint(0, 2)):
+        L = frozenset(s for s in lts.states if rng.random() < 0.5)
+        U = frozenset(s for s in lts.states if rng.random() < 0.5)
+        pairs.append((L, U))
+    return FairLts(lts, StreettSpec(tuple(pairs)))
+
+
+def fair_maps(rng, count):
+    while count:
+        X = _streett(rng, random_lts(rng, 3, ("a", "b"), density=1.8))
+        Y = X if rng.random() < 0.3 else _streett(rng, random_lts(rng, 2, ("a", "b"), density=1.8))
+        for f in [random_total_map(rng, X.lts, Y.lts) for _ in range(4)]:
+            try:
+                if fair_simulation_violation(f, X, Y, 2, 2) is not None:
+                    continue
+            except PreconditionError:
+                continue
+            if count:
+                count -= 1
+                yield fair_sem_map(f, X, Y, DEPTH, 2, 2)
+
+
+SAMPLES = {
+    "strong": (strong_maps, 2024, 40),
+    "branching": (branching_maps, 2025, 30),
+    "fair": (fair_maps, 2026, 16),
+}
+
+
+def generic_bounded(f, stage_bound, support_bound):
+    """``is_bisim_map_bounded`` as a loop of generic filler searches."""
+    for square in enumerate_mono_squares(f, stage_bound, support_bound):
+        if find_filler(square) is None:
+            return False, square
+    return True, None
+
+
+def reference_stream(f, stage_bound, support_bound):
+    """The (family, about) data of the stream, by direct enumeration: every
+    generator, every proper lower stage, every generator pair."""
+    F, G = f.source, f.target
+    base = G.base
+    budget = max((len(e) for e in base.elements if isinstance(e, Word)), default=0)
+    gens = [(e, w) for e in sorted(base.elements, key=element_key) for w in G.stage(e)]
+    out = []
+    for (e, w) in gens:
+        out.append(("fiber", (e, w)))
+        below = sorted(base.strictly_below(e), key=element_key)
+        for e2 in below:
+            for x in F.stage(e2):
+                if f.at(e2, x) != G.restrict(w, e, e2):
+                    continue
+                trace = getattr(x, "trace", None)
+                if (isinstance(e, Word) and isinstance(e2, Word) and trace is not None
+                        and len(trace) + len(e) - len(e2) > budget):
+                    continue
+                limit = isinstance(e, LassoTrace) and e2 == below[-1]
+                out.append(("chain-limit" if limit else "extension", (e, w, e2, x)))
+    for i, (e1, w1) in enumerate(gens):
+        for (e2, w2) in gens[i + 1:]:
+            if base.comparable(e1, e2):
+                continue
+            support = set(base.down(e1)) | set(base.down(e2))
+            if len(support) > support_bound:
+                continue
+            sizes = [
+                len({G.restrict(w, e, s) for (e, w) in ((e1, w1), (e2, w2)) if base.leq(s, e)})
+                for s in support
+            ]
+            if max(sizes) <= stage_bound:
+                out.append(("pair", (e1, w1, e2, w2)))
+    return out
+
+
+@pytest.mark.parametrize("mode", sorted(SAMPLES))
+def test_generator_decision_matches_generic_search(mode):
+    make, seed, count = SAMPLES[mode]
+    outcomes = Counter()
+    verdicts = Counter()
+    split_pairs = 0
+    for lifted in make(random.Random(seed), count):
+        for stage_bound, support_bound in BOUNDS:
+            stream = list(enumerate_mono_squares(lifted, stage_bound, support_bound))
+            assert [(sq.family, sq.about) for sq in stream] == reference_stream(
+                lifted, stage_bound, support_bound)
+            for square in stream:
+                fast = square.has_filler()
+                assert fast == (find_filler(square) is not None), (square.family, square.about)
+                outcomes[square.family, fast] += 1
+                if square.family == "pair" and not fast:
+                    e1, w1, e2, w2 = square.about
+                    # both generators lift, but no two lifts agree
+                    split_pairs += bool(lifted.fiber(e1, w1) and lifted.fiber(e2, w2))
+
+            ok, witness = is_bisim_map_bounded(lifted, stage_bound, support_bound)
+            ok_ref, witness_ref = generic_bounded(lifted, stage_bound, support_bound)
+            assert ok == ok_ref
+            verdicts[ok] += 1
+            if ok:
+                assert witness is None
+            else:
+                assert isinstance(witness, MonoSquare)
+                assert (witness.family, witness.about) == (witness_ref.family, witness_ref.about)
+                assert witness == witness_ref.build()
+                assert find_filler(witness) is None
+    assert verdicts[True] and verdicts[False]
+    # the fair sample has none: its pair squares fail only on an empty fiber
+    assert split_pairs or mode == "fair"
+    families = ("fiber", "extension", "pair") + (("chain-limit",) if mode == "fair" else ())
+    for family in families:
+        assert outcomes[family, True] and outcomes[family, False], (family, outcomes)

@@ -61,6 +61,19 @@ def load_model(path: str, want_fair: bool):
     return FairLts(lts, parse_fairness(fair_path.read_text(), lts))
 
 
+def load_relation(args, system: FairLts, what: str) -> PartitionRelation:
+    """The --relation file over the system's states, closed as --close asks."""
+    if not args.relation:
+        raise PreconditionError(f"{what} needs --relation")
+    pairs = parse_relation_pairs(Path(args.relation).read_text(), system.lts)
+    rel = PartitionRelation(system.lts.states, pairs)
+    if args.close == "reflexive":
+        return rel.reflexive_closure()
+    if args.close == "equivalence":
+        return rel.equivalence_closure()
+    return rel
+
+
 def _emit(verdict: Verdict, fmt: str):
     if fmt == "machine":
         print(verdict.to_json())
@@ -82,14 +95,7 @@ def cmd_check(args) -> int:
         if len(args.models) != 1:
             raise PreconditionError("forall-fair-bisim takes one model")
         system = load_model(args.models[0], want_fair=True)
-        if not args.relation:
-            raise PreconditionError("forall-fair-bisim needs --relation")
-        pairs = parse_relation_pairs(Path(args.relation).read_text(), system.lts)
-        rel = PartitionRelation(system.lts.states, pairs)
-        if args.close == "reflexive":
-            rel = rel.reflexive_closure()
-        elif args.close == "equivalence":
-            rel = rel.equivalence_closure()
+        rel = load_relation(args, system, "forall-fair-bisim")
         verdict = check_forall_fair_bisim(
             rel, system, mode=args.mode_fair,
             stem_bound=args.stem_bound, cycle_bound=args.cycle_bound,
@@ -153,14 +159,7 @@ def cmd_quotient(args) -> int:
         quotient, f = branching_quotient(lts)
     elif args.kind == "forall-fair":
         system = load_model(args.models[0], want_fair=True)
-        if not args.relation:
-            raise PreconditionError("forall-fair quotient needs --relation")
-        pairs = parse_relation_pairs(Path(args.relation).read_text(), system.lts)
-        rel = PartitionRelation(system.lts.states, pairs)
-        if args.close == "reflexive":
-            rel = rel.reflexive_closure()
-        elif args.close == "equivalence":
-            rel = rel.equivalence_closure()
+        rel = load_relation(args, system, "forall-fair quotient")
         fair_quotient, f = forall_fair_quotient(
             rel, system, mode=args.mode_fair,
             stem_bound=args.stem_bound, cycle_bound=args.cycle_bound,

@@ -311,14 +311,11 @@ def expectations(corpus: Corpus = None) -> list:
         chain_quotient)
 
     def cross_mode():
-        for (name, rel) in (("R1", r1), ("R2", r2)):
-            a = check_forall_fair_bisim(rel, c.union_sys.system, mode="exact_streett")
-            b = check_forall_fair_bisim(rel, c.union_sys.system, mode="bounded")
-            if a.holds != b.holds:
-                return False, f"disagreement on {name}"
-        for (name, rel) in (("T", t), ("TPRIME", tp)):
-            a = check_forall_fair_bisim(rel, c.comp.system, mode="exact_streett")
-            b = check_forall_fair_bisim(rel, c.comp.system, mode="bounded")
+        union, comp = c.union_sys.system, c.comp.system
+        for (name, rel, system) in (("R1", r1, union), ("R2", r2, union),
+                                    ("T", t, comp), ("TPRIME", tp, comp)):
+            a = check_forall_fair_bisim(rel, system, mode="exact_streett")
+            b = check_forall_fair_bisim(rel, system, mode="bounded")
             if a.holds != b.holds:
                 return False, f"disagreement on {name}"
         a = check_fair_reflection(c.fair_rem.mapping, c.fair_rem.source, c.fair_rem.target, "exact_streett")

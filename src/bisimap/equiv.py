@@ -28,14 +28,18 @@ from .lts import (
     transition_str,
 )
 from .presheaf import is_bisim_map_bounded
+# fair_sem_map has no caller here; it stays importable from this module,
+# where benchmark/tracing.py times the lifts
 from .semantics import (
+    _fair_sem_map,
+    _fair_simulation,
     branching_sem_map,
     branching_simulation_violation,
-    fair_sem_map,
+    fair_sem_map,  # noqa: F401
     fair_simulation_violation,
     strong_sem_map,
 )
-from .words import TAU, Word, label_key
+from .words import TAU, Word
 
 # ---------------------------------------------------------------------------
 # Verdicts
@@ -178,23 +182,17 @@ class PartitionRelation:
 # Graph machinery for exact fairness analysis
 
 
-@dataclass(frozen=True)
-class NodeStreett:
-    pairs: tuple
-
-
-@dataclass(frozen=True)
-class NodeAlwaysAfter:
-    offset: int
-    allowed: frozenset
-    gate: tuple
+# A condition on the nodes of an analysis graph is a fairness spec whose
+# states are the nodes.
+NodeStreett = StreettSpec
+NodeAlwaysAfter = AlwaysAfterSpec
 
 
 def _lift_fairness(spec, nodes, proj):
     """Reinterpret a state-level fairness condition over graph nodes via a
     projection; None when the kind is not supported exactly."""
     if isinstance(spec, StreettSpec):
-        return NodeStreett(tuple(
+        return StreettSpec(tuple(
             (
                 frozenset(n for n in nodes if proj(n) in L),
                 frozenset(n for n in nodes if proj(n) in U),
@@ -202,7 +200,7 @@ def _lift_fairness(spec, nodes, proj):
             for (L, U) in spec.pairs
         ))
     if isinstance(spec, AlwaysAfterSpec):
-        return NodeAlwaysAfter(
+        return AlwaysAfterSpec(
             spec.offset,
             frozenset(n for n in nodes if proj(n) in spec.allowed),
             tuple(spec.gate),
@@ -210,14 +208,14 @@ def _lift_fairness(spec, nodes, proj):
     return None
 
 
-def _aa_init(spec: NodeAlwaysAfter, node):
+def _aa_init(spec: AlwaysAfterSpec, node):
     bad = spec.offset == 0 and node not in spec.allowed
     if max(len(spec.gate), spec.offset) == 0:
         return "fail" if bad else "live"
     return ("pre", 0, bad)
 
 
-def _aa_step(spec: NodeAlwaysAfter, state, label, node):
+def _aa_step(spec: AlwaysAfterSpec, state, label, node):
     if state in ("ok", "fail"):
         return state
     if state == "live":
@@ -310,24 +308,37 @@ def _find_streett_ec(span, adj, pairs, want):
     return None
 
 
+def _steps_to(node, parents):
+    """The path to node in a BFS tree: its root and the (label, node) steps
+    from there."""
+    steps = []
+    while parents[node] is not None:
+        prev, lab = parents[node]
+        steps.append((lab, node))
+        node = prev
+    steps.reverse()
+    return node, steps
+
+
 def _bfs_path(src, dst, adj, inside, require_step):
     """Shortest path src -> dst through ``inside`` as a list of (label, node);
     [] when src == dst and a step is not required."""
     if src == dst and not require_step:
         return []
-    seen = {src}
-    queue = [(src, [])]
-    while queue:
-        u, path = queue.pop(0)
+    parents = {src: None}
+    queue = [src]
+    i = 0
+    while i < len(queue):
+        u = queue[i]
+        i += 1
         for (lab, v) in adj.get(u, ()):
             if v not in inside:
                 continue
-            npath = path + [(lab, v)]
             if v == dst:
-                return npath
-            if v not in seen:
-                seen.add(v)
-                queue.append((v, npath))
+                return _steps_to(u, parents)[1] + [(lab, v)]
+            if v not in parents:
+                parents[v] = (u, lab)
+                queue.append(v)
     return None
 
 
@@ -346,62 +357,21 @@ def _closed_walk(comp, adj):
     return start, walk
 
 
-def _reach_with_parents(inits, adj):
-    parents = {}
-    queue = list(inits)
-    for n in inits:
-        parents.setdefault(n, None)
-    i = 0
-    while i < len(queue):
-        u = queue[i]
-        i += 1
-        for (lab, v) in adj.get(u, ()):
-            if v not in parents:
-                parents[v] = (u, lab)
-                queue.append(v)
-    return parents
-
-
-def _stem_to(node, parents):
-    labels = []
-    nodes = [node]
-    while parents[nodes[0]] is not None:
-        prev, lab = parents[nodes[0]]
-        labels.insert(0, lab)
-        nodes.insert(0, prev)
-    return nodes, labels
-
-
-@dataclass(frozen=True)
-class GraphLasso:
-    """A lasso inside an analysis graph (stem node list, stem labels, cycle)."""
-
-    stem_nodes: tuple
-    stem_labels: tuple
-    cycle: tuple
-
-    def project(self, proj) -> Lasso:
-        stem = Execution(
-            Word(tuple(self.stem_labels)),
-            tuple(proj(n) for n in self.stem_nodes),
-        )
-        return Lasso(stem, tuple((lab, proj(n)) for (lab, n) in self.cycle)).canonical()
-
-
-def _product_with_automata(nodes, adj, fair_a, unfair_b):
-    a_aa = isinstance(fair_a, NodeAlwaysAfter)
-    b_aa = isinstance(unfair_b, NodeAlwaysAfter)
-
-    def init(v):
+def _product_with_automata(starts, adj, fair_a, unfair_b):
+    """The part of the graph reachable from ``starts``, run in step with the
+    automata of the two conditions where they are positional: nodes are
+    (graph node, state of fair_a's automaton, state of unfair_b's), with
+    None for a condition without one, and steps that fail fair_a are cut.
+    Returns the product's steps and its BFS tree (node -> (parent, label)),
+    the tree in visit order."""
+    a_aa = isinstance(fair_a, AlwaysAfterSpec)
+    b_aa = isinstance(unfair_b, AlwaysAfterSpec)
+    inits = []
+    for v in sorted(starts, key=_node_key):
         sa = _aa_init(fair_a, v) if a_aa else None
         sb = _aa_init(unfair_b, v) if b_aa else None
-        return (v, sa, sb)
-
-    inits = []
-    for v in sorted(nodes, key=_node_key):
-        st = init(v)
-        if st[1] != "fail":
-            inits.append(st)
+        if sa != "fail":
+            inits.append((v, sa, sb))
     prod_adj = {}
     parents = {}
     queue = list(inits)
@@ -424,17 +394,31 @@ def _product_with_automata(nodes, adj, fair_a, unfair_b):
                 parents[nxt] = (u, lab)
                 queue.append(nxt)
         prod_adj[u] = tuple(steps)
-    return inits, prod_adj, parents
+    return prod_adj, parents
 
 
-def _lift_pairs_to_product(pairs, prod_nodes):
-    return tuple(
-        (
-            frozenset(p for p in prod_nodes if p[0] in L),
-            frozenset(p for p in prod_nodes if p[0] in U),
-        )
-        for (L, U) in pairs
+def _lift_pairs_to_product(spec, prod_nodes):
+    """A Streett condition's pairs over the product nodes; () for others."""
+    if not isinstance(spec, StreettSpec):
+        return ()
+    return _lift_fairness(spec, prod_nodes, lambda p: p[0]).pairs
+
+
+def _product_lasso(comp, prod_adj, parents, via=None, span=None) -> Lasso:
+    """The lasso of graph nodes under a product run: down the BFS tree to the
+    component's entry (or to ``via``, then on to the entry inside ``span``),
+    then round a closed walk of the component."""
+    entry, walk = _closed_walk(comp, prod_adj)
+    if via is None:
+        start, steps = _steps_to(entry, parents)
+    else:
+        start, steps = _steps_to(via, parents)
+        steps += _bfs_path(via, entry, prod_adj, span, require_step=False)
+    stem = Execution(
+        Word(tuple(lab for (lab, _) in steps)),
+        (start[0],) + tuple(p[0] for (_, p) in steps),
     )
+    return Lasso(stem, tuple((lab, p[0]) for (lab, p) in walk)).canonical()
 
 
 def exists_violating_run(nodes, adj, fair_a, unfair_b):
@@ -444,20 +428,10 @@ def exists_violating_run(nodes, adj, fair_a, unfair_b):
     Exact for any mix of Streett and positional conditions: end-component
     analysis over the graph extended with the positional automata.
     """
-    inits, prod_adj, parents = _product_with_automata(nodes, adj, fair_a, unfair_b)
+    prod_adj, parents = _product_with_automata(nodes, adj, fair_a, unfair_b)
     prod_nodes = list(parents)
-    a_pairs = ()
-    if isinstance(fair_a, NodeStreett):
-        a_pairs = _lift_pairs_to_product(fair_a.pairs, prod_nodes)
-
-    def witness(entry_comp):
-        entry, walk = _closed_walk(entry_comp, prod_adj)
-        stem_nodes, stem_labels = _stem_to(entry, parents)
-        return GraphLasso(tuple(stem_nodes), tuple(stem_labels), tuple(walk)).project(
-            lambda p: p[0]
-        )
-
-    if isinstance(unfair_b, NodeAlwaysAfter):
+    a_pairs = _lift_pairs_to_product(fair_a, prod_nodes)
+    if isinstance(unfair_b, AlwaysAfterSpec):
         targets = sorted((p for p in prod_nodes if p[2] == "fail"), key=_node_key)
         for t in targets:
             span = set()
@@ -470,98 +444,75 @@ def exists_violating_run(nodes, adj, fair_a, unfair_b):
                 stack.extend(v for (_, v) in prod_adj.get(u, ()))
             comp = _find_streett_ec(span, prod_adj, a_pairs, lambda D: True)
             if comp is not None:
-                entry, walk = _closed_walk(comp, prod_adj)
-                seg = _bfs_path(t, entry, prod_adj, span, require_step=False)
-                stem_nodes, stem_labels = _stem_to(t, parents)
-                for (lab, n) in seg:
-                    stem_nodes.append(n)
-                    stem_labels.append(lab)
-                return GraphLasso(
-                    tuple(stem_nodes), tuple(stem_labels), tuple(walk)
-                ).project(lambda p: p[0])
+                return _product_lasso(comp, prod_adj, parents, via=t, span=span)
     else:
-        for (L, U) in _lift_pairs_to_product(unfair_b.pairs, prod_nodes):
+        for (L, U) in _lift_pairs_to_product(unfair_b, prod_nodes):
             span = set(prod_nodes) - U
             comp = _find_streett_ec(span, prod_adj, a_pairs, lambda D: bool(D & L))
             if comp is not None:
-                return witness(comp)
+                return _product_lasso(comp, prod_adj, parents)
     return None
 
 
 def exists_fair_run(nodes, adj, spec, starts=None):
     """A lasso witnessing an infinite run satisfying the node-level condition,
     started from ``starts`` (default: anywhere), or None."""
-    if starts is None:
-        starts = list(nodes)
-    if isinstance(spec, NodeAlwaysAfter):
-        prod = {}
-        inits = []
-        for v in sorted(starts, key=_node_key):
-            st = (v, _aa_init(spec, v))
-            if st[1] != "fail":
-                inits.append(st)
-        parents = {}
-        queue = list(inits)
-        for st in inits:
-            parents.setdefault(st, None)
-        i = 0
-        while i < len(queue):
-            u = queue[i]
-            i += 1
-            v, sa = u
-            steps = []
-            for (lab, v2) in adj.get(v, ()):
-                sa2 = _aa_step(spec, sa, lab, v2)
-                if sa2 == "fail":
-                    continue
-                nxt = (v2, sa2)
-                steps.append((lab, nxt))
-                if nxt not in parents:
-                    parents[nxt] = (u, lab)
-                    queue.append(nxt)
-            prod[u] = tuple(steps)
-        comp = _find_streett_ec(list(parents), prod, (), lambda D: True)
-        if comp is None:
-            return None
-        entry, walk = _closed_walk(comp, prod)
-        stem_nodes, stem_labels = _stem_to(entry, parents)
-        return GraphLasso(tuple(stem_nodes), tuple(stem_labels), tuple(walk)).project(
-            lambda p: p[0]
-        )
-    parents = _reach_with_parents(sorted(starts, key=_node_key), adj)
-    span = list(parents)
-    pairs = spec.pairs if isinstance(spec, NodeStreett) else ()
-    comp = _find_streett_ec(span, adj, pairs, lambda D: True)
+    prod_adj, parents = _product_with_automata(
+        nodes if starts is None else starts, adj, spec, None
+    )
+    pairs = _lift_pairs_to_product(spec, list(parents))
+    comp = _find_streett_ec(list(parents), prod_adj, pairs, lambda D: True)
     if comp is None:
         return None
-    entry, walk = _closed_walk(comp, adj)
-    stem_nodes, stem_labels = _stem_to(entry, parents)
-    return GraphLasso(tuple(stem_nodes), tuple(stem_labels), tuple(walk)).project(
-        lambda n: n
-    )
+    return _product_lasso(comp, prod_adj, parents)
+
+
+# ---------------------------------------------------------------------------
+# Lifting lasso runs along a map
+
+
+def _synchronised(adj1, adj2, nodes) -> dict:
+    """The steps of the synchronous product of two labelled graphs on the
+    given node pairs: (u, v) -a-> (u2, v2) when both graphs take an a-step
+    and the pair is a node; steps in the order of adj1, then adj2."""
+    node_set = set(nodes)
+    return {
+        (u, v): tuple(
+            (a, (u2, v2))
+            for (a, u2) in adj1[u]
+            for (b, v2) in adj2[v]
+            if a == b and (u2, v2) in node_set
+        )
+        for (u, v) in nodes
+    }
+
+
+def _lifted_fair_run(source: FairLts, f: dict, lasso: Lasso, starts):
+    """A fair run of the source, started at one of ``starts``, that f maps
+    pointwise onto the lasso's run, or None.  Decided on the product of the
+    source with the lasso's positions: stem positions, then the cycle's."""
+    k, n = len(lasso.stem.trace), len(lasso.cycle)
+    positions = [("s", i) for i in range(k + 1)] + [("c", j) for j in range(n)]
+    state_of = dict(zip(positions, lasso.stem.states + tuple(st for (_, st) in lasso.cycle)))
+    steps = [(lab, ("s", i + 1)) for (i, lab) in enumerate(lasso.stem.trace)]
+    steps.append((lasso.cycle[0][0], ("c", 0)))
+    steps.extend((lasso.cycle[(j + 1) % n][0], ("c", (j + 1) % n)) for j in range(n))
+    nodes = [
+        (x, pos)
+        for x in source.lts.states
+        for pos in positions
+        if f[x] == state_of[pos]
+    ]
+    step = {pos: (s,) for (pos, s) in zip(positions, steps)}
+    adj = _synchronised(adjacency(source.lts), step, nodes)
+    spec = _lift_fairness(source.fairness, nodes, lambda node: node[0])
+    if spec is None:
+        raise UnsupportedError("source fairness kind unsupported for lifting runs")
+    return exists_fair_run(nodes, adj, spec, [(x, ("s", 0)) for x in starts])
 
 
 # ---------------------------------------------------------------------------
 # Image fairness (quotient systems)
-
-
-def _lasso_position_graph(lasso: Lasso):
-    """Unrolls a lasso into a finite position graph: stem positions followed
-    by a cycle of positions; returns (nodes, adj, state_of, start)."""
-    k = len(lasso.stem.trace)
-    nodes = [("s", i) for i in range(k + 1)] + [("c", j) for j in range(len(lasso.cycle))]
-    state_of = {("s", i): lasso.stem.states[i] for i in range(k + 1)}
-    for j, (_, st) in enumerate(lasso.cycle):
-        state_of[("c", j)] = st
-    adj = {}
-    for i in range(k):
-        adj[("s", i)] = ((lasso.stem.trace[i], ("s", i + 1)),)
-    adj[("s", k)] = ((lasso.cycle[0][0], ("c", 0)),)
-    for j in range(len(lasso.cycle)):
-        nxt = ("c", (j + 1) % len(lasso.cycle))
-        lab = lasso.cycle[(j + 1) % len(lasso.cycle)][0]
-        adj[("c", j)] = ((lab, nxt),)
-    return nodes, adj, state_of, ("s", 0)
 
 
 @dataclass(frozen=True)
@@ -584,48 +535,28 @@ class ImageFairness:
 
     def is_fair(self, lasso: Lasso) -> bool:
         f = self.mapping
-        pos_nodes, pos_adj, state_of, start = _lasso_position_graph(lasso)
-        adjX = adjacency(self.source.lts)
-        nodes = [
-            (x, pos)
-            for x in self.source.lts.states
-            for pos in pos_nodes
-            if f[x] == state_of[pos]
-        ]
-        node_set = set(nodes)
-        adj = {}
-        for (x, pos) in nodes:
-            (lab, pos2) = pos_adj[pos][0]
-            steps = tuple(
-                (lab, (x2, pos2))
-                for (l, x2) in adjX[x]
-                if l == lab and (x2, pos2) in node_set
-            )
-            adj[(x, pos)] = steps
-        starts = [(x, start) for x in self.source.lts.states if f[x] == state_of[start]]
-        spec = _lift_fairness(self.source.fairness, nodes, lambda n: n[0])
-        if spec is None:
-            raise UnsupportedError("nested quotient fairness is not supported")
-        return exists_fair_run(nodes, adj, spec, starts) is not None
+        starts = [x for x in self.source.lts.states if f[x] == lasso.stem.start]
+        return _lifted_fair_run(self.source, f, lasso, starts) is not None
 
 
 # ---------------------------------------------------------------------------
 # Strong checks
 
 
-def check_strong_bisim_fn(f: dict, source: Lts, target: Lts) -> Verdict:
-    """Surjectivity plus reflection of the target's transitions along f."""
-    ok, witness = is_simulation(f, source, target)
-    if not ok:
-        raise PreconditionError(f"not a simulation: violates {transition_str(*witness)}")
+def _unreached(f: dict, source: Lts, target: Lts):
+    """The first target state outside f's image, or None if f is onto."""
     image = {f[s] for s in source.states}
-    for y in target.states:
-        if y not in image:
-            return Verdict("strong-bisim-fn", False, ("not-surjective", y))
+    return next((y for y in target.states if y not in image), None)
+
+
+def _transfer_violation(f: dict, source: Lts, target: Lts):
+    """A tagged witness against surjectivity, then against reflection of the
+    target's transitions along f; None if f has both."""
+    y = _unreached(f, source, target)
+    if y is not None:
+        return ("not-surjective", y)
     w = _reflection_violation(f, source, target)
-    if w is not None:
-        return Verdict("strong-bisim-fn", False, ("no-reflection", w))
-    return Verdict("strong-bisim-fn", True)
+    return None if w is None else ("no-reflection", w)
 
 
 def _reflection_violation(f: dict, source: Lts, target: Lts):
@@ -638,8 +569,20 @@ def _reflection_violation(f: dict, source: Lts, target: Lts):
     return None
 
 
+def check_strong_bisim_fn(f: dict, source: Lts, target: Lts) -> Verdict:
+    """Surjectivity plus reflection of the target's transitions along f."""
+    ok, witness = is_simulation(f, source, target)
+    if not ok:
+        raise PreconditionError(f"not a simulation: violates {transition_str(*witness)}")
+    w = _transfer_violation(f, source, target)
+    return Verdict("strong-bisim-fn", w is None, w)
+
+
 # ---------------------------------------------------------------------------
 # Fair checks
+#
+# A public fair check enumerates each system's lassos once: the source's come
+# with the fair-simulation check (``_fair_simulation``) and are handed on.
 
 
 def check_fair_sim(f: dict, source: FairLts, target: FairLts,
@@ -658,8 +601,15 @@ def check_fair_reflection(f: dict, source: FairLts, target: FairLts,
     """No run of the source may have a fair image without being fair itself
     (limits of increasing execution chains, by Kleene equality: both sides
     undefined counts as satisfied)."""
-    if fair_simulation_violation(f, source, target, stem_bound, cycle_bound) is not None:
+    violation, lassos = _fair_simulation(f, source, target, stem_bound, cycle_bound)
+    if violation is not None:
         raise PreconditionError("reflection is only defined for fair simulations")
+    return _fair_reflection(f, source, target, mode, stem_bound, cycle_bound, lassos)
+
+
+def _fair_reflection(f, source, target, mode, stem_bound, cycle_bound, lassos) -> Verdict:
+    """check_fair_reflection for a fair simulation with the source's tagged
+    lassos."""
     notes = ()
     if mode == "exact_streett":
         nodes = list(source.lts.states)
@@ -679,8 +629,7 @@ def check_fair_reflection(f: dict, source: FairLts, target: FairLts,
     if mode != "bounded":
         raise PreconditionError(f"unknown mode {mode!r}")
     bounds = {"stem_bound": stem_bound, "cycle_bound": cycle_bound}
-    for (lasso, fair) in sorted(fair_lassos(source, stem_bound, cycle_bound),
-                                key=lambda lw: str(lw[0])):
+    for (lasso, fair) in sorted(lassos, key=lambda lw: str(lw[0])):
         if fair:
             continue
         image = lasso.map_states(f).canonical()
@@ -698,17 +647,19 @@ def check_fair_bisim_fn(f: dict, source: FairLts, target: FairLts,
                         stem_bound: int = 4, cycle_bound: int = 4) -> Verdict:
     """Fair simulation + surjectivity + transition reflection + limit
     reflection, in that order."""
-    violation = fair_simulation_violation(f, source, target, stem_bound, cycle_bound)
+    checked = _fair_simulation(f, source, target, stem_bound, cycle_bound)
+    return _fair_bisim_fn(f, source, target, mode, stem_bound, cycle_bound, checked)
+
+
+def _fair_bisim_fn(f, source, target, mode, stem_bound, cycle_bound, checked) -> Verdict:
+    """check_fair_bisim_fn from ``checked``, the result of
+    ``_fair_simulation``."""
+    violation, lassos = checked
+    if violation is None:
+        violation = _transfer_violation(f, source.lts, target.lts)
     if violation is not None:
         return Verdict("fair-bisim-fn", False, violation)
-    image = {f[s] for s in source.lts.states}
-    for y in target.lts.states:
-        if y not in image:
-            return Verdict("fair-bisim-fn", False, ("not-surjective", y))
-    w = _reflection_violation(f, source.lts, target.lts)
-    if w is not None:
-        return Verdict("fair-bisim-fn", False, ("no-reflection", w))
-    sub = check_fair_reflection(f, source, target, mode, stem_bound, cycle_bound)
+    sub = _fair_reflection(f, source, target, mode, stem_bound, cycle_bound, lassos)
     if not sub.holds:
         return Verdict("fair-bisim-fn", False, sub.witness, notes=sub.notes)
     return Verdict("fair-bisim-fn", True, certified_bounds=sub.certified_bounds,
@@ -729,48 +680,11 @@ def check_hildebrandt_open(f: dict, source: FairLts, target: FairLts,
         (l for (l, ok) in fair_lassos(target, stem_bound, cycle_bound) if ok),
         key=str,
     )
-    adjX = adjacency(source.lts)
     for x in source.lts.states:
         for q in fair_targets:
-            if q.stem.start != f[x]:
-                continue
-            pos_nodes, pos_adj, state_of, start = _lasso_position_graph(q)
-            nodes = [
-                (z, pos)
-                for z in source.lts.states
-                for pos in pos_nodes
-                if f[z] == state_of[pos]
-            ]
-            node_set = set(nodes)
-            adj = {}
-            for (z, pos) in nodes:
-                (lab, pos2) = pos_adj[pos][0]
-                adj[(z, pos)] = tuple(
-                    (lab, (z2, pos2))
-                    for (l, z2) in adjX[z]
-                    if l == lab and (z2, pos2) in node_set
-                )
-            spec = _lift_fairness(source.fairness, nodes, lambda n: n[0])
-            if spec is None:
-                raise UnsupportedError("source fairness kind unsupported")
-            if exists_fair_run(nodes, adj, spec, [(x, start)]) is None:
+            if q.stem.start == f[x] and _lifted_fair_run(source, f, q, [x]) is None:
                 return Verdict("hildebrandt-open", False, ("unliftable-fair-run", (x, q)))
     return Verdict("hildebrandt-open", True, certified_bounds=bounds)
-
-
-def _relation_product(lts: Lts, pairs):
-    adjX = adjacency(lts)
-    nodes = sorted(pairs)
-    pair_set = set(pairs)
-    adj = {}
-    for (x, y) in nodes:
-        steps = []
-        for (a, x2) in adjX[x]:
-            for (b, y2) in adjX[y]:
-                if a == b and (x2, y2) in pair_set:
-                    steps.append((a, (x2, y2)))
-        adj[(x, y)] = tuple(sorted(steps, key=lambda s: (label_key(s[0]), s[1])))
-    return nodes, adj
 
 
 def check_forall_fair_bisim(R: PartitionRelation, system: FairLts,
@@ -796,7 +710,8 @@ def check_forall_fair_bisim(R: PartitionRelation, system: FairLts,
             if not any(b == a and R.contains(x2, y2) for (b, y2) in adjX[y]):
                 return Verdict("forall-fair-bisim", False,
                                ("no-transfer", ((x, y), (x, a, x2))))
-    nodes, adj = _relation_product(system.lts, R.pairs)
+    nodes = sorted(R.pairs)
+    adj = _synchronised(adjX, adjX, nodes)
     notes = ()
     if mode == "exact_streett":
         fair_left = _lift_fairness(system.fairness, nodes, lambda n: n[0])
@@ -836,23 +751,21 @@ def forall_fair_quotient(R: PartitionRelation, system: FairLts,
     verdict = check_forall_fair_bisim(R, system, mode, stem_bound, cycle_bound)
     if not verdict.holds:
         raise PreconditionError(f"not a fairness-respecting equivalence: {verdict.witness}")
-    blocks = R.blocks()
-    name = {}
-    for b in blocks:
-        bname = "+".join(sorted(b))
-        for s in b:
-            name[s] = bname
-    transitions = {
-        (name[x], a, name[y]) for (x, a, y) in system.lts.transitions
-    }
-    quotient = Lts.make(
-        tuple("+".join(sorted(b)) for b in blocks),
-        system.lts.alphabet,
-        transitions,
-    )
-    f = {s: name[s] for s in system.lts.states}
+    quotient, f = quotient_lts(system.lts, R)
     fair = ImageFairness(system, tuple(sorted(f.items())))
     return FairLts(quotient, fair), f
+
+
+def quotient_lts(lts: Lts, R: PartitionRelation):
+    """Quotient by an equivalence with induced transitions (no silent-step
+    special casing): one state per block, named by its members joined with
+    ``+``.  Returns (quotient, map)."""
+    blocks = R.blocks()
+    names = tuple("+".join(sorted(b)) for b in blocks)
+    name = {s: bname for (bname, b) in zip(names, blocks) for s in b}
+    transitions = {(name[x], a, name[y]) for (x, a, y) in lts.transitions}
+    quotient = Lts.make(names, lts.alphabet, transitions)
+    return quotient, {s: name[s] for s in lts.states}
 
 
 # ---------------------------------------------------------------------------
@@ -871,10 +784,9 @@ def check_branching_bisim_fn(f: dict, source: Lts, target: Lts) -> Verdict:
     violation = branching_simulation_violation(f, source, target)
     if violation is not None:
         return Verdict("branching-bisim-fn", False, violation)
-    image = {f[s] for s in source.states}
-    for y in target.states:
-        if y not in image:
-            return Verdict("branching-bisim-fn", False, ("not-surjective", y))
+    y = _unreached(f, source, target)
+    if y is not None:
+        return Verdict("branching-bisim-fn", False, ("not-surjective", y))
     adjY = adjacency(target)
     adjX = adjacency(source)
     eps = eps_closure(source)
@@ -932,24 +844,9 @@ def branching_quotient(lts: Lts):
     """Quotient by branching bisimilarity, dropping silent steps inside a
     block (they are stutter steps of the quotient map).  Returns (quotient,
     map); the map's kernel is the bisimilarity."""
-    R = branching_bisimilarity(lts)
-    blocks = R.blocks()
-    name = {}
-    for b in blocks:
-        bname = "+".join(sorted(b))
-        for s in b:
-            name[s] = bname
-    transitions = set()
-    for (x, a, y) in lts.transitions:
-        if a is TAU and name[x] == name[y]:
-            continue
-        transitions.add((name[x], a, name[y]))
-    quotient = Lts.make(
-        tuple("+".join(sorted(b)) for b in blocks),
-        lts.alphabet,
-        transitions,
-    )
-    return quotient, {s: name[s] for s in lts.states}
+    quotient, f = quotient_lts(lts, branching_bisimilarity(lts))
+    stutter = {(b, TAU, b) for b in quotient.states}
+    return Lts.make(quotient.states, quotient.alphabet, quotient.transitions - stutter), f
 
 
 def extend_reduction(g: dict, source: Lts, mid: Lts):
@@ -1010,9 +907,12 @@ def check_bisim_map(f: dict, source, target, mode: str,
     elif mode == "fair":
         if not isinstance(source, FairLts) or not isinstance(target, FairLts):
             raise PreconditionError("fair mode takes fair systems")
-        lifted = fair_sem_map(f, source, target, depth, stem_bound, cycle_bound)
-        concrete = check_fair_bisim_fn(f, source, target,
-                                       stem_bound=stem_bound, cycle_bound=cycle_bound)
+        # each system's lassos are enumerated once, for both routes
+        checked = _fair_simulation(f, source, target, stem_bound, cycle_bound)
+        lifted = _fair_sem_map(f, source, target, depth, checked,
+                               fair_lassos(target, stem_bound, cycle_bound))
+        concrete = _fair_bisim_fn(f, source, target, "exact_streett",
+                                  stem_bound, cycle_bound, checked)
         bounds.update({"stem_bound": stem_bound, "cycle_bound": cycle_bound})
     elif mode in ("branching", "branching_failed"):
         if isinstance(source, FairLts) or isinstance(target, FairLts):
@@ -1103,22 +1003,3 @@ def brute_force_largest(lts: Lts, kind: str) -> PartitionRelation:
                 winners.add((x, y))
                 winners.add((y, x))
     return PartitionRelation(tuple(lts.states), frozenset(winners))
-
-
-# ---------------------------------------------------------------------------
-# Plain quotients (used by tests and the sampler)
-
-
-def quotient_lts(lts: Lts, R: PartitionRelation):
-    """Quotient with induced transitions (no silent-step special casing)."""
-    blocks = R.blocks()
-    name = {}
-    for b in blocks:
-        bname = "+".join(sorted(b))
-        for s in b:
-            name[s] = bname
-    transitions = {(name[x], a, name[y]) for (x, a, y) in lts.transitions}
-    quotient = Lts.make(
-        tuple("+".join(sorted(b)) for b in blocks), lts.alphabet, transitions
-    )
-    return quotient, {s: name[s] for s in lts.states}

@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import ParseError, PreconditionError
-from .words import EPSILON, TAU, Word, label_key, label_str
+from .words import EPSILON, TAU, LassoTrace, Word, label_key, label_str, minimal_period
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,8 @@ def restrict(p: Execution, prefix: Word) -> Execution:
 
 
 def is_execution_of(lts: Lts, p: Execution) -> bool:
-    if any(s not in set(lts.states) for s in p.states):
+    known = set(lts.states)
+    if any(s not in known for s in p.states):
         return False
     return all(
         lts.has_transition(p.states[i], p.trace[i], p.states[i + 1])
@@ -284,8 +285,6 @@ class Lasso:
         )
 
     def trace(self):
-        from .words import LassoTrace
-
         return LassoTrace.canonical(
             tuple(self.stem.trace), tuple(lab for (lab, _) in self.cycle)
         )
@@ -293,11 +292,7 @@ class Lasso:
     def canonical(self) -> "Lasso":
         """Minimal-period cycle, with the stem absorbed into the cycle as far
         as possible (unique representation of the denoted infinite run)."""
-        cycle = list(self.cycle)
-        for p in range(1, len(cycle) + 1):
-            if len(cycle) % p == 0 and all(cycle[i] == cycle[i % p] for i in range(len(cycle))):
-                cycle = cycle[:p]
-                break
+        cycle = minimal_period(self.cycle)
         states = list(self.stem.states)
         trace = list(self.stem.trace)
         while trace:
@@ -440,11 +435,9 @@ def fair_lassos(fl: FairLts, stem_bound: int, cycle_bound: int) -> frozenset:
 # Simulation functions
 
 
-def is_simulation(f: dict, source: Lts, target: Lts):
-    """Check that the state map carries every transition to a transition.
-
-    Returns (True, None) or (False, violating transition).
-    """
+def check_map_shape(f: dict, source: Lts, target: Lts):
+    """Raise unless f maps every source state to a target state and the
+    source's alphabet lies inside the target's."""
     missing = set(source.states) - set(f)
     if missing:
         raise PreconditionError(f"map not total: missing {sorted(missing)}")
@@ -453,6 +446,14 @@ def is_simulation(f: dict, source: Lts, target: Lts):
         raise PreconditionError(f"map image outside target states: {sorted(bad_imgs)}")
     if not source.alphabet <= target.alphabet:
         raise PreconditionError("alphabets incompatible")
+
+
+def is_simulation(f: dict, source: Lts, target: Lts):
+    """Check that the state map carries every transition to a transition.
+
+    Returns (True, None) or (False, violating transition).
+    """
+    check_map_shape(f, source, target)
     for (src, lab, tgt) in sorted(source.transitions, key=lambda t: (label_key(t[1]), t[0], t[2])):
         if not target.has_transition(f[src], lab, f[tgt]):
             return False, (src, lab, tgt)
@@ -536,8 +537,12 @@ def parse_fairness(text: str, lts: Lts):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad fairness sidecar: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError("bad fairness sidecar: not a JSON object")
     names = doc.get("names")
     if names is not None:
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            raise ParseError("fairness names must be a list of strings")
         rename = {str(i): n for i, n in enumerate(names)}
         resolve = lambda s: rename.get(s, s)  # noqa: E731
     else:
@@ -545,42 +550,54 @@ def parse_fairness(text: str, lts: Lts):
     known = set(lts.states)
 
     def states_of(items):
+        if not isinstance(items, list):
+            raise ParseError(f"fairness state set must be a list, got {items!r}")
         out = []
         for s in items:
-            s = resolve(s)
-            if s not in known:
+            s = resolve(s) if isinstance(s, str) else s
+            if not isinstance(s, str) or s not in known:
                 raise ParseError(f"fairness mentions unknown state {s!r}")
             out.append(s)
         return frozenset(out)
 
     kind = doc.get("kind")
     if kind == "streett":
-        pairs = tuple((states_of(L), states_of(U)) for (L, U) in doc.get("pairs", []))
-        return StreettSpec(pairs)
+        pairs = doc.get("pairs", [])
+        if not isinstance(pairs, list) or not all(
+            isinstance(pair, list) and len(pair) == 2 for pair in pairs
+        ):
+            raise ParseError("streett pairs must be a list of [L, U] lists")
+        return StreettSpec(tuple((states_of(L), states_of(U)) for (L, U) in pairs))
     if kind == "always_after":
-        gate = tuple(doc.get("gate", []))
-        return AlwaysAfterSpec(int(doc["offset"]), states_of(doc["states"]), gate)
+        offset = doc.get("offset")
+        if not isinstance(offset, int) or isinstance(offset, bool) or offset < 0:
+            raise ParseError(f"always_after offset must be an integer >= 0, got {offset!r}")
+        gate = doc.get("gate", [])
+        if not isinstance(gate, list) or not all(isinstance(lab, str) for lab in gate):
+            raise ParseError(f"always_after gate must be a list of labels, got {gate!r}")
+        return AlwaysAfterSpec(offset, states_of(doc.get("states")), tuple(gate))
     raise ParseError(f"unknown fairness kind {kind!r}")
 
 
 def parse_state_map(text: str, source: Lts, target: Lts, total: bool = True) -> dict:
     """Parse ``a -> b`` lines into a state map (total over source by default)."""
     f = {}
+    sources, targets = set(source.states), set(target.states)
     for ln in (raw.strip() for raw in text.splitlines()):
         if not ln or ln.startswith("#"):
             continue
         if "->" not in ln:
             raise ParseError(f"malformed map line: {ln!r}")
         left, right = (part.strip() for part in ln.split("->", 1))
-        if left not in set(source.states):
+        if left not in sources:
             raise ParseError(f"unknown source state {left!r}")
-        if right not in set(target.states):
+        if right not in targets:
             raise ParseError(f"unknown target state {right!r}")
         if left in f and f[left] != right:
             raise ParseError(f"conflicting images for {left!r}")
         f[left] = right
     if total:
-        missing = set(source.states) - set(f)
+        missing = sources - set(f)
         if missing:
             raise ParseError(f"map not total: missing {sorted(missing)}")
     return f

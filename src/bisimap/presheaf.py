@@ -118,7 +118,17 @@ class FinPoset:
 
 
 def poset_from_leq(elements, leq, dialect="") -> FinPoset:
-    elements = tuple(sorted(elements, key=element_key))
+    """The elements ordered by ``leq``, sorted by ``element_key``; elements
+    outside that key's family (pairs from the category of elements) sort
+    after them, by str and repr."""
+
+    def key(e):
+        try:
+            return (0,) + element_key(e)
+        except PreconditionError:
+            return (1, str(e), repr(e))
+
+    elements = tuple(sorted(elements, key=key))
     rel = frozenset((a, b) for a in elements for b in elements if leq(a, b))
     return FinPoset(elements, rel, dialect)
 
@@ -292,8 +302,9 @@ def validate(F: FinPresheaf) -> PresheafReport:
                 continue
             if set(table) != set(F.stages[hi]):
                 bad.append(("domain", lo, hi))
+            lo_stage = set(F.stages[lo])
             for x, y in table.items():
-                if y not in set(F.stages[lo]):
+                if y not in lo_stage:
                     bad.append(("codomain", lo, hi, x))
     for top in base.elements:
         for mid in base.strictly_below(top):
@@ -800,8 +811,9 @@ class MonotoneMap:
     mapping: dict
 
     def __post_init__(self):
+        targets = set(self.target.elements)
         for a in self.source.elements:
-            if self.mapping[a] not in set(self.target.elements):
+            if self.mapping[a] not in targets:
                 raise PreconditionError("map leaves the target poset")
         for (a, b) in self.source.relation:
             if not self.target.leq(self.mapping[a], self.mapping[b]):
@@ -917,7 +929,7 @@ def elements_poset(F: FinPresheaf) -> ElementsPosetResult:
         (ea, xa), (eb, xb) = a, b
         return F.base.leq(ea, eb) and F.restrict(xb, eb, ea) == xa
 
-    raw = poset_from_leq_generic(objs, leq, "elements")
+    raw = poset_from_leq(objs, leq, "elements")
 
     occurrences = {}
     for (e, x) in objs:
@@ -934,25 +946,10 @@ def elements_poset(F: FinPresheaf) -> ElementsPosetResult:
     if len(set(simple_elems)) != len(simple_elems):
         raise PreconditionError("simplification collapsed distinct objects")
     inverse = {v: k for k, v in simplify.items()}
-    simplified = poset_from_leq_generic(
+    simplified = poset_from_leq(
         simple_elems, lambda a, b: leq(inverse[a], inverse[b]), "elements-simplified"
     )
     return ElementsPosetResult(raw, simplified, simplify)
-
-
-def poset_from_leq_generic(elements, leq, dialect="") -> FinPoset:
-    """Like poset_from_leq but for element types outside the sort-key family
-    (pairs from the category of elements); ordering falls back to repr."""
-
-    def key(e):
-        try:
-            return (0,) + element_key(e)
-        except PreconditionError:
-            return (1, str(e), repr(e))
-
-    elements = tuple(sorted(elements, key=key))
-    rel = frozenset((a, b) for a in elements for b in elements if leq(a, b))
-    return FinPoset(elements, rel, dialect)
 
 
 def order_isomorphic(P: FinPoset, Q: FinPoset, mapping=None) -> bool:
@@ -993,13 +990,10 @@ def stretch_word_presheaf(labels, depth: int) -> FinPresheaf:
     """As word_length_presheaf, plus the stretchable observation at every
     positive tick; it truncates to the empty word at tick zero and stays put
     otherwise."""
-    labels = tuple(labels)
-    by_len = {0: [EPSILON]}
-    for n in range(1, depth + 1):
-        by_len[n] = [w.append(l) for w in by_len[n - 1] for l in labels]
+    words = word_length_presheaf(labels, depth)
 
     def stage(n):
-        return by_len[n] + ([TAU_BAR] if n > 0 else [])
+        return words.stage(n) + ((TAU_BAR,) if n > 0 else ())
 
     def act(x, frm, to):
         if x is TAU_BAR:

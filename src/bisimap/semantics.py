@@ -19,8 +19,8 @@ from .errors import InternalCheckError, PreconditionError
 from .lts import (
     Execution,
     FairLts,
-    Lasso,
     Lts,
+    check_map_shape,
     eps_closure,
     executions_up_to,
     fair_lassos,
@@ -47,6 +47,10 @@ def _joint_alphabet(*systems):
     return tuple(sorted(labs))
 
 
+def _visible_labels(lts: Lts, alphabet) -> tuple:
+    return tuple(sorted(alphabet if alphabet is not None else lts.alphabet))
+
+
 def _map_execution(f: dict, p: Execution) -> Execution:
     return Execution(p.trace, tuple(f[s] for s in p.states))
 
@@ -55,12 +59,9 @@ def _map_execution(f: dict, p: Execution) -> Execution:
 # Strong semantics
 
 
-def strong_sem(lts: Lts, depth: int, alphabet=None) -> FinPresheaf:
-    """The presheaf of executions over visible words up to the depth."""
-    if lts.has_tau:
-        raise PreconditionError("strong semantics is for systems without silent steps")
-    labels = tuple(sorted(alphabet)) if alphabet is not None else tuple(sorted(lts.alphabet))
-    base = word_poset(labels, depth, "visible-words")
+def _execution_presheaf(base, lts: Lts, depth: int) -> FinPresheaf:
+    """The executions of lts up to the depth over a base of words, each at
+    its trace; restriction cuts an execution to a prefix."""
     execs = executions_up_to(lts, depth)
     return make_presheaf(
         base,
@@ -69,19 +70,56 @@ def strong_sem(lts: Lts, depth: int, alphabet=None) -> FinPresheaf:
     )
 
 
+def strong_sem(lts: Lts, depth: int, alphabet=None) -> FinPresheaf:
+    """The presheaf of executions over visible words up to the depth."""
+    if lts.has_tau:
+        raise PreconditionError("strong semantics is for systems without silent steps")
+    base = word_poset(_visible_labels(lts, alphabet), depth, "visible-words")
+    return _execution_presheaf(base, lts, depth)
+
+
 def strong_sem_map(f: dict, source: Lts, target: Lts, depth: int) -> NatTrans:
-    """Lift a simulation to the execution presheaves (post-composition)."""
+    """Lift a simulation to the execution presheaves (post-composition), both
+    built over one base."""
     ok, witness = is_simulation(f, source, target)
     if not ok:
         raise PreconditionError(f"not a simulation: violates {witness}")
-    labels = _joint_alphabet(source, target)
-    FX = strong_sem(source, depth, labels)
-    FY = strong_sem(target, depth, labels)
+    if source.has_tau or target.has_tau:
+        raise PreconditionError("strong semantics is for systems without silent steps")
+    base = word_poset(_joint_alphabet(source, target), depth, "visible-words")
+    FX = _execution_presheaf(base, source, depth)
+    FY = _execution_presheaf(base, target, depth)
     return nat_trans(FX, FY, lambda e, p: _map_execution(f, p))
 
 
 # ---------------------------------------------------------------------------
 # Fair semantics
+
+
+def _fair_traces(lassos) -> set:
+    return {l.trace() for (l, ok) in lassos if ok}
+
+
+def _fair_presheaf(base, fl: FairLts, depth: int, lassos) -> FinPresheaf:
+    """The fair semantics of fl over a base holding every trace of its fair
+    lassos; ``lassos`` are fl's lassos tagged by fairness."""
+    by_trace = {}
+    for (l, ok) in lassos:
+        if ok:
+            by_trace.setdefault(l.trace(), []).append(l)
+    execs = executions_up_to(fl.lts, depth)
+
+    def stage(e):
+        if isinstance(e, LassoTrace):
+            return by_trace.get(e, [])
+        return execs.get(e, frozenset())
+
+    def act(x, frm, to):
+        if isinstance(frm, LassoTrace):
+            return x.unroll(len(to))
+        return restrict(x, to)
+
+    return make_presheaf(base, stage, act)
 
 
 def fair_sem(
@@ -98,58 +136,47 @@ def fair_sem(
     restriction to a finite word unrolls the lasso.  ``extra_traces`` adds
     stages (possibly empty) so two systems can share a base.
     """
-    labels = tuple(sorted(alphabet)) if alphabet is not None else tuple(sorted(fl.lts.alphabet))
-    fair = [l for (l, ok) in fair_lassos(fl, stem_bound, cycle_bound) if ok]
-    by_trace = {}
-    for l in fair:
-        by_trace.setdefault(l.trace(), []).append(l)
-    traces = set(by_trace) | set(extra_traces)
-    base = fair_target_poset(labels, depth, traces)
-    execs = executions_up_to(fl.lts, depth)
+    lassos = fair_lassos(fl, stem_bound, cycle_bound)
+    traces = _fair_traces(lassos) | set(extra_traces)
+    base = fair_target_poset(_visible_labels(fl.lts, alphabet), depth, traces)
+    return _fair_presheaf(base, fl, depth, lassos)
 
-    def stage(e):
-        if isinstance(e, LassoTrace):
-            return by_trace.get(e, [])
-        return execs.get(e, frozenset())
 
-    def act(x, frm, to):
-        if isinstance(frm, LassoTrace):
-            return x.unroll(len(to))
-        return restrict(x, to)
-
-    return make_presheaf(base, stage, act)
+def _fair_simulation(f: dict, source: FairLts, target: FairLts,
+                     stem_bound: int, cycle_bound: int):
+    """(violation or None, the source's lassos tagged by fairness); the
+    lassos are None when f already fails on a transition."""
+    ok, witness = is_simulation(f, source.lts, target.lts)
+    if not ok:
+        return ("transition", witness), None
+    lassos = fair_lassos(source, stem_bound, cycle_bound)
+    for (lasso, fair) in sorted(lassos, key=lambda lw: str(lw[0])):
+        if not fair:
+            continue
+        image = lasso.map_states(f).canonical()
+        if not target.fairness.is_fair(image):
+            return ("unfair-image", (lasso, image)), lassos
+    return None, lassos
 
 
 def fair_simulation_violation(f: dict, source: FairLts, target: FairLts,
                               stem_bound: int = 4, cycle_bound: int = 4):
     """None if f preserves transitions and (within bounds) fair lassos;
     otherwise a tagged witness."""
-    ok, witness = is_simulation(f, source.lts, target.lts)
-    if not ok:
-        return ("transition", witness)
-    for (lasso, fair) in sorted(fair_lassos(source, stem_bound, cycle_bound),
-                                key=lambda lw: str(lw[0])):
-        if not fair:
-            continue
-        image = lasso.map_states(f).canonical()
-        if not target.fairness.is_fair(image):
-            return ("unfair-image", (lasso, image))
-    return None
+    return _fair_simulation(f, source, target, stem_bound, cycle_bound)[0]
 
 
-def fair_sem_map(f: dict, source: FairLts, target: FairLts, depth: int,
-                 stem_bound: int = 4, cycle_bound: int = 4) -> NatTrans:
-    """Lift a fair simulation to the fair-semantics presheaves over a shared
-    base; raises with the offending lasso if fairness is not preserved."""
-    violation = fair_simulation_violation(f, source, target, stem_bound, cycle_bound)
+def _fair_sem_map(f: dict, source: FairLts, target: FairLts, depth: int,
+                  checked, target_lassos) -> NatTrans:
+    """fair_sem_map from ``checked``, the result of ``_fair_simulation``,
+    and the target's tagged lassos."""
+    violation, source_lassos = checked
     if violation is not None:
         raise PreconditionError(f"not a fair simulation: {violation[0]} witness {violation[1]}")
-    labels = _joint_alphabet(source.lts, target.lts)
-    src_traces = {l.trace() for (l, ok) in fair_lassos(source, stem_bound, cycle_bound) if ok}
-    tgt_traces = {l.trace() for (l, ok) in fair_lassos(target, stem_bound, cycle_bound) if ok}
-    shared = src_traces | tgt_traces
-    FX = fair_sem(source, depth, stem_bound, cycle_bound, labels, shared)
-    FY = fair_sem(target, depth, stem_bound, cycle_bound, labels, shared)
+    traces = _fair_traces(source_lassos) | _fair_traces(target_lassos)
+    base = fair_target_poset(_joint_alphabet(source.lts, target.lts), depth, traces)
+    FX = _fair_presheaf(base, source, depth, source_lassos)
+    FY = _fair_presheaf(base, target, depth, target_lassos)
 
     def component(e, x):
         if isinstance(e, LassoTrace):
@@ -157,6 +184,15 @@ def fair_sem_map(f: dict, source: FairLts, target: FairLts, depth: int,
         return _map_execution(f, x)
 
     return nat_trans(FX, FY, component)
+
+
+def fair_sem_map(f: dict, source: FairLts, target: FairLts, depth: int,
+                 stem_bound: int = 4, cycle_bound: int = 4) -> NatTrans:
+    """Lift a fair simulation to the fair-semantics presheaves over a shared
+    base; raises with the offending lasso if fairness is not preserved."""
+    checked = _fair_simulation(f, source, target, stem_bound, cycle_bound)
+    return _fair_sem_map(f, source, target, depth, checked,
+                         fair_lassos(target, stem_bound, cycle_bound))
 
 
 # ---------------------------------------------------------------------------
@@ -167,17 +203,11 @@ def base_presheaf(lts: Lts, depth: int, barred: bool = False, alphabet=None) -> 
     """The execution presheaf over words with silent letters; in barred mode
     the base gains the stretch points, whose common stage collects all purely
     silent executions and restricts to the start state at the empty word."""
-    visible = tuple(sorted(alphabet)) if alphabet is not None else tuple(sorted(lts.alphabet))
-    labels = visible + (TAU,)
-    execs = executions_up_to_with_tau(lts, depth, labels)
+    labels = _visible_labels(lts, alphabet) + (TAU,)
     if not barred:
-        base = word_poset(labels, depth, "silent-words")
-        return make_presheaf(
-            base,
-            lambda w: execs.get(w, frozenset()),
-            lambda p, frm, to: restrict(p, to),
-        )
+        return _execution_presheaf(word_poset(labels, depth, "silent-words"), lts, depth)
     base = barred_source_poset(labels, depth)
+    execs = executions_up_to(lts, depth)
     silent = sorted(
         (p for w, ps in execs.items() if not w.visible().letters for p in ps),
         key=str,
@@ -196,32 +226,6 @@ def base_presheaf(lts: Lts, depth: int, barred: bool = False, alphabet=None) -> 
         return restrict(x, to)
 
     return make_presheaf(base, stage, act)
-
-
-def executions_up_to_with_tau(lts: Lts, depth: int, labels) -> dict:
-    """Like executions_up_to but over an explicit label universe (so systems
-    with different alphabets can share a base)."""
-    if set(lts.labels()) == set(labels):
-        return executions_up_to(lts, depth)
-    from .lts import adjacency
-
-    adj = adjacency(lts)
-    stages = {EPSILON: frozenset(Execution.empty(s) for s in lts.states)}
-    frontier = dict(stages)
-    for _ in range(depth):
-        nxt = {}
-        for word, ps in frontier.items():
-            for lab in labels:
-                grown = [
-                    p.extend(lab, tgt)
-                    for p in ps
-                    for (l, tgt) in adj[p.last]
-                    if l == lab
-                ]
-                nxt[word.append(lab)] = frozenset(grown)
-        stages.update(nxt)
-        frontier = nxt
-    return stages
 
 
 # ---------------------------------------------------------------------------
@@ -266,15 +270,15 @@ def mpast(p: Execution, rho2: Word) -> Execution:
 # Branching semantics
 
 
-def branching_sem(lts: Lts, depth: int, with_stretch: bool = True, alphabet=None) -> FinPresheaf:
-    """The presheaf of minimal executions over visible words.
+def _branching_base(labels, depth: int, with_stretch: bool):
+    if with_stretch:
+        return branching_target_poset(labels, depth)
+    return word_poset(labels, depth, "visible-words")
 
-    With ``with_stretch`` (the correct construction) the base gains the
-    stretchable observation above the empty word, whose stage holds all purely
-    silent executions; without it one obtains the coarser variant that forgets
-    silent steps entirely.
-    """
-    visible = tuple(sorted(alphabet)) if alphabet is not None else tuple(sorted(lts.alphabet))
+
+def _minimal_presheaf(base, lts: Lts, depth: int) -> FinPresheaf:
+    """The minimal executions of lts up to the depth over a branching base,
+    with the purely silent ones at the stretchable observation if present."""
     execs = executions_up_to(lts, depth)
     by_rho = {}
     silent = []
@@ -285,11 +289,6 @@ def branching_sem(lts: Lts, depth: int, with_stretch: bool = True, alphabet=None
         if not rho.letters:
             silent.extend(ps)
     silent.sort(key=str)
-
-    if with_stretch:
-        base = branching_target_poset(visible, depth)
-    else:
-        base = word_poset(visible, depth, "visible-words")
 
     def stage(e):
         if e is TAU_BAR:
@@ -302,6 +301,18 @@ def branching_sem(lts: Lts, depth: int, with_stretch: bool = True, alphabet=None
         return mpast(x, to)
 
     return make_presheaf(base, stage, act)
+
+
+def branching_sem(lts: Lts, depth: int, with_stretch: bool = True, alphabet=None) -> FinPresheaf:
+    """The presheaf of minimal executions over visible words.
+
+    With ``with_stretch`` (the correct construction) the base gains the
+    stretchable observation above the empty word, whose stage holds all purely
+    silent executions; without it one obtains the coarser variant that forgets
+    silent steps entirely.
+    """
+    base = _branching_base(_visible_labels(lts, alphabet), depth, with_stretch)
+    return _minimal_presheaf(base, lts, depth)
 
 
 def map_pf(f: dict, p: Execution, target: Lts = None) -> Execution:
@@ -330,13 +341,7 @@ def branching_simulation_violation(f: dict, source: Lts, target: Lts):
     """None if f is a branching simulation, else a tagged witness: visible
     steps must map to steps, silent steps must map to steps or collapse, and
     silent stuttering must be respected."""
-    missing = set(source.states) - set(f)
-    if missing:
-        raise PreconditionError(f"map not total: missing {sorted(missing)}")
-    if not source.alphabet <= target.alphabet:
-        raise PreconditionError("alphabets incompatible")
-    if {f[s] for s in source.states} - set(target.states):
-        raise PreconditionError("map image outside target states")
+    check_map_shape(f, source, target)
     for (src, lab, tgt) in sorted(source.transitions, key=str):
         if lab is TAU:
             if f[src] != f[tgt] and not target.has_transition(f[src], TAU, f[tgt]):
@@ -354,13 +359,14 @@ def branching_simulation_violation(f: dict, source: Lts, target: Lts):
 
 def branching_sem_map(f: dict, source: Lts, target: Lts, depth: int,
                       with_stretch: bool = True) -> NatTrans:
-    """Lift a branching simulation to the minimal-execution presheaves."""
+    """Lift a branching simulation to the minimal-execution presheaves, both
+    built over one base."""
     violation = branching_simulation_violation(f, source, target)
     if violation is not None:
         raise PreconditionError(f"not a branching simulation: {violation[0]} witness {violation[1]}")
-    labels = _joint_alphabet(source, target)
-    FX = branching_sem(source, depth, with_stretch, labels)
-    FY = branching_sem(target, depth, with_stretch, labels)
+    base = _branching_base(_joint_alphabet(source, target), depth, with_stretch)
+    FX = _minimal_presheaf(base, source, depth)
+    FY = _minimal_presheaf(base, target, depth)
     return nat_trans(FX, FY, lambda e, p: map_pf(f, p, target))
 
 

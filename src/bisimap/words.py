@@ -105,9 +105,6 @@ class Word:
         """The word with all silent letters deleted."""
         return Word(tuple(l for l in self.letters if l is not TAU))
 
-    def sort_key(self):
-        return (len(self.letters), tuple(label_key(l) for l in self.letters))
-
     def __str__(self):
         if not self.letters:
             return "eps"
@@ -148,6 +145,14 @@ class _TauBar:
 TAU_BAR = _TauBar()
 
 
+def minimal_period(cycle) -> list:
+    """The shortest prefix of a nonempty sequence that repeats to the whole."""
+    cycle = list(cycle)
+    for p in range(1, len(cycle) + 1):
+        if len(cycle) % p == 0 and all(cycle[i] == cycle[i % p] for i in range(len(cycle))):
+            return cycle[:p]
+
+
 @dataclass(frozen=True)
 class LassoTrace:
     """An ultimately periodic infinite trace: finite prefix plus repeated cycle.
@@ -161,15 +166,9 @@ class LassoTrace:
 
     @staticmethod
     def canonical(prefix, cycle) -> "LassoTrace":
-        prefix, cycle = list(prefix), list(cycle)
         if not cycle:
             raise PreconditionError("a lasso trace needs a nonempty cycle")
-        for p in range(1, len(cycle) + 1):
-            if len(cycle) % p == 0 and all(
-                cycle[i] == cycle[i % p] for i in range(len(cycle))
-            ):
-                cycle = cycle[:p]
-                break
+        prefix, cycle = list(prefix), minimal_period(cycle)
         while prefix and prefix[-1] == cycle[-1]:
             prefix.pop()
             cycle = [cycle[-1]] + cycle[:-1]

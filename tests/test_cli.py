@@ -169,3 +169,26 @@ def test_bisim_map_check_via_cli(branch_files, capsys):
     assert "bisim-map-branching: fails" in out
     assert "branching-bisim-fn: fails" in out
     assert "agreement: True" in out
+
+
+@pytest.mark.parametrize("sidecar", [
+    "[]",
+    '{"kind": "always_after"}',
+    '{"kind": "always_after", "offset": "1", "states": []}',
+    '{"kind": "always_after", "offset": 1.5, "states": []}',
+    '{"kind": "always_after", "offset": 1}',
+    '{"kind": "always_after", "offset": 1, "states": [], "gate": "a"}',
+    '{"kind": "streett", "pairs": [["0"]]}',
+    '{"kind": "streett", "pairs": [[["x1"], [["y1"]]]]}',
+    '{"kind": "streett", "pairs": [["x1", ["y1"]]]}',
+    '{"kind": "streett", "names": "x1", "pairs": []}',
+    '{"kind": "streett", "names": [["x1"]], "pairs": []}',
+])
+def test_malformed_fairness_sidecar_exits_2(union_files, tmp_path, sidecar, capsys):
+    aut, _ = union_files
+    (tmp_path / "union.fair.json").write_text(sidecar)
+    mp = tmp_path / "id.map"
+    mp.write_text("x1 -> x1\ny1 -> y1\nx2 -> x2\ny2 -> y2\n")
+    code = run(["check", "--kind", "fair-sim", "--map", str(mp), aut, aut])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")

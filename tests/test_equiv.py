@@ -513,3 +513,86 @@ def test_bisim_map_machine_record_fields(corpus):
     rec = report.presheaf_verdict.to_record()
     assert list(rec) == ["check", "holds", "witness", "certified_bounds"]
     assert rec["holds"] is False and isinstance(rec["witness"], str)
+
+
+# ---------------------------------------------------------------------------
+# Shared work: each check enumerates a system's lassos once and builds one
+# base poset per lift
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _lasso_calls(monkeypatch):
+    import bisimap.equiv
+    import bisimap.semantics
+
+    calls = []
+    for module in (bisimap.equiv, bisimap.semantics):
+        original = getattr(module, "fair_lassos")
+
+        def counted(fl, *args, _original=original):
+            calls.append(fl)
+            return _original(fl, *args)
+
+        monkeypatch.setattr(module, "fair_lassos", counted)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["exact_streett", "bounded"])
+def test_fair_checks_enumerate_each_system_once(corpus, monkeypatch, mode):
+    entry = corpus.fair_rem
+    f, X, Y = entry.mapping, entry.source, entry.target
+    calls = _lasso_calls(monkeypatch)
+    assert not check_fair_bisim_fn(f, X, Y, mode).holds
+    assert calls == [X]
+    calls.clear()
+    assert not check_fair_reflection(f, X, Y, mode).holds
+    assert calls == [X]
+    calls.clear()
+    check_hildebrandt_open(f, X, Y)
+    assert sorted(map(id, calls)) == sorted([id(X), id(Y)])
+
+
+def test_fair_bisim_map_enumerates_each_system_once(corpus, monkeypatch):
+    entry = corpus.fair_rem
+    calls = _lasso_calls(monkeypatch)
+    report = check_bisim_map(entry.mapping, entry.source, entry.target, "fair",
+                             depth=2, stem_bound=2, cycle_bound=2)
+    assert not report.concrete_verdict.holds
+    assert calls == [entry.source, entry.target]
+
+
+def test_each_lift_builds_one_base_poset(corpus, monkeypatch):
+    import bisimap.semantics
+
+    builds = []
+    for name in ("word_poset", "branching_target_poset", "fair_target_poset"):
+        builds.append(_count_calls(monkeypatch, bisimap.semantics, name))
+
+    def count():
+        n = sum(len(b) for b in builds)
+        for b in builds:
+            b.clear()
+        return n
+
+    lts = lts_of([("s", "a", "t"), ("t", "b", "s")])
+    check_bisim_map({s: s for s in lts.states}, lts, lts, "strong", depth=2)
+    assert count() == 1
+    branch = corpus.branch
+    for mode in ("branching", "branching_failed"):
+        check_bisim_map(branch.mapping, branch.source, branch.target, mode, depth=2)
+        assert count() == 1
+    entry = corpus.fair_rem
+    check_bisim_map(entry.mapping, entry.source, entry.target, "fair",
+                    depth=2, stem_bound=2, cycle_bound=2)
+    assert count() == 1

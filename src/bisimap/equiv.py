@@ -28,14 +28,11 @@ from .lts import (
     transition_str,
 )
 from .presheaf import is_bisim_map_bounded
-# fair_sem_map has no caller here; it stays importable from this module,
-# where benchmark/tracing.py times the lifts
 from .semantics import (
-    _fair_sem_map,
     _fair_simulation,
     branching_sem_map,
     branching_simulation_violation,
-    fair_sem_map,  # noqa: F401
+    fair_sem_map,
     fair_simulation_violation,
     strong_sem_map,
 )
@@ -583,6 +580,8 @@ def check_strong_bisim_fn(f: dict, source: Lts, target: Lts) -> Verdict:
 #
 # A public fair check enumerates each system's lassos once: the source's come
 # with the fair-simulation check (``_fair_simulation``) and are handed on.
+# check_bisim_map hands on None: its lift has enumerated them already, and its
+# exact check needs them only for fairness kinds with no exact analysis.
 
 
 def check_fair_sim(f: dict, source: FairLts, target: FairLts,
@@ -609,7 +608,7 @@ def check_fair_reflection(f: dict, source: FairLts, target: FairLts,
 
 def _fair_reflection(f, source, target, mode, stem_bound, cycle_bound, lassos) -> Verdict:
     """check_fair_reflection for a fair simulation with the source's tagged
-    lassos."""
+    lassos, or None to enumerate them if the bounded check needs them."""
     notes = ()
     if mode == "exact_streett":
         nodes = list(source.lts.states)
@@ -629,6 +628,8 @@ def _fair_reflection(f, source, target, mode, stem_bound, cycle_bound, lassos) -
     if mode != "bounded":
         raise PreconditionError(f"unknown mode {mode!r}")
     bounds = {"stem_bound": stem_bound, "cycle_bound": cycle_bound}
+    if lassos is None:  # not yet enumerated (check_bisim_map)
+        lassos = fair_lassos(source, stem_bound, cycle_bound)
     for (lasso, fair) in sorted(lassos, key=lambda lw: str(lw[0])):
         if fair:
             continue
@@ -907,12 +908,11 @@ def check_bisim_map(f: dict, source, target, mode: str,
     elif mode == "fair":
         if not isinstance(source, FairLts) or not isinstance(target, FairLts):
             raise PreconditionError("fair mode takes fair systems")
-        # each system's lassos are enumerated once, for both routes
-        checked = _fair_simulation(f, source, target, stem_bound, cycle_bound)
-        lifted = _fair_sem_map(f, source, target, depth, checked,
-                               fair_lassos(target, stem_bound, cycle_bound))
+        lifted = fair_sem_map(f, source, target, depth, stem_bound, cycle_bound)
+        # the lift enumerated both systems' lassos and found f a fair
+        # simulation; the exact limit check needs no lassos
         concrete = _fair_bisim_fn(f, source, target, "exact_streett",
-                                  stem_bound, cycle_bound, checked)
+                                  stem_bound, cycle_bound, (None, None))
         bounds.update({"stem_bound": stem_bound, "cycle_bound": cycle_bound})
     elif mode in ("branching", "branching_failed"):
         if isinstance(source, FairLts) or isinstance(target, FairLts):

@@ -166,13 +166,14 @@ def fair_simulation_violation(f: dict, source: FairLts, target: FairLts,
     return _fair_simulation(f, source, target, stem_bound, cycle_bound)[0]
 
 
-def _fair_sem_map(f: dict, source: FairLts, target: FairLts, depth: int,
-                  checked, target_lassos) -> NatTrans:
-    """fair_sem_map from ``checked``, the result of ``_fair_simulation``,
-    and the target's tagged lassos."""
-    violation, source_lassos = checked
+def fair_sem_map(f: dict, source: FairLts, target: FairLts, depth: int,
+                 stem_bound: int = 4, cycle_bound: int = 4) -> NatTrans:
+    """Lift a fair simulation to the fair-semantics presheaves over a shared
+    base; raises with the offending lasso if fairness is not preserved."""
+    violation, source_lassos = _fair_simulation(f, source, target, stem_bound, cycle_bound)
     if violation is not None:
         raise PreconditionError(f"not a fair simulation: {violation[0]} witness {violation[1]}")
+    target_lassos = fair_lassos(target, stem_bound, cycle_bound)
     traces = _fair_traces(source_lassos) | _fair_traces(target_lassos)
     base = fair_target_poset(_joint_alphabet(source.lts, target.lts), depth, traces)
     FX = _fair_presheaf(base, source, depth, source_lassos)
@@ -184,15 +185,6 @@ def _fair_sem_map(f: dict, source: FairLts, target: FairLts, depth: int,
         return _map_execution(f, x)
 
     return nat_trans(FX, FY, component)
-
-
-def fair_sem_map(f: dict, source: FairLts, target: FairLts, depth: int,
-                 stem_bound: int = 4, cycle_bound: int = 4) -> NatTrans:
-    """Lift a fair simulation to the fair-semantics presheaves over a shared
-    base; raises with the offending lasso if fairness is not preserved."""
-    checked = _fair_simulation(f, source, target, stem_bound, cycle_bound)
-    return _fair_sem_map(f, source, target, depth, checked,
-                         fair_lassos(target, stem_bound, cycle_bound))
 
 
 # ---------------------------------------------------------------------------

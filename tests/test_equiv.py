@@ -596,3 +596,18 @@ def test_each_lift_builds_one_base_poset(corpus, monkeypatch):
     check_bisim_map(entry.mapping, entry.source, entry.target, "fair",
                     depth=2, stem_bound=2, cycle_bound=2)
     assert count() == 1
+
+
+def test_fair_bisim_map_concrete_route_falls_back_to_bounded(corpus, monkeypatch):
+    # image fairness has no exact analysis, so the concrete route of the map
+    # check enumerates the source's lassos after all, as check_fair_bisim_fn does
+    r2 = corpus.union_sys.relations["R2"].reflexive_closure()
+    quotient, _ = forall_fair_quotient(r2, corpus.union_sys.system)
+    ident = {s: s for s in quotient.lts.states}
+    calls = _lasso_calls(monkeypatch)
+    report = check_bisim_map(ident, quotient, quotient, "fair",
+                             depth=2, stem_bound=2, cycle_bound=2)
+    assert calls == [quotient, quotient, quotient]
+    direct = check_fair_bisim_fn(ident, quotient, quotient, stem_bound=2, cycle_bound=2)
+    assert report.concrete_verdict == direct
+    assert direct.notes and direct.certified_bounds

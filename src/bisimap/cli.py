@@ -3,7 +3,10 @@
 Four verbs: ``check`` runs any checker and exits 0 iff the verdict holds,
 ``quotient`` writes a quotient system and its map, ``dump`` prints a semantic
 presheaf in the debug format, and ``corpus`` runs the bundled regression
-suite.  Parse errors exit 2, contract violations 3, internal assertions 4.
+suite.  Each verb takes only the options it reads.  Parse errors and files
+that cannot be read or written exit 2, contract violations 3, internal
+assertions 4.  A failing ``bisim-map`` check names its witness square by
+family and generators: ``<family> square [<about items>]``.
 """
 
 from __future__ import annotations
@@ -221,17 +224,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, models):
-        if models:
-            p.add_argument("models", nargs="+", help="model files (.aut)")
-        p.add_argument("--depth", type=int, default=4)
-        p.add_argument("--stem-bound", type=int, default=4)
-        p.add_argument("--cycle-bound", type=int, default=4)
-        p.add_argument("--mono-stage-bound", type=int, default=2)
-        p.add_argument("--mono-support-bound", type=int, default=6)
-        p.add_argument("--format", choices=("text", "machine"), default="text")
-        p.add_argument("--mode-fair", choices=("exact_streett", "bounded"),
-                       default="exact_streett", help="fairness analysis mode")
+    shared = {
+        "models": dict(nargs="+", help="model files (.aut)"),
+        "--depth": dict(type=int, default=4),
+        "--stem-bound": dict(type=int, default=4),
+        "--cycle-bound": dict(type=int, default=4),
+        "--mono-stage-bound": dict(type=int, default=2),
+        "--mono-support-bound": dict(type=int, default=6),
+        "--format": dict(choices=("text", "machine"), default="text"),
+        "--mode-fair": dict(choices=("exact_streett", "bounded"), default="exact_streett",
+                            help="fairness analysis mode"),
+    }
+
+    def common(p, *names):
+        """Add the shared arguments that the verb reads."""
+        for name in names:
+            p.add_argument(name, **shared[name])
 
     p_check = sub.add_parser("check", help="run a checker on one or two models")
     p_check.add_argument("--kind", required=True,
@@ -241,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--close", choices=("none", "reflexive", "equivalence"), default="none")
     p_check.add_argument("--mode", choices=("strong", "fair", "branching", "branching_failed"),
                          default="strong", help="semantics for --kind bisim-map")
-    common(p_check, models=True)
+    common(p_check, *shared)
     p_check.set_defaults(fn=cmd_check)
 
     p_quot = sub.add_parser("quotient", help="write a quotient system and its map")
@@ -249,18 +257,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_quot.add_argument("--relation")
     p_quot.add_argument("--close", choices=("none", "reflexive", "equivalence"), default="none")
     p_quot.add_argument("--output", help="output path prefix")
-    common(p_quot, models=True)
+    common(p_quot, "models", "--stem-bound", "--cycle-bound", "--mode-fair")
     p_quot.set_defaults(fn=cmd_quotient)
 
     p_dump = sub.add_parser("dump", help="print a semantic presheaf")
     p_dump.add_argument("--semantics", required=True,
                         choices=("strong", "fair", "branching", "branching-failed",
                                  "base", "base-barred"))
-    common(p_dump, models=True)
+    common(p_dump, "models", "--depth", "--stem-bound", "--cycle-bound")
     p_dump.set_defaults(fn=cmd_dump)
 
     p_corpus = sub.add_parser("corpus", help="run the bundled regression suite")
-    common(p_corpus, models=False)
+    common(p_corpus, "--format")
     p_corpus.set_defaults(fn=cmd_corpus)
 
     return parser
@@ -271,7 +279,7 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ParseError as exc:
+    except (ParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (PreconditionError, UnsupportedError) as exc:

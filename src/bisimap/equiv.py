@@ -606,41 +606,51 @@ def check_fair_reflection(f: dict, source: FairLts, target: FairLts,
     return _fair_reflection(f, source, target, mode, stem_bound, cycle_bound, lassos)
 
 
+def _exact_then_bounded(check, mode, nodes, adj, fair_a, unfair_b, exact_witness,
+                        bounded, stem_bound, cycle_bound) -> Verdict:
+    """Decide whether some run of the graph satisfies ``fair_a`` and violates
+    ``unfair_b``: exactly by ``exists_violating_run`` (the witness is
+    ``exact_witness`` of its lasso) when mode is ``exact_streett`` and both
+    lifted conditions exist, else by the first of the ``bounded`` witnesses,
+    an iterator over the candidates within the bounds."""
+    notes = ()
+    if mode == "exact_streett":
+        if fair_a is not None and unfair_b is not None:
+            w = exists_violating_run(nodes, adj, fair_a, unfair_b)
+            if w is None:
+                return Verdict(check, True)
+            return Verdict(check, False, exact_witness(w))
+        notes = ("fairness kind unsupported in exact mode; falling back to bounded",)
+    elif mode != "bounded":
+        raise PreconditionError(f"unknown mode {mode!r}")
+    w = next(bounded, None)
+    if w is not None:
+        return Verdict(check, False, w, notes=notes)
+    bounds = {"stem_bound": stem_bound, "cycle_bound": cycle_bound}
+    return Verdict(check, True, certified_bounds=bounds, notes=notes)
+
+
 def _fair_reflection(f, source, target, mode, stem_bound, cycle_bound, lassos) -> Verdict:
     """check_fair_reflection for a fair simulation with the source's tagged
     lassos, or None to enumerate them if the bounded check needs them."""
-    notes = ()
-    if mode == "exact_streett":
-        nodes = list(source.lts.states)
-        adj = adjacency(source.lts)
-        fair_img = _lift_fairness(target.fairness, nodes, lambda x: f[x])
-        unfair_src = _lift_fairness(source.fairness, nodes, lambda x: x)
-        if fair_img is not None and unfair_src is not None:
-            w = exists_violating_run(nodes, adj, fair_img, unfair_src)
-            if w is None:
-                return Verdict("fair-reflection", True)
-            return Verdict(
-                "fair-reflection", False,
-                ("chain-with-fair-image-but-no-fair-limit", (w, w.map_states(f).canonical())),
-            )
-        notes = ("fairness kind unsupported in exact mode; falling back to bounded",)
-        mode = "bounded"
-    if mode != "bounded":
-        raise PreconditionError(f"unknown mode {mode!r}")
-    bounds = {"stem_bound": stem_bound, "cycle_bound": cycle_bound}
-    if lassos is None:  # not yet enumerated (check_bisim_map)
-        lassos = fair_lassos(source, stem_bound, cycle_bound)
-    for (lasso, fair) in sorted(lassos, key=lambda lw: str(lw[0])):
-        if fair:
-            continue
-        image = lasso.map_states(f).canonical()
-        if target.fairness.is_fair(image):
-            return Verdict(
-                "fair-reflection", False,
-                ("chain-with-fair-image-but-no-fair-limit", (lasso, image)),
-                notes=notes,
-            )
-    return Verdict("fair-reflection", True, certified_bounds=bounds, notes=notes)
+    tag = "chain-with-fair-image-but-no-fair-limit"
+
+    def bounded():
+        tagged = fair_lassos(source, stem_bound, cycle_bound) if lassos is None else lassos
+        for (lasso, fair) in sorted(tagged, key=lambda lw: str(lw[0])):
+            if not fair:
+                image = lasso.map_states(f).canonical()
+                if target.fairness.is_fair(image):
+                    yield (tag, (lasso, image))
+
+    nodes = list(source.lts.states)
+    return _exact_then_bounded(
+        "fair-reflection", mode, nodes, adjacency(source.lts),
+        _lift_fairness(target.fairness, nodes, lambda x: f[x]),
+        _lift_fairness(source.fairness, nodes, lambda x: x),
+        lambda w: (tag, (w, w.map_states(f).canonical())),
+        bounded(), stem_bound, cycle_bound,
+    )
 
 
 def check_fair_bisim_fn(f: dict, source: FairLts, target: FairLts,
@@ -713,28 +723,21 @@ def check_forall_fair_bisim(R: PartitionRelation, system: FairLts,
                                ("no-transfer", ((x, y), (x, a, x2))))
     nodes = sorted(R.pairs)
     adj = _synchronised(adjX, adjX, nodes)
-    notes = ()
-    if mode == "exact_streett":
-        fair_left = _lift_fairness(system.fairness, nodes, lambda n: n[0])
-        unfair_right = _lift_fairness(system.fairness, nodes, lambda n: n[1])
-        if fair_left is not None and unfair_right is not None:
-            w = exists_violating_run(nodes, adj, fair_left, unfair_right)
-            if w is None:
-                return Verdict("forall-fair-bisim", True)
-            left, right = _split_pair_lasso(w)
-            return Verdict("forall-fair-bisim", False,
-                           ("fairness-not-transferred", (left, right)))
-        notes = ("fairness kind unsupported in exact mode; falling back to bounded",)
-        mode = "bounded"
-    if mode != "bounded":
-        raise PreconditionError(f"unknown mode {mode!r}")
-    bounds = {"stem_bound": stem_bound, "cycle_bound": cycle_bound}
-    for lasso in enumerate_graph_lassos(nodes, adj, stem_bound, cycle_bound):
-        left, right = _split_pair_lasso(lasso)
-        if system.fairness.is_fair(left) and not system.fairness.is_fair(right):
-            return Verdict("forall-fair-bisim", False,
-                           ("fairness-not-transferred", (left, right)), notes=notes)
-    return Verdict("forall-fair-bisim", True, certified_bounds=bounds, notes=notes)
+    tag = "fairness-not-transferred"
+
+    def bounded():
+        for lasso in enumerate_graph_lassos(nodes, adj, stem_bound, cycle_bound):
+            left, right = _split_pair_lasso(lasso)
+            if system.fairness.is_fair(left) and not system.fairness.is_fair(right):
+                yield (tag, (left, right))
+
+    return _exact_then_bounded(
+        "forall-fair-bisim", mode, nodes, adj,
+        _lift_fairness(system.fairness, nodes, lambda n: n[0]),
+        _lift_fairness(system.fairness, nodes, lambda n: n[1]),
+        lambda w: (tag, _split_pair_lasso(w)),
+        bounded(), stem_bound, cycle_bound,
+    )
 
 
 def _split_pair_lasso(lasso: Lasso):

@@ -113,11 +113,6 @@ class Execution:
     def extend(self, label, target) -> "Execution":
         return Execution(self.trace.append(label), self.states + (target,))
 
-    def state_at(self, prefix: Word):
-        if not prefix.is_prefix_of(self.trace):
-            raise PreconditionError(f"{prefix} is not a prefix of {self.trace}")
-        return self.states[len(prefix)]
-
     def __str__(self):
         if len(self.states) == 1:
             return str(self.states[0])
@@ -142,18 +137,6 @@ def is_execution_of(lts: Lts, p: Execution) -> bool:
         lts.has_transition(p.states[i], p.trace[i], p.states[i + 1])
         for i in range(len(p.trace))
     )
-
-
-def is_lasso_of(lts: Lts, lasso: "Lasso") -> bool:
-    """Does the lasso unroll to a valid infinite run of the system?"""
-    if not is_execution_of(lts, lasso.stem):
-        return False
-    at = lasso.stem.last
-    for (lab, tgt) in lasso.cycle:
-        if not lts.has_transition(at, lab, tgt):
-            return False
-        at = tgt
-    return True
 
 
 def executions_up_to(lts: Lts, depth: int) -> dict:

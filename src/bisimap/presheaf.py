@@ -12,11 +12,12 @@ natural transformation likewise indexes its fibers, stage by stage.
 The squares that ``enumerate_mono_squares`` streams have a Q generated by one
 or two elements, so by Yoneda a filler is fixed by its values at those
 generators.  ``is_bisim_map_bounded`` therefore decides every square from its
-generators and the fiber index (``StreamSquare.has_filler``) and builds only
-the witness square.  The generic diagonal-filler search, ``find_filler``, is
-exhaustive over a fixed deterministic order and works for any square; it is
-the oracle the tests hold the generator decision to.  Verdicts and witnesses
-are reproducible.
+generators and the fiber index (``StreamSquare.has_filler``) and builds no
+square at all: a refusal returns the failing ``StreamSquare``, whose text
+names its family and generators.  The generic diagonal-filler search,
+``find_filler``, is exhaustive over a fixed deterministic order and works for
+any square; it is the oracle the tests hold the generator decision to.
+Verdicts and witnesses are reproducible.
 """
 
 from __future__ import annotations
@@ -82,9 +83,6 @@ class FinPoset:
         """The elements strictly below e, in ``elements`` order."""
         return self._strictly_below.get(e, ())
 
-    def up(self, e) -> tuple:
-        return tuple(x for x in self.elements if self.leq(e, x))
-
     def comparable(self, a, b) -> bool:
         return self.leq(a, b) or self.leq(b, a)
 
@@ -144,11 +142,8 @@ def _all_words(labels, depth):
 
 def _prefix_poset(labels, depth, extras=(), leq=None, dialect="") -> FinPoset:
     """All words over the labels up to the depth plus the extra elements,
-    ordered by ``leq``, which must order words by prefix.
-
-    The same poset, relation included, as ``poset_from_leq``, but words are
-    compared only with their own prefixes: ``leq`` is asked only about pairs
-    with an extra element."""
+    sorted by ``element_key``.  Words are ordered by prefix, read off their
+    prefix chains; ``leq`` is asked only about pairs with an extra element."""
     elements = tuple(sorted(_all_words(tuple(labels), depth) + list(extras), key=element_key))
     others = [e for e in elements if not isinstance(e, Word)]
     ups = {e: [] for e in elements}
@@ -176,8 +171,6 @@ def barred_source_poset(labels, depth: int) -> FinPoset:
     the empty word sits below the stretch points."""
 
     def leq(a, b):
-        if isinstance(a, Word) and isinstance(b, Word):
-            return a.is_prefix_of(b)
         if isinstance(a, Word) and isinstance(b, StretchPoint):
             return a == EPSILON
         if isinstance(a, StretchPoint) and isinstance(b, StretchPoint):
@@ -195,8 +188,6 @@ def branching_target_poset(labels, depth: int) -> FinPoset:
         raise PreconditionError("target poset is over visible labels only")
 
     def leq(a, b):
-        if isinstance(a, Word) and isinstance(b, Word):
-            return a.is_prefix_of(b)
         if isinstance(a, Word) and b is TAU_BAR:
             return a == EPSILON
         if a is TAU_BAR and b is TAU_BAR:
@@ -211,8 +202,6 @@ def fair_target_poset(labels, depth: int, traces) -> FinPoset:
     trace, each sitting above its finite prefixes."""
 
     def leq(a, b):
-        if isinstance(a, Word) and isinstance(b, Word):
-            return a.is_prefix_of(b)
         if isinstance(a, Word) and isinstance(b, LassoTrace):
             return a == b.word_prefix(len(a))
         if isinstance(a, LassoTrace) and isinstance(b, LassoTrace):
@@ -250,9 +239,6 @@ class FinPresheaf:
         if frm == to:
             return x
         return self.res[(to, frm)][x]
-
-    def support(self) -> tuple:
-        return tuple(e for e in self.base.elements if self.stages[e])
 
     def total_elements(self) -> int:
         return sum(len(s) for s in self.stages.values())
@@ -380,16 +366,6 @@ def is_mono(g: NatTrans) -> bool:
     return True
 
 
-def identity_trans(F: FinPresheaf) -> NatTrans:
-    return nat_trans(F, F, lambda e, x: x)
-
-
-def compose_trans(outer: NatTrans, inner: NatTrans) -> NatTrans:
-    if outer.source is not inner.target and outer.source != inner.target:
-        raise PreconditionError("composition mismatch")
-    return nat_trans(inner.source, outer.target, lambda e, x: outer.at(e, inner.at(e, x)))
-
-
 def sub_presheaf(F: FinPresheaf, generators) -> FinPresheaf:
     """Down-closure of the given (element, value) generators inside F."""
     stages = {}
@@ -423,10 +399,6 @@ class MonoSquare:
     f: NatTrans
     family: str = "adhoc"
     about: tuple = ()
-
-    def describe(self) -> str:
-        extra = f" [{', '.join(str(a) for a in self.about)}]" if self.about else ""
-        return f"{self.family} square{extra}"
 
 
 def _check_square(square: MonoSquare):
@@ -541,7 +513,8 @@ class StreamSquare:
 
     ``family`` and ``about`` fix the square.  Its legs g, m and n are built on
     first use, so a stream square goes wherever a ``MonoSquare`` does
-    (``find_filler`` included), and ``build`` returns the full square.
+    (``find_filler`` included), and ``build`` returns the full square.  Its
+    text is ``<family> square [<about items, comma-separated>]``.
     """
 
     __slots__ = ("f", "family", "about", "_built")
@@ -551,6 +524,9 @@ class StreamSquare:
         self.family = family
         self.about = about
         self._built = None
+
+    def __str__(self):
+        return f"{self.family} square [{', '.join(str(a) for a in self.about)}]"
 
     def build(self) -> MonoSquare:
         """The full square, built on the first call."""
@@ -683,8 +659,9 @@ def is_bisim_map_bounded(f: NatTrans, stage_bound: int = 2, support_bound: int =
     """Decide every square of the enumerated stream at its generators.
 
     Each square is decided by ``StreamSquare.has_filler`` from its ``about``
-    data, f's fiber index and the base's down-sets; no square is built except
-    the first one without a filler, which is returned in full as the witness.
+    data, f's fiber index and the base's down-sets, and no square is built:
+    the first one without a filler is returned as the witness, a
+    ``StreamSquare`` whose legs are built only if a caller asks for them.
     The generic ``find_filler`` agrees on every square (the tests hold the two
     together).
 
@@ -697,7 +674,7 @@ def is_bisim_map_bounded(f: NatTrans, stage_bound: int = 2, support_bound: int =
     """
     for square in enumerate_mono_squares(f, stage_bound, support_bound):
         if not square.has_filler():
-            return False, square.build()
+            return False, square
     return True, None
 
 
@@ -952,23 +929,6 @@ def elements_poset(F: FinPresheaf) -> ElementsPosetResult:
     return ElementsPosetResult(raw, simplified, simplify)
 
 
-def order_isomorphic(P: FinPoset, Q: FinPoset, mapping=None) -> bool:
-    """Check order-isomorphism; with ``mapping`` verify that specific bijection,
-    otherwise try the canonical sort-order pairing."""
-    if len(P.elements) != len(Q.elements):
-        return False
-    if mapping is None:
-        mapping = dict(zip(P.elements, Q.elements))
-    fwd = mapping
-    if len(set(fwd.values())) != len(fwd):
-        return False
-    return all(
-        P.leq(a, b) == Q.leq(fwd[a], fwd[b])
-        for a in P.elements
-        for b in P.elements
-    )
-
-
 # ---------------------------------------------------------------------------
 # Observation presheaves over the time poset
 
@@ -984,23 +944,6 @@ def word_length_presheaf(labels, depth: int) -> FinPresheaf:
         lambda n: by_len[n],
         lambda w, frm, to: w.prefix(to),
     )
-
-
-def stretch_word_presheaf(labels, depth: int) -> FinPresheaf:
-    """As word_length_presheaf, plus the stretchable observation at every
-    positive tick; it truncates to the empty word at tick zero and stays put
-    otherwise."""
-    words = word_length_presheaf(labels, depth)
-
-    def stage(n):
-        return words.stage(n) + ((TAU_BAR,) if n > 0 else ())
-
-    def act(x, frm, to):
-        if x is TAU_BAR:
-            return EPSILON if to == 0 else TAU_BAR
-        return x.prefix(to)
-
-    return make_presheaf(time_poset(depth), stage, act)
 
 
 # ---------------------------------------------------------------------------

@@ -47,8 +47,8 @@ def _joint_alphabet(*systems):
     return tuple(sorted(labs))
 
 
-def _visible_labels(lts: Lts, alphabet) -> tuple:
-    return tuple(sorted(alphabet if alphabet is not None else lts.alphabet))
+def _visible_labels(lts: Lts) -> tuple:
+    return tuple(sorted(lts.alphabet))
 
 
 def _map_execution(f: dict, p: Execution) -> Execution:
@@ -70,11 +70,11 @@ def _execution_presheaf(base, lts: Lts, depth: int) -> FinPresheaf:
     )
 
 
-def strong_sem(lts: Lts, depth: int, alphabet=None) -> FinPresheaf:
+def strong_sem(lts: Lts, depth: int) -> FinPresheaf:
     """The presheaf of executions over visible words up to the depth."""
     if lts.has_tau:
         raise PreconditionError("strong semantics is for systems without silent steps")
-    base = word_poset(_visible_labels(lts, alphabet), depth, "visible-words")
+    base = word_poset(_visible_labels(lts), depth, "visible-words")
     return _execution_presheaf(base, lts, depth)
 
 
@@ -122,23 +122,14 @@ def _fair_presheaf(base, fl: FairLts, depth: int, lassos) -> FinPresheaf:
     return make_presheaf(base, stage, act)
 
 
-def fair_sem(
-    fl: FairLts,
-    depth: int,
-    stem_bound: int = 4,
-    cycle_bound: int = 4,
-    alphabet=None,
-    extra_traces=(),
-) -> FinPresheaf:
+def fair_sem(fl: FairLts, depth: int, stem_bound: int = 4, cycle_bound: int = 4) -> FinPresheaf:
     """Execution presheaf extended with one stage per fair-lasso trace.
 
     An infinite stage holds the canonical fair lassos realizing its trace;
-    restriction to a finite word unrolls the lasso.  ``extra_traces`` adds
-    stages (possibly empty) so two systems can share a base.
+    restriction to a finite word unrolls the lasso.
     """
     lassos = fair_lassos(fl, stem_bound, cycle_bound)
-    traces = _fair_traces(lassos) | set(extra_traces)
-    base = fair_target_poset(_visible_labels(fl.lts, alphabet), depth, traces)
+    base = fair_target_poset(_visible_labels(fl.lts), depth, _fair_traces(lassos))
     return _fair_presheaf(base, fl, depth, lassos)
 
 
@@ -191,11 +182,11 @@ def fair_sem_map(f: dict, source: FairLts, target: FairLts, depth: int,
 # Base presheaves for silent-step systems
 
 
-def base_presheaf(lts: Lts, depth: int, barred: bool = False, alphabet=None) -> FinPresheaf:
+def base_presheaf(lts: Lts, depth: int, barred: bool = False) -> FinPresheaf:
     """The execution presheaf over words with silent letters; in barred mode
     the base gains the stretch points, whose common stage collects all purely
     silent executions and restricts to the start state at the empty word."""
-    labels = _visible_labels(lts, alphabet) + (TAU,)
+    labels = _visible_labels(lts) + (TAU,)
     if not barred:
         return _execution_presheaf(word_poset(labels, depth, "silent-words"), lts, depth)
     base = barred_source_poset(labels, depth)
@@ -295,7 +286,7 @@ def _minimal_presheaf(base, lts: Lts, depth: int) -> FinPresheaf:
     return make_presheaf(base, stage, act)
 
 
-def branching_sem(lts: Lts, depth: int, with_stretch: bool = True, alphabet=None) -> FinPresheaf:
+def branching_sem(lts: Lts, depth: int, with_stretch: bool = True) -> FinPresheaf:
     """The presheaf of minimal executions over visible words.
 
     With ``with_stretch`` (the correct construction) the base gains the
@@ -303,7 +294,7 @@ def branching_sem(lts: Lts, depth: int, with_stretch: bool = True, alphabet=None
     silent executions; without it one obtains the coarser variant that forgets
     silent steps entirely.
     """
-    base = _branching_base(_visible_labels(lts, alphabet), depth, with_stretch)
+    base = _branching_base(_visible_labels(lts), depth, with_stretch)
     return _minimal_presheaf(base, lts, depth)
 
 

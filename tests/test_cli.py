@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bisimap
 from bisimap.cli import run
 from bisimap.lts import serialize_aut
 
@@ -192,3 +197,51 @@ def test_malformed_fairness_sidecar_exits_2(union_files, tmp_path, sidecar, caps
     code = run(["check", "--kind", "fair-sim", "--map", str(mp), aut, aut])
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--kind", "branching-sim", "--map", "{map}", "{tmp}/missing.aut", "{tgt}"],
+    ["check", "--kind", "branching-sim", "--map", "{tmp}/missing.map", "{src}", "{tgt}"],
+    ["check", "--kind", "branching-sim", "--map", "{tmp}", "{src}", "{tgt}"],
+    ["check", "--kind", "branching-sim", "--map", "{map}", "{latin1}", "{tgt}"],
+    ["quotient", "--kind", "branching", "--output", "{tmp}/nowhere/out", "{chain}"],
+], ids=["missing-model", "missing-map", "directory-map", "non-utf8-model", "output-dir-missing"])
+def test_unreadable_file_exits_2(argv, branch_files, chain_file, tmp_path, capsys):
+    latin1 = tmp_path / "latin1.aut"
+    latin1.write_bytes('des (0, 1, 2)\n(0, "\xe9", 1)\n'.encode("latin-1"))
+    src, tgt, mp = branch_files
+    paths = dict(src=src, tgt=tgt, map=mp, chain=chain_file, tmp=tmp_path, latin1=latin1)
+    code = run([arg.format(**paths) for arg in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["corpus", "--depth", "3"],
+    ["quotient", "--kind", "branching", "--format", "machine", "x.aut"],
+    ["dump", "--semantics", "strong", "--mode-fair", "bounded", "x.aut"],
+])
+def test_verb_rejects_an_option_it_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_branching_refusal_prints_the_same_bytes_under_any_hash_seed(branch_files):
+    src, tgt, mp = branch_files
+    outs = set()
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=str(Path(bisimap.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "bisimap.cli", "check", "--kind", "bisim-map",
+             "--mode", "branching", "--depth", "2", "--map", mp, src, tgt],
+            capture_output=True, env=env, timeout=300, check=False,
+        )
+        assert proc.returncode == 1
+        outs.add(proc.stdout)
+    assert len(outs) == 1
+    assert b"witness: fiber square [tau_bar, y1 -tau-> y3]" in outs.pop()

@@ -24,7 +24,7 @@ from bisimap.equiv import (
 )
 from bisimap.lts import FairLts, StreettSpec, adjacency, eps_closure
 
-from conftest import lts_of, random_lts
+from conftest import is_lasso_of, lts_of, random_lts
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +168,6 @@ def test_fair_sim_fails_on_unfair_image(corpus):
     assert kind == "unfair-image"
     assert sys.fairness.is_fair(lasso)
     assert not sys.fairness.is_fair(image)
-    from bisimap.lts import is_lasso_of
-
     assert is_lasso_of(sys.lts, lasso) and is_lasso_of(sys.lts, image)
 
 

@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+import bisimap.presheaf as presheaf_mod
 from bisimap import (
     PreconditionError,
     UnsupportedError,
@@ -26,15 +27,12 @@ from bisimap.presheaf import (
     branching_target_poset,
     empty_presheaf,
     fair_target_poset,
-    identity_trans,
     inclusion,
     make_presheaf,
     nat_trans,
     naturality_violations,
-    order_isomorphic,
     poset_from_leq,
     restrict_presheaf,
-    stretch_word_presheaf,
     sub_presheaf,
     time_poset,
     word_length_presheaf,
@@ -43,7 +41,7 @@ from bisimap.presheaf import (
 from bisimap.semantics import base_presheaf, fair_sem, fair_sem_map, strong_sem, strong_sem_map
 from bisimap.words import EPSILON, TAU, TAU_BAR, LassoTrace, StretchPoint, Word
 
-from conftest import lts_of
+from conftest import identity_trans, lts_of, order_isomorphic, stretch_word_presheaf
 
 
 # ---------------------------------------------------------------------------
@@ -432,11 +430,19 @@ def test_naturality_violations_detected():
     assert any(v[0] == "naturality" for v in naturality_violations(broken))
 
 
-def test_failed_fiber_square_witnesses_non_surjectivity():
+def test_failed_fiber_square_witnesses_non_surjectivity(monkeypatch):
     src = lts_of([("u", "a", "u")])
     tgt = lts_of([("p", "a", "p"), ("p", "a", "q"), ("q", "a", "q")])
     lifted = strong_sem_map({"u": "p"}, src, tgt, 2)
-    ok, square = is_bisim_map_bounded(lifted)
+
+    def no_build(*args):
+        raise AssertionError("the decision builds no square")
+
+    with monkeypatch.context() as patch:
+        for name in ("_build_square", "sub_presheaf", "nat_trans"):
+            patch.setattr(presheaf_mod, name, no_build)
+        ok, square = is_bisim_map_bounded(lifted)
     assert not ok
-    assert square.family in ("fiber", "extension")
+    # q, the empty execution at q, has no preimage
+    assert str(square) == "fiber square [eps, q]"
     assert find_filler(square) is None

@@ -5,7 +5,6 @@ from bisimap.lts import Execution, restrict
 from bisimap.presheaf import (
     branching_target_poset,
     hiding_map,
-    identity_trans,
     naturality_violations,
     validate,
 )
@@ -26,7 +25,7 @@ from bisimap.semantics import (
 from bisimap.presheaf import left_kan
 from bisimap.words import EPSILON, TAU, TAU_BAR, LassoTrace, StretchPoint, Word
 
-from conftest import lts_of
+from conftest import compose_trans, identity_trans, lts_of
 
 
 def exec_of(word_letters, states):
@@ -285,8 +284,6 @@ def test_branching_sem_map_functor_laws(corpus):
     assert lifted.comp == identity_trans(B).comp
 
     # composition is preserved on a composable pair of quotient maps
-    from bisimap.presheaf import compose_trans
-
     mid, f = branching_quotient(X)
     final, gf = extend_reduction(f, X, mid)
     _, g = branching_quotient(mid)

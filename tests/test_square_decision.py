@@ -16,7 +16,7 @@ from bisimap.equiv import PartitionRelation, branching_quotient, quotient_lts
 from bisimap.errors import PreconditionError
 from bisimap.lts import FairLts, StreettSpec, is_simulation
 from bisimap.presheaf import (
-    MonoSquare,
+    StreamSquare,
     enumerate_mono_squares,
     find_filler,
     is_bisim_map_bounded,
@@ -182,9 +182,10 @@ def test_generator_decision_matches_generic_search(mode):
             if ok:
                 assert witness is None
             else:
-                assert isinstance(witness, MonoSquare)
+                assert isinstance(witness, StreamSquare)
                 assert (witness.family, witness.about) == (witness_ref.family, witness_ref.about)
-                assert witness == witness_ref.build()
+                assert witness.build() == witness_ref.build()
+                assert str(witness) == str(witness_ref)
                 assert find_filler(witness) is None
     assert verdicts[True] and verdicts[False]
     # the fair sample has none: its pair squares fail only on an empty fiber

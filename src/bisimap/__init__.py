@@ -23,7 +23,6 @@ from .lts import (
     parse_aut,
     restrict,
     serialize_aut,
-    weak_reach,
 )
 from .presheaf import (
     FinPoset,
@@ -63,7 +62,6 @@ from .equiv import (
     Verdict,
     branching_bisimilarity,
     branching_quotient,
-    brute_force_largest,
     check_bisim_map,
     check_branching_bisim_fn,
     check_branching_sim,

@@ -51,24 +51,32 @@ FAIR_KINDS = ("fair-sim", "fair-reflection", "fair-bisim-fn", "hildebrandt-open"
 PLAIN_KINDS = ("simulation", "strong-bisim-fn", "branching-sim", "branching-bisim-fn")
 
 
+def _read(path) -> str:
+    """A file's text; a decoding error is a parse error naming the file."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
 def load_model(path: str, want_fair: bool):
     p = Path(path)
     names_path = p.with_suffix(".names")
-    names = parse_names(names_path.read_text()) if names_path.exists() else None
-    lts = parse_aut(p.read_text(), names)
+    names = parse_names(_read(names_path)) if names_path.exists() else None
+    lts = parse_aut(_read(p), names)
     if not want_fair:
         return lts
     fair_path = p.with_suffix(".fair.json")
     if not fair_path.exists():
         raise ParseError(f"no fairness sidecar {fair_path} for {path}")
-    return FairLts(lts, parse_fairness(fair_path.read_text(), lts))
+    return FairLts(lts, parse_fairness(_read(fair_path), lts))
 
 
 def load_relation(args, system: FairLts, what: str) -> PartitionRelation:
     """The --relation file over the system's states, closed as --close asks."""
     if not args.relation:
         raise PreconditionError(f"{what} needs --relation")
-    pairs = parse_relation_pairs(Path(args.relation).read_text(), system.lts)
+    pairs = parse_relation_pairs(_read(args.relation), system.lts)
     rel = PartitionRelation(system.lts.states, pairs)
     if args.close == "reflexive":
         return rel.reflexive_closure()
@@ -115,7 +123,7 @@ def cmd_check(args) -> int:
         raise PreconditionError(f"{kind} needs --map")
     src_lts = source.lts if isinstance(source, FairLts) else source
     tgt_lts = target.lts if isinstance(target, FairLts) else target
-    f = parse_state_map(Path(args.map).read_text(), src_lts, tgt_lts)
+    f = parse_state_map(_read(args.map), src_lts, tgt_lts)
 
     if kind == "simulation":
         ok, witness = is_simulation(f, source, target)
@@ -279,7 +287,7 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, OSError, UnicodeDecodeError) as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (PreconditionError, UnsupportedError) as exc:

@@ -1,4 +1,4 @@
-"""Equivalence checkers, quotient constructions, and independent oracles.
+"""Equivalence checkers and quotient constructions.
 
 Every check returns a ``Verdict``; a failed verdict carries a witness that can
 be re-evaluated against the violated condition.  Fairness-sensitive conditions
@@ -807,41 +807,33 @@ def check_branching_bisim_fn(f: dict, source: Lts, target: Lts) -> Verdict:
     return Verdict("branching-bisim-fn", True)
 
 
-def _branching_transfer(x1, y1, pairs, adjX, eps):
-    for (a, x2) in adjX[x1]:
-        if a is TAU and (x2, y1) in pairs:
-            continue
-        ok = False
-        for y in eps[y1]:
-            if (x1, y) not in pairs:
-                continue
-            for (b, y2) in adjX[y]:
-                if b == a and (x2, y2) in pairs:
-                    ok = True
-                    break
-            if ok:
-                break
-        if not ok:
-            return False
-    return True
-
-
 def branching_bisimilarity(lts: Lts) -> PartitionRelation:
-    """Greatest fixpoint on the pair lattice: start from the universal
-    relation and discard pairs whose transfer property fails, until stable."""
-    adjX = adjacency(lts)
-    eps = eps_closure(lts)
-    pairs = {(x, y) for x in lts.states for y in lts.states}
-    changed = True
-    while changed:
-        changed = False
-        for (x, y) in sorted(pairs):
-            if not (_branching_transfer(x, y, pairs, adjX, eps)
-                    and _branching_transfer(y, x, pairs, adjX, eps)):
-                pairs.discard((x, y))
-                pairs.discard((y, x))
-                changed = True
-    return PartitionRelation(tuple(lts.states), frozenset(pairs))
+    """Signature refinement (Groote & Vaandrager, ICALP 1990; signatures as
+    in Blom & Orzan, PDMC 2003).  Starting from one block, each round
+    regroups the states s by (block of s, {(a, block of t)}), where s' -a-> t
+    ranges over the steps of the states s' that s reaches by silent steps
+    inside its block, except silent steps that stay in it.  Blocks only
+    split; once none splits, they are the largest branching bisimulation."""
+    adj = adjacency(lts)
+    block, count = dict.fromkeys(lts.states, 0), 0
+    while True:
+        groups = {}
+        for s in lts.states:
+            seen, stack, moves = {s}, [s], set()
+            while stack:
+                for (a, t) in adj[stack.pop()]:
+                    if a is not TAU or block[t] != block[s]:
+                        moves.add((a, block[t]))
+                    elif t not in seen:
+                        seen.add(t)
+                        stack.append(t)
+            groups.setdefault((block[s], frozenset(moves)), []).append(s)
+        if len(groups) == count:
+            break
+        count = len(groups)
+        block = {s: i for (i, members) in enumerate(groups.values()) for s in members}
+    pairs = frozenset((x, y) for members in groups.values() for x in members for y in members)
+    return PartitionRelation(tuple(lts.states), pairs)
 
 
 def branching_quotient(lts: Lts):
@@ -931,78 +923,3 @@ def check_bisim_map(f: dict, source, target, mode: str,
     else:
         presheaf_verdict = Verdict(f"bisim-map-{mode}", False, square)
     return BisimMapReport(mode, presheaf_verdict, concrete)
-
-
-# ---------------------------------------------------------------------------
-# Brute-force oracle
-
-
-def _strong_obligation_options(x, y, move, adjX):
-    (a, x2) = move
-    return [
-        frozenset({(x2, y2), (y2, x2)})
-        for (b, y2) in adjX[y]
-        if b == a
-    ]
-
-
-def _branching_obligation_options(x, y, move, adjX, eps):
-    (a, x2) = move
-    options = []
-    if a is TAU:
-        options.append(frozenset({(x2, y), (y, x2)}))
-    for ymid in sorted(eps[y]):
-        for (b, y2) in adjX[ymid]:
-            if b == a:
-                options.append(
-                    frozenset({(x, ymid), (ymid, x), (x2, y2), (y2, x2)})
-                )
-    return options
-
-
-def brute_force_largest(lts: Lts, kind: str) -> PartitionRelation:
-    """Independent oracle: for each state pair, search by backtracking for a
-    symmetric relation containing it that is closed under the transfer
-    property; the union of all witnesses is the largest such relation."""
-    if len(lts.states) > 7:
-        raise PreconditionError("oracle is guarded to at most 7 states")
-    if kind not in ("strong", "branching"):
-        raise PreconditionError(f"unknown kind {kind!r}")
-    adjX = adjacency(lts)
-    eps = eps_closure(lts) if kind == "branching" else None
-    identity = frozenset((s, s) for s in lts.states)
-
-    def options_for(x, y, move):
-        if kind == "strong":
-            return _strong_obligation_options(x, y, move, adjX)
-        return _branching_obligation_options(x, y, move, adjX, eps)
-
-    def solve(pairs, pending):
-        if not pending:
-            return True
-        (x, y) = pending[0]
-        rest = pending[1:]
-        return satisfy_moves(pairs, list(adjX[x]), x, y, rest)
-
-    def satisfy_moves(pairs, moves, x, y, rest):
-        if not moves:
-            return solve(pairs, rest)
-        move = moves[0]
-        for opt in options_for(x, y, move):
-            new = opt - pairs
-            grown = pairs | new
-            extra = [p for p in sorted(new)]
-            if satisfy_moves(grown, moves[1:], x, y, rest + extra):
-                return True
-        return False
-
-    winners = set(identity)
-    for x in lts.states:
-        for y in lts.states:
-            if x >= y or (x, y) in winners:
-                continue
-            seed = frozenset({(x, y), (y, x)}) | identity
-            if solve(seed, [(x, y), (y, x)]):
-                winners.add((x, y))
-                winners.add((y, x))
-    return PartitionRelation(tuple(lts.states), frozenset(winners))

@@ -129,16 +129,6 @@ def restrict(p: Execution, prefix: Word) -> Execution:
     return Execution(prefix, p.states[: len(prefix) + 1])
 
 
-def is_execution_of(lts: Lts, p: Execution) -> bool:
-    known = set(lts.states)
-    if any(s not in known for s in p.states):
-        return False
-    return all(
-        lts.has_transition(p.states[i], p.trace[i], p.states[i + 1])
-        for i in range(len(p.trace))
-    )
-
-
 def executions_up_to(lts: Lts, depth: int) -> dict:
     """All executions of trace length <= depth, keyed by trace.
 
@@ -168,7 +158,7 @@ def executions_up_to(lts: Lts, depth: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Weak reachability
+# Silent closure
 
 
 def eps_closure(lts: Lts) -> dict:
@@ -186,34 +176,6 @@ def eps_closure(lts: Lts) -> dict:
                     stack.append(v)
         closure[s] = frozenset(seen)
     return closure
-
-def weak_reach(lts: Lts, length_bound: int) -> frozenset:
-    """The weak reachability relation up to the given visible-trace length.
-
-    The empty-word slice is the reflexive-transitive closure of silent steps;
-    longer slices extend a shorter slice by one direct visible step.
-    """
-    if length_bound < 0:
-        raise PreconditionError("length bound must be >= 0")
-    adj = adjacency(lts)
-    closure = eps_closure(lts)
-    slices = {EPSILON: {(x, y) for x in lts.states for y in closure[x]}}
-    frontier = dict(slices)
-    for _ in range(length_bound):
-        nxt = {}
-        for word, pairs in frontier.items():
-            for a in sorted(lts.alphabet):
-                grown = set()
-                for (x, y) in pairs:
-                    for (lab, z) in adj[y]:
-                        if lab == a:
-                            grown.add((x, z))
-                if grown:
-                    nxt[word.append(a)] = grown
-        for w, pairs in nxt.items():
-            slices[w] = pairs
-        frontier = nxt
-    return frozenset((x, w, y) for w, pairs in slices.items() for (x, y) in pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -211,10 +211,6 @@ def fair_target_poset(labels, depth: int, traces) -> FinPoset:
     return _prefix_poset(labels, depth, set(traces), leq, "words-with-limits")
 
 
-def time_poset(depth: int) -> FinPoset:
-    return poset_from_leq(range(depth + 1), lambda a, b: a <= b, "time")
-
-
 # ---------------------------------------------------------------------------
 # Presheaves and natural transformations
 
@@ -927,23 +923,6 @@ def elements_poset(F: FinPresheaf) -> ElementsPosetResult:
         simple_elems, lambda a, b: leq(inverse[a], inverse[b]), "elements-simplified"
     )
     return ElementsPosetResult(raw, simplified, simplify)
-
-
-# ---------------------------------------------------------------------------
-# Observation presheaves over the time poset
-
-
-def word_length_presheaf(labels, depth: int) -> FinPresheaf:
-    """Stage n holds the words of length exactly n; the action truncates."""
-    labels = tuple(labels)
-    by_len = {0: [EPSILON]}
-    for n in range(1, depth + 1):
-        by_len[n] = [w.append(l) for w in by_len[n - 1] for l in labels]
-    return make_presheaf(
-        time_poset(depth),
-        lambda n: by_len[n],
-        lambda w, frm, to: w.prefix(to),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,15 @@ import pytest
 
 from bisimap import Lts, load_corpus
 from bisimap.errors import PreconditionError
-from bisimap.lts import is_execution_of
+from bisimap.equiv import PartitionRelation
+from bisimap.lts import Execution, adjacency, eps_closure
 from bisimap.presheaf import (
     FinPoset,
     FinPresheaf,
     NatTrans,
     make_presheaf,
     nat_trans,
-    time_poset,
-    word_length_presheaf,
+    poset_from_leq,
 )
 from bisimap.words import EPSILON, TAU, TAU_BAR
 
@@ -68,6 +68,45 @@ def random_total_map(rng: random.Random, source: Lts, target: Lts) -> dict:
     return {s: rng.choice(target.states) for s in source.states}
 
 
+def is_execution_of(lts: Lts, p: Execution) -> bool:
+    known = set(lts.states)
+    if any(s not in known for s in p.states):
+        return False
+    return all(
+        lts.has_transition(p.states[i], p.trace[i], p.states[i + 1])
+        for i in range(len(p.trace))
+    )
+
+
+def weak_reach(lts: Lts, length_bound: int) -> frozenset:
+    """The weak reachability relation up to the given visible-trace length.
+
+    The empty-word slice is the reflexive-transitive closure of silent steps;
+    longer slices extend a shorter slice by one direct visible step.
+    """
+    if length_bound < 0:
+        raise PreconditionError("length bound must be >= 0")
+    adj = adjacency(lts)
+    closure = eps_closure(lts)
+    slices = {EPSILON: {(x, y) for x in lts.states for y in closure[x]}}
+    frontier = dict(slices)
+    for _ in range(length_bound):
+        nxt = {}
+        for word, pairs in frontier.items():
+            for a in sorted(lts.alphabet):
+                grown = set()
+                for (x, y) in pairs:
+                    for (lab, z) in adj[y]:
+                        if lab == a:
+                            grown.add((x, z))
+                if grown:
+                    nxt[word.append(a)] = grown
+        for w, pairs in nxt.items():
+            slices[w] = pairs
+        frontier = nxt
+    return frozenset((x, w, y) for w, pairs in slices.items() for (x, y) in pairs)
+
+
 def is_lasso_of(lts: Lts, lasso) -> bool:
     """Does the lasso unroll to a valid infinite run of the system?"""
     if not is_execution_of(lts, lasso.stem):
@@ -107,6 +146,23 @@ def order_isomorphic(P: FinPoset, Q: FinPoset, mapping=None) -> bool:
     )
 
 
+def time_poset(depth: int) -> FinPoset:
+    return poset_from_leq(range(depth + 1), lambda a, b: a <= b, "time")
+
+
+def word_length_presheaf(labels, depth: int) -> FinPresheaf:
+    """Stage n holds the words of length exactly n; the action truncates."""
+    labels = tuple(labels)
+    by_len = {0: [EPSILON]}
+    for n in range(1, depth + 1):
+        by_len[n] = [w.append(l) for w in by_len[n - 1] for l in labels]
+    return make_presheaf(
+        time_poset(depth),
+        lambda n: by_len[n],
+        lambda w, frm, to: w.prefix(to),
+    )
+
+
 def stretch_word_presheaf(labels, depth: int) -> FinPresheaf:
     """As word_length_presheaf, plus the stretchable observation at every
     positive tick; it truncates to the empty word at tick zero and stays put
@@ -122,3 +178,116 @@ def stretch_word_presheaf(labels, depth: int) -> FinPresheaf:
         return x.prefix(to)
 
     return make_presheaf(time_poset(depth), stage, act)
+
+
+# ---------------------------------------------------------------------------
+# Bisimilarity oracles: the library computes branching bisimilarity by
+# signature refinement; these reach the same relation by other routes
+
+
+def _branching_transfer(x1, y1, pairs, adjX, eps):
+    for (a, x2) in adjX[x1]:
+        if a is TAU and (x2, y1) in pairs:
+            continue
+        ok = False
+        for y in eps[y1]:
+            if (x1, y) not in pairs:
+                continue
+            for (b, y2) in adjX[y]:
+                if b == a and (x2, y2) in pairs:
+                    ok = True
+                    break
+            if ok:
+                break
+        if not ok:
+            return False
+    return True
+
+
+def branching_bisimilarity_fixpoint(lts: Lts) -> PartitionRelation:
+    """Greatest fixpoint on the pair lattice: start from the universal
+    relation and discard pairs whose transfer property fails, until stable."""
+    adjX = adjacency(lts)
+    eps = eps_closure(lts)
+    pairs = {(x, y) for x in lts.states for y in lts.states}
+    changed = True
+    while changed:
+        changed = False
+        for (x, y) in sorted(pairs):
+            if not (_branching_transfer(x, y, pairs, adjX, eps)
+                    and _branching_transfer(y, x, pairs, adjX, eps)):
+                pairs.discard((x, y))
+                pairs.discard((y, x))
+                changed = True
+    return PartitionRelation(tuple(lts.states), frozenset(pairs))
+
+
+def _strong_obligation_options(x, y, move, adjX):
+    (a, x2) = move
+    return [
+        frozenset({(x2, y2), (y2, x2)})
+        for (b, y2) in adjX[y]
+        if b == a
+    ]
+
+
+def _branching_obligation_options(x, y, move, adjX, eps):
+    (a, x2) = move
+    options = []
+    if a is TAU:
+        options.append(frozenset({(x2, y), (y, x2)}))
+    for ymid in sorted(eps[y]):
+        for (b, y2) in adjX[ymid]:
+            if b == a:
+                options.append(
+                    frozenset({(x, ymid), (ymid, x), (x2, y2), (y2, x2)})
+                )
+    return options
+
+
+def brute_force_largest(lts: Lts, kind: str) -> PartitionRelation:
+    """Independent oracle: for each state pair, search by backtracking for a
+    symmetric relation containing it that is closed under the transfer
+    property; the union of all witnesses is the largest such relation."""
+    if len(lts.states) > 7:
+        raise PreconditionError("oracle is guarded to at most 7 states")
+    if kind not in ("strong", "branching"):
+        raise PreconditionError(f"unknown kind {kind!r}")
+    adjX = adjacency(lts)
+    eps = eps_closure(lts) if kind == "branching" else None
+    identity = frozenset((s, s) for s in lts.states)
+
+    def options_for(x, y, move):
+        if kind == "strong":
+            return _strong_obligation_options(x, y, move, adjX)
+        return _branching_obligation_options(x, y, move, adjX, eps)
+
+    def solve(pairs, pending):
+        if not pending:
+            return True
+        (x, y) = pending[0]
+        rest = pending[1:]
+        return satisfy_moves(pairs, list(adjX[x]), x, y, rest)
+
+    def satisfy_moves(pairs, moves, x, y, rest):
+        if not moves:
+            return solve(pairs, rest)
+        move = moves[0]
+        for opt in options_for(x, y, move):
+            new = opt - pairs
+            grown = pairs | new
+            extra = [p for p in sorted(new)]
+            if satisfy_moves(grown, moves[1:], x, y, rest + extra):
+                return True
+        return False
+
+    winners = set(identity)
+    for x in lts.states:
+        for y in lts.states:
+            if x >= y or (x, y) in winners:
+                continue
+            seed = frozenset({(x, y), (y, x)}) | identity
+            if solve(seed, [(x, y), (y, x)]):
+                winners.add((x, y))
+                winners.add((y, x))
+    return PartitionRelation(tuple(lts.states), frozenset(winners))

@@ -9,7 +9,6 @@ from bisimap.equiv import (
     PartitionRelation,
     branching_bisimilarity,
     branching_quotient,
-    brute_force_largest,
     check_bisim_map,
     check_branching_bisim_fn,
     check_fair_bisim_fn,
@@ -39,7 +38,7 @@ from bisimap.semantics import (
 )
 from bisimap.words import EPSILON, TAU, TAU_BAR
 
-from conftest import random_lts, random_total_map
+from conftest import brute_force_largest, random_lts, random_total_map
 
 SEED = 20250809
 DEPTH = 4

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import bisimap
 from bisimap.cli import run
@@ -199,14 +204,17 @@ def test_malformed_fairness_sidecar_exits_2(union_files, tmp_path, sidecar, caps
     assert capsys.readouterr().err.startswith("error:")
 
 
-@pytest.mark.parametrize("argv", [
-    ["check", "--kind", "branching-sim", "--map", "{map}", "{tmp}/missing.aut", "{tgt}"],
-    ["check", "--kind", "branching-sim", "--map", "{tmp}/missing.map", "{src}", "{tgt}"],
-    ["check", "--kind", "branching-sim", "--map", "{tmp}", "{src}", "{tgt}"],
-    ["check", "--kind", "branching-sim", "--map", "{map}", "{latin1}", "{tgt}"],
-    ["quotient", "--kind", "branching", "--output", "{tmp}/nowhere/out", "{chain}"],
+@pytest.mark.parametrize("argv, culprit", [
+    (["check", "--kind", "branching-sim", "--map", "{map}", "{tmp}/missing.aut", "{tgt}"],
+     "{tmp}/missing.aut"),
+    (["check", "--kind", "branching-sim", "--map", "{tmp}/missing.map", "{src}", "{tgt}"],
+     "{tmp}/missing.map"),
+    (["check", "--kind", "branching-sim", "--map", "{tmp}", "{src}", "{tgt}"], "{tmp}"),
+    (["check", "--kind", "branching-sim", "--map", "{map}", "{latin1}", "{tgt}"], "{latin1}"),
+    (["quotient", "--kind", "branching", "--output", "{tmp}/nowhere/out", "{chain}"],
+     "{tmp}/nowhere/out"),
 ], ids=["missing-model", "missing-map", "directory-map", "non-utf8-model", "output-dir-missing"])
-def test_unreadable_file_exits_2(argv, branch_files, chain_file, tmp_path, capsys):
+def test_unreadable_file_exits_2(argv, culprit, branch_files, chain_file, tmp_path, capsys):
     latin1 = tmp_path / "latin1.aut"
     latin1.write_bytes('des (0, 1, 2)\n(0, "\xe9", 1)\n'.encode("latin-1"))
     src, tgt, mp = branch_files
@@ -216,6 +224,52 @@ def test_unreadable_file_exits_2(argv, branch_files, chain_file, tmp_path, capsy
     assert code == 2
     assert err.startswith("error:")
     assert "Traceback" not in err
+    assert culprit.format(**paths) in err
+
+
+# garbage model files near the Aldebaran grammar: a header that may miscount
+# or be malformed, transition lines with bad indices or labels, a stray line
+# of free text, names with duplicates and the quotient's block separator,
+# and raw bytes; counts stay small, so no file announces a huge system
+_label = st.sampled_from(['"a"', '"b"', '"tau"'] * 3 + ["tau", "a b", '"a,b"', '""', '"\u00e9"', '"'])
+_index = st.sampled_from([0, 1, 2, 3] * 3 + [-1, 9])
+_edge = st.builds("({},{},{})".format, _index, _label, _index)
+_header = st.sampled_from(["des (0, {}, {})"] * 4 + ["des (0,{},{}) x", "des ({}, {})"])
+
+
+@st.composite
+def _model_files(draw):
+    """(model bytes, names bytes or None); one file in five is raw bytes."""
+    body = draw(st.lists(_edge, max_size=6))
+    if draw(st.integers(0, 3)) == 3:
+        body.append(draw(st.text(max_size=12)))
+    count = len(body) + draw(st.sampled_from([0] * 8 + [1, -1]))
+    header = draw(_header).format(count, draw(st.sampled_from([4] * 4 + [0, 1, 3])))
+    names = draw(st.lists(
+        st.sampled_from(["s0", "s1", "s2", "s3"] * 2 + ["s0+s1", "# c", "", "s 1", "\u00e9"]),
+        min_size=3, max_size=5,
+    ))
+    files = ["\n".join([header] + body).encode(), "\n".join(names).encode()]
+    files = [draw(st.binary(max_size=24)) if draw(st.integers(0, 4)) == 4 else f for f in files]
+    return files[0], draw(st.sampled_from([None, files[1]]))
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(files=_model_files())
+def test_quotient_of_a_garbage_model_exits_0_2_or_3(files):
+    aut, names = files
+    with tempfile.TemporaryDirectory() as tmp:
+        model = Path(tmp) / "m.aut"
+        model.write_bytes(aut)
+        if names is not None:
+            model.with_suffix(".names").write_bytes(names)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = run(["quotient", "--kind", "branching", "--output", f"{tmp}/q", str(model)])
+    assert code in (0, 2, 3), err.getvalue()
+    assert (code == 0) == (err.getvalue() == "")
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,7 +7,6 @@ from bisimap.equiv import (
     PartitionRelation,
     branching_bisimilarity,
     branching_quotient,
-    brute_force_largest,
     check_bisim_map,
     check_branching_bisim_fn,
     check_branching_sim,
@@ -24,7 +23,13 @@ from bisimap.equiv import (
 )
 from bisimap.lts import FairLts, StreettSpec, adjacency, eps_closure
 
-from conftest import is_lasso_of, lts_of, random_lts
+from conftest import (
+    branching_bisimilarity_fixpoint,
+    brute_force_largest,
+    is_lasso_of,
+    lts_of,
+    random_lts,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +380,33 @@ def test_extend_reduction_lands_in_bisim_fn():
     g = {"p": "u", "q": "v", "r": "w"}
     quotient, composite = extend_reduction(g, src, mid)
     assert check_branching_bisim_fn(composite, src, quotient).holds
+
+
+def test_refinement_agrees_with_fixpoint_sampled():
+    rng = random.Random(31)
+    for i in range(2100):
+        tau_prob = (0.2, 0.5, 0.8)[i % 3]
+        lts = random_lts(rng, 8, ("a", "b"), tau_prob=tau_prob, density=rng.uniform(0.5, 2.5))
+        assert branching_bisimilarity(lts).pairs == branching_bisimilarity_fixpoint(lts).pairs
+
+
+def test_refinement_on_silent_cycles():
+    # p and q stutter on a silent cycle with an exit by a; l diverges
+    # silently, which branching bisimilarity does not tell from deadlock
+    lts = lts_of([("p", "tau", "q"), ("q", "tau", "p"), ("q", "a", "r"), ("l", "tau", "l")],
+                 extra_states=("d",))
+    R = branching_bisimilarity(lts)
+    assert R.blocks() == (frozenset({"d", "l", "r"}), frozenset({"p", "q"}))
+    assert R.pairs == branching_bisimilarity_fixpoint(lts).pairs
+
+
+def test_refinement_on_a_long_alternating_chain():
+    lts = lts_of([(f"s{i}", "tau" if i % 2 == 0 else "a", f"s{i + 1}") for i in range(499)])
+    R = branching_bisimilarity(lts)
+    assert len(R.blocks()) == 250
+    quotient, f = branching_quotient(lts)
+    assert len(quotient.states) == 250
+    assert PartitionRelation.kernel_of(f, lts.states).pairs == R.pairs
 
 
 def test_brute_force_examples():

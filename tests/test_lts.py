@@ -14,12 +14,11 @@ from bisimap import (
     parse_aut,
     restrict,
     serialize_aut,
-    weak_reach,
 )
 from bisimap.lts import FairLts, Lts, StreettSpec, adjacency
 from bisimap.words import EPSILON, TAU, Word
 
-from conftest import lts_of, random_lts
+from conftest import lts_of, random_lts, weak_reach
 
 
 # ---------------------------------------------------------------------------

@@ -34,14 +34,19 @@ from bisimap.presheaf import (
     poset_from_leq,
     restrict_presheaf,
     sub_presheaf,
-    time_poset,
-    word_length_presheaf,
     word_poset,
 )
 from bisimap.semantics import base_presheaf, fair_sem, fair_sem_map, strong_sem, strong_sem_map
 from bisimap.words import EPSILON, TAU, TAU_BAR, LassoTrace, StretchPoint, Word
 
-from conftest import identity_trans, lts_of, order_isomorphic, stretch_word_presheaf
+from conftest import (
+    identity_trans,
+    lts_of,
+    order_isomorphic,
+    stretch_word_presheaf,
+    time_poset,
+    word_length_presheaf,
+)
 
 
 # ---------------------------------------------------------------------------

@@ -150,7 +150,6 @@ def cmd_check(args) -> int:
         report = check_bisim_map(
             f, source, target, args.mode,
             depth=args.depth, stem_bound=args.stem_bound, cycle_bound=args.cycle_bound,
-            stage_bound=args.mono_stage_bound, support_bound=args.mono_support_bound,
         )
         _emit(report.presheaf_verdict, fmt)
         _emit(report.concrete_verdict, fmt)
@@ -237,8 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--depth": dict(type=int, default=4),
         "--stem-bound": dict(type=int, default=4),
         "--cycle-bound": dict(type=int, default=4),
-        "--mono-stage-bound": dict(type=int, default=2),
-        "--mono-support-bound": dict(type=int, default=6),
         "--format": dict(choices=("text", "machine"), default="text"),
         "--mode-fair": dict(choices=("exact_streett", "bounded"), default="exact_streett",
                             help="fairness analysis mode"),

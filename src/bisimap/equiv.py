@@ -763,9 +763,17 @@ def forall_fair_quotient(R: PartitionRelation, system: FairLts,
 def quotient_lts(lts: Lts, R: PartitionRelation):
     """Quotient by an equivalence with induced transitions (no silent-step
     special casing): one state per block, named by its members joined with
-    ``+``.  Returns (quotient, map)."""
+    ``+``, bracketed until the name is no state's and no earlier block's.
+    Returns (quotient, map)."""
     blocks = R.blocks()
-    names = tuple("+".join(sorted(b)) for b in blocks)
+    taken = set(lts.states)
+    names = []
+    for b in blocks:
+        bname = "+".join(sorted(b))
+        while len(b) > 1 and bname in taken:
+            bname = f"[{bname}]"
+        taken.add(bname)
+        names.append(bname)
     name = {s: bname for (bname, b) in zip(names, blocks) for s in b}
     transitions = {(name[x], a, name[y]) for (x, a, y) in lts.transitions}
     quotient = Lts.make(names, lts.alphabet, transitions)
@@ -871,8 +879,7 @@ class BisimMapReport:
 
 
 def check_bisim_map(f: dict, source, target, mode: str,
-                    depth: int = 4, stem_bound: int = 4, cycle_bound: int = 4,
-                    stage_bound: int = 2, support_bound: int = 6) -> BisimMapReport:
+                    depth: int = 4, stem_bound: int = 4, cycle_bound: int = 4) -> BisimMapReport:
     """Lift f to the mode's semantic presheaves, run the bounded square-filler
     check, and evaluate the concrete characterization alongside.
 
@@ -888,11 +895,7 @@ def check_bisim_map(f: dict, source, target, mode: str,
       every depth tried, 2 to 5);
     * branching: the filler check refuses some maps that the concrete check
       accepts, at every depth tried so far."""
-    bounds = {
-        "depth": depth,
-        "stage_bound": stage_bound,
-        "support_bound": support_bound,
-    }
+    bounds = {"depth": depth}
     if mode == "strong":
         if not isinstance(source, Lts) or not isinstance(target, Lts):
             raise PreconditionError("strong mode takes plain systems")
@@ -917,7 +920,7 @@ def check_bisim_map(f: dict, source, target, mode: str,
         concrete = check_branching_bisim_fn(f, source, target)
     else:
         raise PreconditionError(f"unknown mode {mode!r}")
-    ok, square = is_bisim_map_bounded(lifted, stage_bound, support_bound)
+    ok, square = is_bisim_map_bounded(lifted)
     if ok:
         presheaf_verdict = Verdict(f"bisim-map-{mode}", True, certified_bounds=bounds)
     else:

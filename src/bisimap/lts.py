@@ -480,7 +480,7 @@ def parse_fairness(text: str, lts: Lts):
     """Parse a fairness sidecar (JSON) against a system's state names."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"bad fairness sidecar: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("bad fairness sidecar: not a JSON object")

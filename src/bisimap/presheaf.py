@@ -10,13 +10,15 @@ looked up.  The word posets build that relation from prefix chains.  Each
 natural transformation likewise indexes its fibers, stage by stage.
 
 The squares that ``enumerate_mono_squares`` streams have a Q generated by one
-or two elements, so by Yoneda a filler is fixed by its values at those
-generators.  ``is_bisim_map_bounded`` therefore decides every square from its
-generators and the fiber index (``StreamSquare.has_filler``) and builds no
-square at all: a refusal returns the failing ``StreamSquare``, whose text
-names its family and generators.  The generic diagonal-filler search,
-``find_filler``, is exhaustive over a fixed deterministic order and works for
-any square; it is the oracle the tests hold the generator decision to.
+element, so by Yoneda a filler is fixed by its value at that generator; over
+the chain-shaped bases built here, a square with two generators is filled as
+soon as the stream's squares are.  ``is_bisim_map_bounded`` therefore decides
+every square from its generator and the fiber index
+(``StreamSquare.has_filler``) and builds no square at all: a refusal returns
+the failing ``StreamSquare``, whose text names its family and generators.
+The generic diagonal-filler search, ``find_filler``, is exhaustive over a
+fixed deterministic order and works for any square; it is the oracle the
+tests hold the generator decision to.
 Verdicts and witnesses are reproducible.
 """
 
@@ -52,7 +54,6 @@ class FinPoset:
 
     elements: tuple
     relation: frozenset
-    dialect: str = ""
 
     @cached_property
     def _down(self) -> dict:
@@ -115,7 +116,7 @@ class FinPoset:
         return bad
 
 
-def poset_from_leq(elements, leq, dialect="") -> FinPoset:
+def poset_from_leq(elements, leq) -> FinPoset:
     """The elements ordered by ``leq``, sorted by ``element_key``; elements
     outside that key's family (pairs from the category of elements) sort
     after them, by str and repr."""
@@ -128,7 +129,7 @@ def poset_from_leq(elements, leq, dialect="") -> FinPoset:
 
     elements = tuple(sorted(elements, key=key))
     rel = frozenset((a, b) for a in elements for b in elements if leq(a, b))
-    return FinPoset(elements, rel, dialect)
+    return FinPoset(elements, rel)
 
 
 def _all_words(labels, depth):
@@ -140,7 +141,7 @@ def _all_words(labels, depth):
     return words
 
 
-def _prefix_poset(labels, depth, extras=(), leq=None, dialect="") -> FinPoset:
+def _prefix_poset(labels, depth, extras=(), leq=None) -> FinPoset:
     """All words over the labels up to the depth plus the extra elements,
     sorted by ``element_key``.  Words are ordered by prefix, read off their
     prefix chains; ``leq`` is asked only about pairs with an extra element."""
@@ -158,12 +159,12 @@ def _prefix_poset(labels, depth, extras=(), leq=None, dialect="") -> FinPoset:
             if leq(a, b):
                 ups[a].append(b)
     rel = frozenset((a, b) for a in elements for b in ups[a])
-    return FinPoset(elements, rel, dialect)
+    return FinPoset(elements, rel)
 
 
-def word_poset(labels, depth: int, dialect: str = "words") -> FinPoset:
+def word_poset(labels, depth: int) -> FinPoset:
     """All words over the labels up to the depth, prefix-ordered."""
-    return _prefix_poset(labels, depth, dialect=dialect)
+    return _prefix_poset(labels, depth)
 
 
 def barred_source_poset(labels, depth: int) -> FinPoset:
@@ -178,7 +179,7 @@ def barred_source_poset(labels, depth: int) -> FinPoset:
         return False
 
     stretch = [StretchPoint(n) for n in range(1, depth + 1)]
-    return _prefix_poset(labels, depth, stretch, leq, "barred-words")
+    return _prefix_poset(labels, depth, stretch, leq)
 
 
 def branching_target_poset(labels, depth: int) -> FinPoset:
@@ -194,7 +195,7 @@ def branching_target_poset(labels, depth: int) -> FinPoset:
             return True
         return False
 
-    return _prefix_poset(labels, depth, [TAU_BAR], leq, "barred-visible-words")
+    return _prefix_poset(labels, depth, [TAU_BAR], leq)
 
 
 def fair_target_poset(labels, depth: int, traces) -> FinPoset:
@@ -208,7 +209,7 @@ def fair_target_poset(labels, depth: int, traces) -> FinPoset:
             return a == b
         return False
 
-    return _prefix_poset(labels, depth, set(traces), leq, "words-with-limits")
+    return _prefix_poset(labels, depth, set(traces), leq)
 
 
 # ---------------------------------------------------------------------------
@@ -487,18 +488,14 @@ def find_filler(square: MonoSquare):
 def _build_square(f: NatTrans, family: str, about: tuple) -> MonoSquare:
     """The full square of the stream with this family and about data."""
     F, G = f.source, f.target
-    P0 = empty_presheaf(G.base)
-    if family == "pair":
-        e1, w1, e2, w2 = about
-        Q = sub_presheaf(G, [(e1, w1), (e2, w2)])
-    else:
-        e, w = about[:2]
-        Q = sub_presheaf(G, [(e, w)])
+    e, w = about[:2]
+    Q = sub_presheaf(G, [(e, w)])
     n = inclusion(Q, G)
-    if family in ("fiber", "pair"):
+    if family == "fiber":
+        P0 = empty_presheaf(G.base)
         return MonoSquare(g=NatTrans(P0, Q, {}), m=NatTrans(P0, F, {}), n=n, f=f,
                           family=family, about=about)
-    e, w, e2, x = about
+    e2, x = about[2:]
     P = sub_presheaf(F, [(e2, x)])
     g = nat_trans(P, Q, lambda lo, p: G.restrict(w, e, lo))
     return MonoSquare(g=g, m=inclusion(P, F), n=n, f=f, family=family, about=about)
@@ -543,52 +540,45 @@ class StreamSquare:
         return self.build().n
 
     def has_filler(self) -> bool:
-        """Decide the square at its generators, without building it.
+        """Decide the square at its generator, without building it.
 
-        Q is generated by one or two elements, so by Yoneda a filler is fixed
-        by its values there: for ``fiber`` any preimage v of w at e will do;
-        for ``extension`` and ``chain-limit`` a preimage that restricts to x at
-        e2; for ``pair`` preimages v1 of w1 and v2 of w2 that agree at every
-        common lower stage where w1 and w2 agree.  The answer equals
-        ``find_filler(self) is not None``.
+        Q is generated by one element, so by Yoneda a filler is fixed by its
+        value there: for ``fiber`` any preimage v of w at e will do; for
+        ``extension`` and ``chain-limit`` a preimage that restricts to x at
+        e2.  The answer equals ``find_filler(self) is not None``.
         """
         f = self.f
         if self.family == "fiber":
             e, w = self.about
             return bool(f.fiber(e, w))
-        F = f.source
-        if self.family == "pair":
-            e1, w1, e2, w2 = self.about
-            G = f.target
-            base = G.base
-            agree = [
-                s for s in base.down(e1)
-                if base.leq(s, e2) and G.restrict(w1, e1, s) == G.restrict(w2, e2, s)
-            ]
-            firsts = {tuple(F.restrict(v, e1, s) for s in agree) for v in f.fiber(e1, w1)}
-            return any(
-                tuple(F.restrict(v, e2, s) for s in agree) in firsts
-                for v in f.fiber(e2, w2)
-            )
         e, w, e2, x = self.about
+        F = f.source
         return any(F.restrict(v, e, e2) == x for v in f.fiber(e, w))
 
 
-def enumerate_mono_squares(f: NatTrans, stage_bound: int = 2, support_bound: int = 6):
-    """A deterministic stream of commuting mono squares over f.
+def enumerate_mono_squares(f: NatTrans):
+    """A deterministic stream of commuting mono squares over f.  In each, Q is
+    the history chain of one target element w at e:
 
-    Three families are always produced, independent of the bounds, because
-    they decide the reflection content of the checker cheaply:
+    * ``fiber``: P is empty -- a filler is a coherent preimage, so these test
+      stage surjectivity;
+    * ``extension``: P is the history chain of a source element x at a stage
+      e2 below e, matching the restriction of w -- a filler extends the
+      matched part (when e is a limit point and e2 its greatest prefix, this
+      is the prefix-chain square of an infinite run, tagged ``chain-limit``).
 
-    * ``fiber``: Q is the history chain of a single target element, P empty --
-      a filler is a coherent preimage, so these test stage surjectivity;
-    * ``extension``: additionally P is the history chain of a source element
-      matching a proper restriction of the target element -- a filler extends
-      the matched part (when the top stage is a limit point this is the
-      prefix-chain square of an infinite run, tagged ``chain-limit``);
-    * ``pair``: Q is generated by two incomparable target elements, P empty --
-      a filler jointly lifts both consistently.  Only this family is subject
-      to the stage/support bounds.
+    Every down-set of the base must be a chain, as word prefixes, ``tau_bar``
+    above the empty word and each lasso trace above its prefixes are; the
+    stream raises ``PreconditionError`` at the first element where one is
+    not.  Over such a base a square whose Q has two generators (e1, w1) and
+    (e2, w2) is filled once the stream's squares are (path lifting, as in
+    Joyal, Nielsen & Winskel, Inf. & Comput. 1996):
+
+    1. lift w1 to v1;
+    2. the stages where w1 and w2 agree form a chain; let m be its top;
+    3. name the generators so that e2 is not the longer word (or is no word
+       at all).  The extension square (e2, w2, m, v1|m) is then never beyond
+       the word budget, and its filler agrees with v1 on that whole chain.
 
     Extension squares whose shortest conceivable filler already overflows the
     base's word-length budget are dropped: they are unfillable for every map
@@ -598,10 +588,6 @@ def enumerate_mono_squares(f: NatTrans, stage_bound: int = 2, support_bound: int
     The items are ``StreamSquare``s: the stream computes only their ``about``
     data, from the poset index and f's fiber index, and builds no presheaf.
     """
-    if stage_bound < 1:
-        raise PreconditionError("stage bound must be >= 1")
-    if support_bound < 1:
-        raise PreconditionError("support bound must be >= 1")
     G = f.target
     base = G.base
     word_budget = max(
@@ -616,11 +602,12 @@ def enumerate_mono_squares(f: NatTrans, stage_bound: int = 2, support_bound: int
             return False
         return len(trace) + (len(e) - len(e2)) > word_budget
 
-    keyed = base.keyed
-    for e in keyed:
+    for e in base.keyed:
         limit_top = isinstance(e, LassoTrace)
         below = sorted(base.strictly_below(e), key=element_key)
         max_below = below[-1] if below else None
+        if below and len(base.down(max_below)) != len(below):
+            raise PreconditionError(f"the elements below {e} are not a chain")
         for w in G.stage(e):
             yield StreamSquare(f, "fiber", (e, w))
             for e2 in below:
@@ -629,30 +616,9 @@ def enumerate_mono_squares(f: NatTrans, stage_bound: int = 2, support_bound: int
                     if not beyond_budget(e, e2, x):
                         yield StreamSquare(f, family, (e, w, e2, x))
 
-    # pairs in the order of their generators (e1, w1) < (e2, w2); the stage
-    # bound can only bite at 1, since a stage of Q holds at most two values
-    down = {e: frozenset(base.down(e)) for e in keyed}
-    for i, e1 in enumerate(keyed):
-        if not G.stage(e1):
-            continue
-        partners = [
-            e2 for e2 in keyed[i + 1:]
-            if G.stage(e2) and e2 not in down[e1] and e1 not in down[e2]
-            and len(down[e1] | down[e2]) <= support_bound
-        ]
-        for w1 in G.stage(e1):
-            for e2 in partners:
-                for w2 in G.stage(e2):
-                    if stage_bound == 1 and any(
-                        G.restrict(w1, e1, s) != G.restrict(w2, e2, s)
-                        for s in down[e1] & down[e2]
-                    ):
-                        continue
-                    yield StreamSquare(f, "pair", (e1, w1, e2, w2))
 
-
-def is_bisim_map_bounded(f: NatTrans, stage_bound: int = 2, support_bound: int = 6):
-    """Decide every square of the enumerated stream at its generators.
+def is_bisim_map_bounded(f: NatTrans):
+    """Decide every square of the enumerated stream at its generator.
 
     Each square is decided by ``StreamSquare.has_filler`` from its ``about``
     data, f's fiber index and the base's down-sets, and no square is built:
@@ -662,13 +628,15 @@ def is_bisim_map_bounded(f: NatTrans, stage_bound: int = 2, support_bound: int =
     together).
 
     A ``False`` verdict is definitive for the truncated semantics: the witness
-    square has no filler at this depth.  A ``True`` verdict certifies only the
-    enumerated squares within the bounds.  In the branching and fair modes the
-    verdict can differ from the concrete characterization (see
-    ``check_bisim_map``), so exact verdicts come from the concrete checks.
+    square has no filler at this depth.  A ``True`` verdict certifies the
+    stream's squares at this depth and with them the squares whose Q has two
+    generators and whose P is empty (see ``enumerate_mono_squares``).  In the
+    branching and fair modes the verdict can differ from the concrete
+    characterization (see ``check_bisim_map``), so exact verdicts come from
+    the concrete checks.
     Returns (verdict, witness square or None).
     """
-    for square in enumerate_mono_squares(f, stage_bound, support_bound):
+    for square in enumerate_mono_squares(f):
         if not square.has_filler():
             return False, square
     return True, None
@@ -811,7 +779,7 @@ def identity_map(poset: FinPoset) -> MonotoneMap:
 def restrict_presheaf(F: FinPresheaf, elems) -> FinPresheaf:
     """The restriction of a presheaf to a subset of its base (the induced
     sub-poset keeps the original order)."""
-    sub = poset_from_leq(elems, F.base.leq, F.base.dialect)
+    sub = poset_from_leq(elems, F.base.leq)
     stages = {e: F.stages[e] for e in sub.elements}
     res = {}
     for hi in sub.elements:
@@ -902,7 +870,7 @@ def elements_poset(F: FinPresheaf) -> ElementsPosetResult:
         (ea, xa), (eb, xb) = a, b
         return F.base.leq(ea, eb) and F.restrict(xb, eb, ea) == xa
 
-    raw = poset_from_leq(objs, leq, "elements")
+    raw = poset_from_leq(objs, leq)
 
     occurrences = {}
     for (e, x) in objs:
@@ -919,9 +887,7 @@ def elements_poset(F: FinPresheaf) -> ElementsPosetResult:
     if len(set(simple_elems)) != len(simple_elems):
         raise PreconditionError("simplification collapsed distinct objects")
     inverse = {v: k for k, v in simplify.items()}
-    simplified = poset_from_leq(
-        simple_elems, lambda a, b: leq(inverse[a], inverse[b]), "elements-simplified"
-    )
+    simplified = poset_from_leq(simple_elems, lambda a, b: leq(inverse[a], inverse[b]))
     return ElementsPosetResult(raw, simplified, simplify)
 
 

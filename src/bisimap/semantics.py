@@ -74,7 +74,7 @@ def strong_sem(lts: Lts, depth: int) -> FinPresheaf:
     """The presheaf of executions over visible words up to the depth."""
     if lts.has_tau:
         raise PreconditionError("strong semantics is for systems without silent steps")
-    base = word_poset(_visible_labels(lts), depth, "visible-words")
+    base = word_poset(_visible_labels(lts), depth)
     return _execution_presheaf(base, lts, depth)
 
 
@@ -86,7 +86,7 @@ def strong_sem_map(f: dict, source: Lts, target: Lts, depth: int) -> NatTrans:
         raise PreconditionError(f"not a simulation: violates {witness}")
     if source.has_tau or target.has_tau:
         raise PreconditionError("strong semantics is for systems without silent steps")
-    base = word_poset(_joint_alphabet(source, target), depth, "visible-words")
+    base = word_poset(_joint_alphabet(source, target), depth)
     FX = _execution_presheaf(base, source, depth)
     FY = _execution_presheaf(base, target, depth)
     return nat_trans(FX, FY, lambda e, p: _map_execution(f, p))
@@ -188,7 +188,7 @@ def base_presheaf(lts: Lts, depth: int, barred: bool = False) -> FinPresheaf:
     silent executions and restricts to the start state at the empty word."""
     labels = _visible_labels(lts) + (TAU,)
     if not barred:
-        return _execution_presheaf(word_poset(labels, depth, "silent-words"), lts, depth)
+        return _execution_presheaf(word_poset(labels, depth), lts, depth)
     base = barred_source_poset(labels, depth)
     execs = executions_up_to(lts, depth)
     silent = sorted(
@@ -256,7 +256,7 @@ def mpast(p: Execution, rho2: Word) -> Execution:
 def _branching_base(labels, depth: int, with_stretch: bool):
     if with_stretch:
         return branching_target_poset(labels, depth)
-    return word_poset(labels, depth, "visible-words")
+    return word_poset(labels, depth)
 
 
 def _minimal_presheaf(base, lts: Lts, depth: int) -> FinPresheaf:

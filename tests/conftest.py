@@ -147,7 +147,7 @@ def order_isomorphic(P: FinPoset, Q: FinPoset, mapping=None) -> bool:
 
 
 def time_poset(depth: int) -> FinPoset:
-    return poset_from_leq(range(depth + 1), lambda a, b: a <= b, "time")
+    return poset_from_leq(range(depth + 1), lambda a, b: a <= b)
 
 
 def word_length_presheaf(labels, depth: int) -> FinPresheaf:

@@ -132,7 +132,7 @@ def test_criterion_03_kan_extension_matches_minimal_executions(corpus):
     mismatches = []
     for name, X in corpus.plain_systems().items():
         F = base_presheaf(X, DEPTH)
-        tgt = word_poset(sorted(X.alphabet), DEPTH, "visible-words")
+        tgt = word_poset(sorted(X.alphabet), DEPTH)
         K = left_kan(hiding_map(F.base, tgt), F)
         for rho in tgt.elements:
             if len(rho) > 3:

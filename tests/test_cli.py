@@ -13,7 +13,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import bisimap
 from bisimap.cli import run
-from bisimap.lts import serialize_aut
+from bisimap.equiv import check_branching_bisim_fn
+from bisimap.lts import parse_aut, parse_names, parse_state_map, serialize_aut
 
 
 @pytest.fixture()
@@ -193,6 +194,7 @@ def test_bisim_map_check_via_cli(branch_files, capsys):
     '{"kind": "streett", "pairs": [["x1", ["y1"]]]}',
     '{"kind": "streett", "names": "x1", "pairs": []}',
     '{"kind": "streett", "names": [["x1"]], "pairs": []}',
+    pytest.param("[" * 100000, id="nested-too-deep"),
 ])
 def test_malformed_fairness_sidecar_exits_2(union_files, tmp_path, sidecar, capsys):
     aut, _ = union_files
@@ -272,10 +274,100 @@ def test_quotient_of_a_garbage_model_exits_0_2_or_3(files):
     assert (code == 0) == (err.getvalue() == "")
 
 
+# garbage --map, --relation and fairness sidecars over the states of
+# sys_union (x1, y1, x2, y2): lines with stray, doubled or missing
+# separators, unknown states and comments, raw text, and JSON documents near
+# the sidecar grammar, cut short, replaced by text or nested too deep to parse
+_union_state = st.sampled_from(["x1", "y1", "x2", "y2"] * 3 + ["z", "", "#", "x1 -> y1", "x1 ~ y1"])
+_separator = st.sampled_from(["->", "~"] * 3 + ["-", "->->", "~~", " ", ""])
+_line = st.one_of(
+    st.builds("{} {} {}".format, _union_state, _separator, _union_state),
+    st.sampled_from(["", "# comment", "   "]),
+    st.text(max_size=10),
+)
+_json_scalar = st.none() | st.booleans() | st.integers(-2, 3) | st.floats(allow_nan=False) \
+    | st.sampled_from(["x1", "y1", "0", "3", "z", ""])
+_json_states = st.lists(_union_state | _json_scalar, max_size=3)
+_sidecar_fields = {
+    "kind": st.sampled_from(["streett", "always_after"] * 3 + ["buchi"]) | _json_scalar,
+    "names": st.lists(st.sampled_from(["x1", "y1", "x2", "y2", "z"]), max_size=4) | _json_scalar,
+    "pairs": st.lists(st.lists(_json_states | _json_scalar, max_size=3), max_size=3) | _json_scalar,
+    "offset": st.integers(-1, 3) | _json_scalar,
+    "states": _json_states | _json_scalar,
+    "gate": st.lists(st.sampled_from(["a", "b"]) | _json_scalar, max_size=2) | _json_scalar,
+}
+
+
+@st.composite
+def _garbage_input(draw, which):
+    if which != "fairness":
+        return "\n".join(draw(st.lists(_line, max_size=6)))
+    keys = draw(st.lists(st.sampled_from(sorted(_sidecar_fields)), unique=True))
+    text = json.dumps({key: draw(_sidecar_fields[key]) for key in keys})
+    damage = draw(st.integers(0, 9))
+    if damage == 0:
+        return text[:draw(st.integers(0, len(text)))]
+    if damage == 1:
+        return draw(st.text(max_size=12))
+    if damage == 2:
+        return "[" * draw(st.sampled_from([10, 999, 5000]))
+    return text
+
+
+@pytest.mark.parametrize("which", ["map", "relation", "fairness"])
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_check_with_a_garbage_input_exits_0_to_3(which, data):
+    from importlib import resources
+
+    garbage = data.draw(_garbage_input(which))
+    corpus_data = resources.files("bisimap.corpus_data")
+    with tempfile.TemporaryDirectory() as tmp:
+        model = Path(tmp) / "union.aut"
+        model.write_text(corpus_data.joinpath("sys_union.aut").read_text())
+        model.with_suffix(".names").write_text(corpus_data.joinpath("sys_union.names").read_text())
+        sidecar = corpus_data.joinpath("sys_union.fair.json").read_text()
+        mp = Path(tmp) / "f.map"
+        mp.write_text("x1 -> x1\ny1 -> y1\nx2 -> x2\ny2 -> y2\n")
+        if which == "map":
+            mp.write_text(garbage)
+            argv = ["check", "--kind", "branching-bisim-fn", "--map", str(mp), str(model), str(model)]
+        elif which == "relation":
+            rel = Path(tmp) / "r.rel"
+            rel.write_text(garbage)
+            argv = ["check", "--kind", "forall-fair-bisim", "--relation", str(rel),
+                    "--close", data.draw(st.sampled_from(["none", "reflexive", "equivalence"])),
+                    str(model)]
+        else:
+            sidecar = garbage
+            argv = ["check", "--kind", "fair-sim", "--stem-bound", "2", "--cycle-bound", "2",
+                    "--map", str(mp), str(model), str(model)]
+        model.with_suffix(".fair.json").write_text(sidecar)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+    assert code in (0, 1, 2, 3), err.getvalue()
+    assert (code in (2, 3)) == (err.getvalue() != ""), (code, err.getvalue())
+
+
+def test_quotient_names_a_block_apart_from_a_state_of_that_name(tmp_path, capsys):
+    model = tmp_path / "m.aut"
+    model.write_text('des (0, 1, 3)\n(2,"a",2)\n')
+    (tmp_path / "m.names").write_text("s0\ns1\ns0+s1\n")
+    assert run(["quotient", "--kind", "branching", str(model)]) == 0
+    quotient = tmp_path / "m.quotient.aut"
+    source = parse_aut(model.read_text(), ("s0", "s1", "s0+s1"))
+    target = parse_aut(quotient.read_text(), parse_names(quotient.with_suffix(".names").read_text()))
+    f = parse_state_map(quotient.with_suffix(".map").read_text(), source, target)
+    assert f["s0"] == f["s1"] != f["s0+s1"] == "s0+s1"
+    assert check_branching_bisim_fn(f, source, target).holds
+
+
 @pytest.mark.parametrize("argv", [
     ["corpus", "--depth", "3"],
     ["quotient", "--kind", "branching", "--format", "machine", "x.aut"],
     ["dump", "--semantics", "strong", "--mode-fair", "bounded", "x.aut"],
+    ["check", "--kind", "bisim-map", "--mono-stage-bound", "2", "x.aut", "y.aut"],
 ])
 def test_verb_rejects_an_option_it_does_not_read(argv, capsys):
     with pytest.raises(SystemExit) as exc:

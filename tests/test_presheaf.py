@@ -59,7 +59,7 @@ def test_stretch_observation_presheaf_is_valid():
 
 
 def test_one_stage_presheaf_is_valid():
-    base = poset_from_leq([0], lambda a, b: a <= b, "time")
+    base = poset_from_leq([0], lambda a, b: a <= b)
     F = make_presheaf(base, lambda e: ["u", "v"], lambda x, frm, to: x)
     assert validate(F).ok
 
@@ -100,23 +100,19 @@ def test_prefix_built_posets_equal_pairwise_comparison(corpus):
               if isinstance(e, LassoTrace)]
     assert traces
     cases = [
-        (word_poset(("a", "b"), 3, "w"), _words(("a", "b"), 3),
-         lambda a, b: False, "w"),
+        (word_poset(("a", "b"), 3), _words(("a", "b"), 3), lambda a, b: False),
         (barred_source_poset(("a", TAU), 3),
          _words(("a", TAU), 3) + [StretchPoint(n) for n in (1, 2, 3)],
          lambda a, b: (a == EPSILON and isinstance(b, StretchPoint))
-         or (isinstance(a, StretchPoint) and isinstance(b, StretchPoint) and a.tick <= b.tick),
-         "barred-words"),
+         or (isinstance(a, StretchPoint) and isinstance(b, StretchPoint) and a.tick <= b.tick)),
         (branching_target_poset(("a", "b"), 2), _words(("a", "b"), 2) + [TAU_BAR],
-         lambda a, b: b is TAU_BAR and (a == EPSILON or a is TAU_BAR),
-         "barred-visible-words"),
+         lambda a, b: b is TAU_BAR and (a == EPSILON or a is TAU_BAR)),
         (fair_target_poset(("a",), 3, traces), _words(("a",), 3) + traces,
          lambda a, b: isinstance(b, LassoTrace) and (
-             a == b or (isinstance(a, Word) and a == b.word_prefix(len(a)))),
-         "words-with-limits"),
+             a == b or (isinstance(a, Word) and a == b.word_prefix(len(a))))),
     ]
-    for built, elems, extra_leq, dialect in cases:
-        reference = poset_from_leq(elems, _scan_order(extra_leq), dialect)
+    for built, elems, extra_leq in cases:
+        reference = poset_from_leq(elems, _scan_order(extra_leq))
         assert built == reference
         # same insertion order, so the same iteration order and repr
         assert list(built.relation) == list(reference.relation)
@@ -151,7 +147,7 @@ def test_identity_is_mono():
 
 
 def test_collapsing_component_is_not_mono():
-    base = poset_from_leq([0], lambda a, b: True, "time")
+    base = poset_from_leq([0], lambda a, b: True)
     F = make_presheaf(base, lambda e: ["u", "v"], lambda x, frm, to: x)
     G = make_presheaf(base, lambda e: ["w"], lambda x, frm, to: x)
     assert not is_mono(nat_trans(F, G, lambda e, x: "w"))
@@ -231,19 +227,20 @@ def test_unfillable_chain_square_from_fair_counterexample(corpus):
 def test_enumeration_includes_path_extension():
     lts = two_state_step()
     F = strong_sem(lts, 2)
-    squares = list(enumerate_mono_squares(identity_trans(F), 1, 2))
+    squares = list(enumerate_mono_squares(identity_trans(F)))
     a_exec = Execution(Word.of("a"), ("s", "t"))
     extensions = [sq for sq in squares if sq.family == "extension"]
-    # at these bounds the only extension squares are the one-step ones
+    # the only extension squares are the one-step ones
     assert {(sq.about[0], sq.about[2]) for sq in extensions} == {(Word.of("a"), EPSILON)}
     assert any(sq.about[:2] == (Word.of("a"), a_exec) for sq in extensions)
 
 
-def test_enumeration_rejects_zero_stage_bound():
-    lts = two_state_step()
-    F = strong_sem(lts, 1)
-    with pytest.raises(PreconditionError):
-        list(enumerate_mono_squares(identity_trans(F), 0, 2))
+def test_enumeration_rejects_a_base_with_a_non_chain_down_set():
+    # a "V": 0 and 1 are incomparable, both below 2
+    base = poset_from_leq([0, 1, 2], lambda a, b: a == b or b == 2)
+    F = make_presheaf(base, lambda e: ["u"], lambda x, frm, to: x)
+    with pytest.raises(PreconditionError, match="not a chain"):
+        list(enumerate_mono_squares(identity_trans(F)))
 
 
 def test_enumeration_contains_chain_limit_of_alternating_lasso(corpus):
@@ -251,7 +248,7 @@ def test_enumeration_contains_chain_limit_of_alternating_lasso(corpus):
     f = {s: s for s in sys.lts.states}
     lifted = fair_sem_map(f, sys, sys, 4)
     found = [
-        sq for sq in enumerate_mono_squares(lifted, 2, 6)
+        sq for sq in enumerate_mono_squares(lifted)
         if sq.family == "chain-limit" and isinstance(sq.about[0], LassoTrace)
     ]
     assert found
@@ -264,11 +261,9 @@ def test_enumeration_contains_chain_limit_of_alternating_lasso(corpus):
 
 def test_identity_is_bisim_map_at_any_bound():
     lts = two_state_step()
-    F = strong_sem(lts, 3)
-    ok, witness = is_bisim_map_bounded(identity_trans(F), 1, 3)
-    assert ok and witness is None
-    ok, _ = is_bisim_map_bounded(identity_trans(F), 2, 6)
-    assert ok
+    for depth in (1, 2, 3):
+        ok, witness = is_bisim_map_bounded(identity_trans(strong_sem(lts, depth)))
+        assert ok and witness is None
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +280,7 @@ def test_filtered_colimit_of_up_set_is_stage_at_root(chain):
 
 
 def test_filtered_colimit_single_object():
-    base = poset_from_leq([0], lambda a, b: True, "time")
+    base = poset_from_leq([0], lambda a, b: True)
     F = make_presheaf(base, lambda e: ["u", "v"], lambda x, frm, to: x)
     classes = filtered_colimit(F)
     assert len(classes) == 2
@@ -306,7 +301,7 @@ def test_filtered_colimit_requires_meets():
     def leq(u, v):
         return u == v or (u in (Word.of("a"), Word.of("b")) and v == Word.of("a", "a"))
 
-    base = poset_from_leq(elems, leq, "broken")
+    base = poset_from_leq(elems, leq)
     F = make_presheaf(base, lambda e: ["x"], lambda x, frm, to: x)
     with pytest.raises(PreconditionError):
         filtered_colimit(F)
@@ -335,7 +330,7 @@ def test_left_kan_rejects_non_hiding_maps():
 
 def test_left_kan_chain_example(chain):
     F = base_presheaf(chain, 3)
-    tgt = word_poset(sorted(chain.alphabet), 3, "visible-words")
+    tgt = word_poset(sorted(chain.alphabet), 3)
     K = left_kan(hiding_map(F.base, tgt), F)
     a = Word.of("a")
     assert {v for (_, v) in K.stage(a)} == {
@@ -383,7 +378,7 @@ def test_elements_of_stretch_without_marks_matches_plain_words():
     eo = elements_poset(O)
     ea = elements_poset(A_tau)
     keep = [e for e in eo.simplified.elements if not isinstance(e, StretchPoint)]
-    restricted = poset_from_leq(keep, eo.simplified.leq, "words")
+    restricted = poset_from_leq(keep, eo.simplified.leq)
     assert order_isomorphic(restricted, ea.simplified)
 
 
@@ -429,7 +424,7 @@ def test_validate_catches_codomain_escape():
 
 
 def test_naturality_violations_detected():
-    base = poset_from_leq([0, 1], lambda a, b: a <= b, "time")
+    base = poset_from_leq([0, 1], lambda a, b: a <= b)
     F = make_presheaf(base, lambda e: ["u", "v"], lambda x, frm, to: x)
     broken = nat_trans(F, F, lambda e, x: ("v" if (e, x) == (1, "u") else x))
     assert any(v[0] == "naturality" for v in naturality_violations(broken))

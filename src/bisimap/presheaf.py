@@ -1,13 +1,18 @@
 """Finite presheaves over finite posets.
 
-Stage sets are finite and explicitly materialized; restriction maps are stored
-for every strictly comparable pair.  Monos are stage-wise injections, which is
-the standard characterization in a presheaf category.
+Stage sets are finite and explicitly materialized.  Restriction tables are
+stored only along the cover edges of the base (from an element to a maximal
+element strictly below it); every other restriction is their composite, as
+functoriality forces.  The word posets are forests, each element covering
+just its longest proper prefix, so a depth-d base stores about d times fewer
+tables than it has comparable pairs.  Monos are stage-wise injections, which
+is the standard characterization in a presheaf category.
 
-Each poset indexes itself once: its down-sets, strict down-sets and
+Each poset indexes itself once: its down-sets, strict down-sets, covers and
 ``element_key`` order are computed from the relation on first use and then
-looked up.  The word posets build that relation from prefix chains.  Each
-natural transformation likewise indexes its fibers, stage by stage.
+looked up.  The word posets build words from their parents, in key order,
+and fill those indexes as they go.  Each natural transformation likewise
+indexes its fibers, stage by stage.
 
 The squares that ``enumerate_mono_squares`` streams have a Q generated by one
 element, so by Yoneda a filler is fixed by its value at that generator; over
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 from .errors import InternalCheckError, PreconditionError, UnsupportedError
 from .words import (
@@ -37,6 +43,7 @@ from .words import (
     Word,
     element_key,
     hide,
+    label_key,
 )
 
 # ---------------------------------------------------------------------------
@@ -47,10 +54,11 @@ from .words import (
 class FinPoset:
     """A finite poset; the relation is stored reflexively closed.
 
-    The down-sets, the strict down-sets and the elements sorted by
-    ``element_key`` are computed from ``relation`` once, on first use, and
-    kept with the poset; they are not fields, so they take no part in
-    equality or the repr."""
+    The down-sets, the strict down-sets, the covers (the maximal elements
+    strictly below an element) and the elements sorted by ``element_key`` are
+    computed from ``relation`` once, on first use, and kept with the poset;
+    the prefix posets fill them while they build.  They are not fields, so
+    they take no part in equality or the repr."""
 
     elements: tuple
     relation: frozenset
@@ -69,6 +77,13 @@ class FinPoset:
         return {e: tuple(x for x in xs if x != e) for e, xs in self._down.items()}
 
     @cached_property
+    def _covers(self) -> dict:
+        return {
+            e: tuple(x for x in xs if not any(y != x and self.leq(x, y) for y in xs))
+            for e, xs in self._strictly_below.items()
+        }
+
+    @cached_property
     def keyed(self) -> tuple:
         """The elements sorted by ``element_key`` (smaller elements first)."""
         return tuple(sorted(self.elements, key=element_key))
@@ -83,6 +98,10 @@ class FinPoset:
     def strictly_below(self, e) -> tuple:
         """The elements strictly below e, in ``elements`` order."""
         return self._strictly_below.get(e, ())
+
+    def covers(self, e) -> tuple:
+        """The maximal elements strictly below e, in ``elements`` order."""
+        return self._covers.get(e, ())
 
     def comparable(self, a, b) -> bool:
         return self.leq(a, b) or self.leq(b, a)
@@ -132,34 +151,43 @@ def poset_from_leq(elements, leq) -> FinPoset:
     return FinPoset(elements, rel)
 
 
-def _all_words(labels, depth):
-    words = [EPSILON]
+def _prefix_poset(labels, depth, extras=(), parent=None) -> FinPoset:
+    """All words over the labels up to the depth plus the extra elements, in
+    ``element_key`` order.
+
+    Each element has one cover: a word's is its longest proper prefix, an
+    extra's is ``parent(extra)``, an element that sorts before it.  The words
+    are built level by level from their parents, so they come out in key
+    order, and each element's down-set is its parent's plus itself.  The
+    relation is read off the down-sets, pairs (a, b) in the order of a and
+    then of b, as a scan of every pair would insert them."""
+    down = {EPSILON: (EPSILON,)}
+    covers = {EPSILON: ()}
     frontier = [EPSILON]
+    labels = sorted(set(labels), key=label_key)
     for _ in range(depth):
-        frontier = [w.append(l) for w in frontier for l in labels]
-        words.extend(frontier)
-    return words
-
-
-def _prefix_poset(labels, depth, extras=(), leq=None) -> FinPoset:
-    """All words over the labels up to the depth plus the extra elements,
-    sorted by ``element_key``.  Words are ordered by prefix, read off their
-    prefix chains; ``leq`` is asked only about pairs with an extra element."""
-    elements = tuple(sorted(_all_words(tuple(labels), depth) + list(extras), key=element_key))
-    others = [e for e in elements if not isinstance(e, Word)]
+        grown = []
+        for w in frontier:
+            chain = down[w]
+            for l in labels:
+                u = w.append(l)
+                down[u] = chain + (u,)
+                covers[u] = (w,)
+                grown.append(u)
+        frontier = grown
+    for e in sorted(extras, key=element_key):
+        p = parent(e)
+        down[e] = down[p] + (e,)
+        covers[e] = (p,)
+    elements = tuple(down)
     ups = {e: [] for e in elements}
-    for b in elements:
-        if isinstance(b, Word):
-            for n in range(len(b) + 1):
-                ups[b.prefix(n)].append(b)
-            below = others
-        else:
-            below = elements
-        for a in below:
-            if leq(a, b):
-                ups[a].append(b)
-    rel = frozenset((a, b) for a in elements for b in ups[a])
-    return FinPoset(elements, rel)
+    for b, chain in down.items():
+        for a in chain:
+            ups[a].append(b)
+    poset = FinPoset(elements, frozenset((a, b) for a in elements for b in ups[a]))
+    # the indexes FinPoset would compute from the relation, known already
+    poset.__dict__.update(_down=down, _covers=covers, keyed=elements)
+    return poset
 
 
 def word_poset(labels, depth: int) -> FinPoset:
@@ -171,15 +199,11 @@ def barred_source_poset(labels, depth: int) -> FinPoset:
     """Words over the labels plus one stretch point per positive tick; only
     the empty word sits below the stretch points."""
 
-    def leq(a, b):
-        if isinstance(a, Word) and isinstance(b, StretchPoint):
-            return a == EPSILON
-        if isinstance(a, StretchPoint) and isinstance(b, StretchPoint):
-            return a.tick <= b.tick
-        return False
+    def parent(sp):
+        return StretchPoint(sp.tick - 1) if sp.tick > 1 else EPSILON
 
     stretch = [StretchPoint(n) for n in range(1, depth + 1)]
-    return _prefix_poset(labels, depth, stretch, leq)
+    return _prefix_poset(labels, depth, stretch, parent)
 
 
 def branching_target_poset(labels, depth: int) -> FinPoset:
@@ -187,43 +211,45 @@ def branching_target_poset(labels, depth: int) -> FinPoset:
     sits above exactly the empty word."""
     if any(l is TAU for l in labels):
         raise PreconditionError("target poset is over visible labels only")
-
-    def leq(a, b):
-        if isinstance(a, Word) and b is TAU_BAR:
-            return a == EPSILON
-        if a is TAU_BAR and b is TAU_BAR:
-            return True
-        return False
-
-    return _prefix_poset(labels, depth, [TAU_BAR], leq)
+    return _prefix_poset(labels, depth, [TAU_BAR], lambda e: EPSILON)
 
 
 def fair_target_poset(labels, depth: int, traces) -> FinPoset:
     """Visible words up to the depth plus one point per ultimately periodic
     trace, each sitting above its finite prefixes."""
+    labels = set(labels)
 
-    def leq(a, b):
-        if isinstance(a, Word) and isinstance(b, LassoTrace):
-            return a == b.word_prefix(len(a))
-        if isinstance(a, LassoTrace) and isinstance(b, LassoTrace):
-            return a == b
-        return False
+    def parent(trace):
+        n = 0
+        while n < depth and trace.label_at(n) in labels:
+            n += 1
+        return trace.word_prefix(n)
 
-    return _prefix_poset(labels, depth, set(traces), leq)
+    return _prefix_poset(labels, depth, set(traces), parent)
 
 
 # ---------------------------------------------------------------------------
 # Presheaves and natural transformations
 
 
-def _stage_sorted(xs):
-    return tuple(sorted(xs, key=lambda x: (str(x), repr(x))))
+def _stage_sorted(xs) -> tuple:
+    """The elements sorted by ``(str, repr)``: by str alone, unless two of
+    them print alike."""
+    xs = list(xs)
+    if len(xs) < 2:
+        return tuple(xs)
+    named = sorted(zip(map(str, xs), xs), key=itemgetter(0))
+    if any(a[0] == b[0] for a, b in zip(named, named[1:])):
+        return tuple(sorted(xs, key=lambda x: (str(x), repr(x))))
+    return tuple(x for _, x in named)
 
 
 @dataclass(frozen=True)
 class FinPresheaf:
-    """Stage sets indexed by poset elements, with restriction maps for every
-    strictly comparable pair (identities are implicit)."""
+    """Stage sets indexed by poset elements, with a restriction table
+    ``res[(lo, hi)]`` for each cover edge of the base whose upper stage is
+    nonempty.  Every other restriction is the composite of tables down a
+    chain of covers (identities are implicit)."""
 
     base: FinPoset
     stages: dict
@@ -233,33 +259,56 @@ class FinPresheaf:
         return self.stages.get(e, ())
 
     def restrict(self, x, frm, to):
-        if frm == to:
-            return x
-        return self.res[(to, frm)][x]
+        """x at frm restricted to ``to`` below it, table by table down the
+        covers; where frm has several covers, through the first above ``to``."""
+        while frm != to:
+            below = self.base.covers(frm)
+            if len(below) == 1:
+                lo = below[0]
+            else:
+                lo = next((c for c in below if self.base.leq(to, c)), None)
+                if lo is None:
+                    raise PreconditionError(f"{to} is not below {frm}")
+            x = self.res[(lo, frm)][x]
+            frm = lo
+        return x
 
     def total_elements(self) -> int:
         return sum(len(s) for s in self.stages.values())
 
 
-def make_presheaf(base: FinPoset, stage_of, restrict_to) -> FinPresheaf:
-    """Materialize a presheaf from a stage function and a restriction rule
-    ``restrict_to(x, frm, to)`` for strictly comparable pairs."""
-    stages = {e: _stage_sorted(stage_of(e)) for e in base.elements}
-    stage_sets = {e: set(xs) for e, xs in stages.items()}
+def _cover_tables(base: FinPoset, stages: dict, rule) -> dict:
+    """The restriction tables along the cover edges below each nonempty
+    stage, each value asked of ``rule(x, frm, to)`` and checked to lie in
+    the lower stage."""
     res = {}
-    for hi in base.elements:
-        for lo in base.strictly_below(hi):
+    lower = {}
+    for hi, xs in stages.items():
+        if not xs:
+            continue
+        for lo in base.covers(hi):
+            lo_stage = lower.get(lo)
+            if lo_stage is None:
+                lo_stage = lower[lo] = set(stages.get(lo, ()))
             table = {}
-            lo_stage = stage_sets[lo]
-            for x in stages[hi]:
-                y = restrict_to(x, hi, lo)
+            for x in xs:
+                y = rule(x, hi, lo)
                 if y not in lo_stage:
                     raise PreconditionError(
                         f"restriction of {x} from {hi} to {lo} leaves its stage"
                     )
                 table[x] = y
             res[(lo, hi)] = table
-    return FinPresheaf(base, stages, res)
+    return res
+
+
+def make_presheaf(base: FinPoset, stage_of, restrict_to) -> FinPresheaf:
+    """Materialize a presheaf from a stage function and a restriction rule
+    ``restrict_to(x, frm, to)``.  The rule is asked only along the cover
+    edges (``to`` a cover of frm); ``FinPresheaf.restrict`` composes the
+    rest, so the rule is assumed to be functorial."""
+    stages = {e: _stage_sorted(stage_of(e)) for e in base.elements}
+    return FinPresheaf(base, stages, _cover_tables(base, stages, restrict_to))
 
 
 def empty_presheaf(base: FinPoset) -> FinPresheaf:
@@ -273,29 +322,40 @@ class PresheafReport:
 
 
 def validate(F: FinPresheaf) -> PresheafReport:
-    """Check the identity and composition laws at every comparable triple."""
+    """Check each stored cover table (its domain is the stage above, its
+    values lie in the stage below) and, where two cover paths join a pair,
+    that they compose alike; a failure there names the triple (low, mid,
+    top) whose path through the cover mid disagrees with the first one.
+    Paths are compared only once the tables are sound.  Over a base with
+    chain down-sets there is one path per pair, so sound tables are all the
+    presheaf laws ask."""
     bad = []
     base = F.base
     for hi in base.elements:
-        for lo in base.strictly_below(hi):
+        for lo in base.covers(hi):
             table = F.res.get((lo, hi))
             if table is None:
                 if F.stage(hi):
                     bad.append(("missing-restriction", lo, hi))
                 continue
-            if set(table) != set(F.stages[hi]):
+            if set(table) != set(F.stage(hi)):
                 bad.append(("domain", lo, hi))
-            lo_stage = set(F.stages[lo])
+            lo_stage = set(F.stage(lo))
             for x, y in table.items():
                 if y not in lo_stage:
                     bad.append(("codomain", lo, hi, x))
+    if bad:
+        return PresheafReport(False, tuple(bad))
     for top in base.elements:
-        for mid in base.strictly_below(top):
-            for low in base.strictly_below(mid):
-                for x in F.stages[top]:
-                    direct = F.restrict(x, top, low)
-                    via = F.restrict(F.restrict(x, top, mid), mid, low)
-                    if direct != via:
+        covers = base.covers(top)
+        if len(covers) < 2:
+            continue
+        for low in base.strictly_below(top):
+            first, *others = [c for c in covers if base.leq(low, c)]
+            for x in F.stage(top):
+                expected = F.restrict(F.restrict(x, top, first), first, low)
+                for mid in others:
+                    if F.restrict(F.restrict(x, top, mid), mid, low) != expected:
                         bad.append(("composition", low, mid, top, x))
     return PresheafReport(not bad, tuple(bad))
 
@@ -318,11 +378,9 @@ class NatTrans:
         each stage is indexed once, on first use."""
         fib = self._fibers.get(e)
         if fib is None:
-            fib = {}
+            fib = self._fibers[e] = {}
             for x in self.source.stage(e):
                 fib.setdefault(self.comp[e][x], []).append(x)
-            # published only when complete, for callers on other threads
-            self._fibers[e] = fib
         return fib.get(y, [])
 
 
@@ -369,12 +427,8 @@ def sub_presheaf(F: FinPresheaf, generators) -> FinPresheaf:
     for (e, x) in generators:
         for lo in F.base.down(e):
             stages.setdefault(lo, set()).add(F.restrict(x, e, lo))
-    res = {}
-    for hi in stages:
-        for lo in F.base.strictly_below(hi):
-            if lo in stages:
-                res[(lo, hi)] = {x: F.restrict(x, hi, lo) for x in stages[hi]}
-    return FinPresheaf(F.base, {e: _stage_sorted(s) for e, s in stages.items()}, res)
+    stages = {e: _stage_sorted(xs) for e, xs in stages.items()}
+    return FinPresheaf(F.base, stages, _cover_tables(F.base, stages, F.restrict))
 
 
 def inclusion(sub: FinPresheaf, sup: FinPresheaf) -> NatTrans:
@@ -602,17 +656,22 @@ def enumerate_mono_squares(f: NatTrans):
             return False
         return len(trace) + (len(e) - len(e2)) > word_budget
 
+    chains = {}  # element -> its down-set, from the element down its covers
     for e in base.keyed:
-        limit_top = isinstance(e, LassoTrace)
-        below = sorted(base.strictly_below(e), key=element_key)
-        max_below = below[-1] if below else None
-        if below and len(base.down(max_below)) != len(below):
+        covers = base.covers(e)
+        if len(covers) > 1:
             raise PreconditionError(f"the elements below {e} are not a chain")
+        chain = chains[e] = [e] + (chains[covers[0]] if covers else [])
+        top_family = "chain-limit" if isinstance(e, LassoTrace) else "extension"
         for w in G.stage(e):
             yield StreamSquare(f, "fiber", (e, w))
-            for e2 in below:
-                family = "chain-limit" if (limit_top and e2 == max_below) else "extension"
-                for x in f.fiber(e2, G.restrict(w, e, e2)):
+            history = [w]
+            for hi, lo in zip(chain, chain[1:]):
+                history.append(G.restrict(history[-1], hi, lo))
+            for i in range(len(chain) - 1, 0, -1):
+                e2 = chain[i]
+                family = top_family if i == 1 else "extension"
+                for x in f.fiber(e2, history[i]):
                     if not beyond_budget(e, e2, x):
                         yield StreamSquare(f, family, (e, w, e2, x))
 
@@ -621,7 +680,7 @@ def is_bisim_map_bounded(f: NatTrans):
     """Decide every square of the enumerated stream at its generator.
 
     Each square is decided by ``StreamSquare.has_filler`` from its ``about``
-    data, f's fiber index and the base's down-sets, and no square is built:
+    data, f's fiber index and the base's covers, and no square is built:
     the first one without a filler is returned as the witness, a
     ``StreamSquare`` whose legs are built only if a caller asks for them.
     The generic ``find_filler`` agrees on every square (the tests hold the two
@@ -724,7 +783,7 @@ def filtered_colimit(F: FinPresheaf) -> tuple:
     for node in nodes:
         parent[node] = node
     for hi in base.elements:
-        for lo in base.strictly_below(hi):
+        for lo in base.covers(hi):
             for x in F.stage(hi):
                 union((hi, x), (lo, F.restrict(x, hi, lo)))
 
@@ -781,11 +840,7 @@ def restrict_presheaf(F: FinPresheaf, elems) -> FinPresheaf:
     sub-poset keeps the original order)."""
     sub = poset_from_leq(elems, F.base.leq)
     stages = {e: F.stages[e] for e in sub.elements}
-    res = {}
-    for hi in sub.elements:
-        for lo in sub.strictly_below(hi):
-            res[(lo, hi)] = dict(F.res[(lo, hi)])
-    return FinPresheaf(sub, stages, res)
+    return FinPresheaf(sub, stages, _cover_tables(sub, stages, F.restrict))
 
 
 def _check_hiding_shape(h: MonotoneMap):

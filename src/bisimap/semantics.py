@@ -11,6 +11,10 @@ only shortens words, so truncation is closed):
   restricting to their start states.
 
 Each construction lifts suitable state maps to natural transformations.
+``make_presheaf`` asks each restriction rule only along the cover edges of
+the base: from a word to the word one letter shorter, from a lasso trace to
+its longest prefix in the base, from a stretch point to the one below it or
+to the empty word, and from ``tau_bar`` to the empty word.
 """
 
 from __future__ import annotations
@@ -266,6 +270,8 @@ def _minimal_presheaf(base, lts: Lts, depth: int) -> FinPresheaf:
     by_rho = {}
     silent = []
     for w, ps in execs.items():
+        if not ps:
+            continue
         rho = w.visible()
         if minimal_trace_for(rho, w):
             by_rho.setdefault(rho, []).extend(ps)

@@ -4,6 +4,7 @@ import pytest
 
 import bisimap.presheaf as presheaf_mod
 from bisimap import (
+    Lts,
     PreconditionError,
     UnsupportedError,
     dump_presheaf,
@@ -64,15 +65,20 @@ def test_one_stage_presheaf_is_valid():
     assert validate(F).ok
 
 
+def _diamond():
+    # 0 below 1 and 2, both below 3: two cover paths from 3 down to 0
+    return poset_from_leq([0, 1, 2, 3], lambda a, b: a == b or a == 0 or b == 3)
+
+
 def test_corrupted_restriction_reported_with_triple():
-    F = word_length_presheaf(("a", "b"), 3)
+    F = make_presheaf(_diamond(), lambda e: ["u", "v"], lambda x, frm, to: x)
+    assert validate(F).ok
     res = {pair: dict(table) for pair, table in F.res.items()}
-    aa = Word.of("a", "a")
-    res[(1, 2)][aa] = Word.of("b")
+    res[(0, 2)]["u"] = "v"  # the path 3 -> 2 -> 0 now disagrees with 3 -> 1 -> 0
     broken = dataclasses.replace(F, res=res)
     report = validate(broken)
     assert not report.ok
-    assert any(v[0] == "composition" and v[1:4] == (1, 2, 3) for v in report.violations)
+    assert report.violations == (("composition", 0, 2, 3, "u"),)
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +125,28 @@ def test_prefix_built_posets_equal_pairwise_comparison(corpus):
         assert not built.violations()
 
 
+def _maximal_below_by_scan(P, e):
+    below = [x for x in P.elements if x != e and (x, e) in P.relation]
+    return tuple(x for x in below if not any(y != x and (x, y) in P.relation for y in below))
+
+
+def test_covers_are_the_maximal_elements_strictly_below(corpus):
+    traces = [e for e in fair_sem(corpus.union_sys.system, 2).base.elements
+              if isinstance(e, LassoTrace)]
+    posets = [
+        word_poset(("a", "b"), 3),
+        barred_source_poset(("a", TAU), 3),
+        branching_target_poset(("a", "b"), 2),
+        fair_target_poset(("a",), 3, traces),
+        _diamond(),
+    ]
+    for P in posets:
+        for e in P.elements:
+            assert P.covers(e) == _maximal_below_by_scan(P, e)
+    assert _diamond().covers(3) == (1, 2)
+    assert all(len(P.covers(e)) <= 1 for P in posets[:4] for e in P.elements)
+
+
 def test_poset_index_matches_relation_scan():
     P = barred_source_poset(("a", TAU), 2)
     for e in P.elements:
@@ -129,6 +157,25 @@ def test_poset_index_matches_relation_scan():
     unsorted = FinPoset((2, 0, 1), frozenset({(0, 0), (1, 1), (2, 2), (0, 2), (1, 2)}))
     assert unsorted.down(2) == (2, 0, 1) and unsorted.strictly_below(2) == (0, 1)
     assert unsorted.keyed == (0, 1, 2)
+
+
+# ---------------------------------------------------------------------------
+# Stage order
+
+
+def test_stage_order_breaks_print_ties_by_repr():
+    # the states 1 and "1" print alike, and so do their executions
+    lts = Lts.make((1, "1"), {"a"}, [(1, "a", 1), ("1", "a", "1")])
+    F = strong_sem(lts, 2)
+    for e in F.base.elements:
+        assert F.stage(e) == tuple(sorted(F.stage(e), key=lambda x: (str(x), repr(x))))
+    tied = F.stage(Word.of("a"))
+    assert len(tied) == 2 and str(tied[0]) == str(tied[1])
+    # the order is the same whatever order the stage function lists them in
+    for listed in (tied, tied[::-1]):
+        G = make_presheaf(F.base, lambda e: listed if e == Word.of("a") else F.stage(e),
+                          F.restrict)
+        assert G.stage(Word.of("a")) == tied
 
 
 # ---------------------------------------------------------------------------
@@ -415,12 +462,13 @@ def test_dump_golden(chain):
 
 def test_validate_catches_codomain_escape():
     F = word_length_presheaf(("a",), 2)
+    assert F.base.covers(1) == (0,)
     res = {pair: dict(table) for pair, table in F.res.items()}
-    res[(0, 1)][Word.of("a")] = Word.of("a")  # lands outside stage 0
+    res[(0, 1)][Word.of("a")] = Word.of("a")  # the cover table 1 -> 0 leaves stage 0
     broken = dataclasses.replace(F, res=res)
     report = validate(broken)
     assert not report.ok
-    assert any(v[0] == "codomain" for v in report.violations)
+    assert report.violations == (("codomain", 0, 1, Word.of("a")),)
 
 
 def test_naturality_violations_detected():

@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
 from bisimap import PreconditionError
-from bisimap.lts import Execution, restrict
+from bisimap.lts import Execution, FairLts, StreettSpec, restrict
 from bisimap.presheaf import (
     branching_target_poset,
     hiding_map,
@@ -25,7 +27,7 @@ from bisimap.semantics import (
 from bisimap.presheaf import left_kan
 from bisimap.words import EPSILON, TAU, TAU_BAR, LassoTrace, StretchPoint, Word
 
-from conftest import compose_trans, identity_trans, lts_of
+from conftest import compose_trans, identity_trans, lts_of, random_lts
 
 
 def exec_of(word_letters, states):
@@ -309,3 +311,75 @@ def test_executions_of_stateless_system_are_empty():
     stages = executions_up_to(empty, 2)
     assert stages[EPSILON] == frozenset()
     assert all(not ps for ps in stages.values())
+
+
+# ---------------------------------------------------------------------------
+# Restrictions stored along cover edges only
+
+
+def _execution_rule(x, hi, lo):
+    return restrict(x, lo)
+
+
+def _barred_rule(x, hi, lo):
+    if isinstance(hi, StretchPoint):
+        return x if isinstance(lo, StretchPoint) else Execution.empty(x.start)
+    return restrict(x, lo)
+
+
+def _fair_rule(x, hi, lo):
+    if isinstance(hi, LassoTrace):
+        return x.unroll(len(lo))
+    return restrict(x, lo)
+
+
+def _minimal_rule(x, hi, lo):
+    if hi is TAU_BAR:
+        return Execution.empty(x.start)
+    return mpast(x, lo)
+
+
+def _constructions(plain, fair, depth):
+    """(presheaf, its construction's rule between any comparable pair)."""
+    out = []
+    for X in plain:
+        if not X.has_tau:
+            out.append((strong_sem(X, depth), _execution_rule))
+        out.append((base_presheaf(X, depth), _execution_rule))
+        out.append((base_presheaf(X, depth, barred=True), _barred_rule))
+        out.append((branching_sem(X, depth), _minimal_rule))
+        out.append((branching_sem(X, depth, with_stretch=False), _minimal_rule))
+    for FX in fair:
+        out.append((fair_sem(FX, depth, 2, 2), _fair_rule))
+    return out
+
+
+def _composed_mismatches(F, rule):
+    base = F.base
+    return [
+        (lo, hi, x)
+        for hi in base.elements
+        for lo in base.strictly_below(hi)
+        for x in F.stage(hi)
+        if F.restrict(x, hi, lo) != rule(x, hi, lo)
+    ]
+
+
+def test_composed_cover_restrictions_equal_each_rule_on_the_corpus(corpus):
+    cases = _constructions(corpus.plain_systems().values(), corpus.fair_systems().values(), 3)
+    assert any(any(isinstance(e, LassoTrace) for e in F.base.elements) for F, _ in cases)
+    for F, rule in cases:
+        assert _composed_mismatches(F, rule) == []
+
+
+def test_composed_cover_restrictions_equal_each_rule_on_random_systems():
+    rng = random.Random(4711)
+    plain = [random_lts(rng, 4, ("a", "b"), tau_prob=0.3, density=1.5) for _ in range(12)]
+    plain += [random_lts(rng, 4, ("a", "b"), density=1.5) for _ in range(6)]
+    fair = [FairLts(random_lts(rng, 3, ("a", "b"), density=1.6), StreettSpec(()))
+            for _ in range(6)]
+    checked = 0
+    for F, rule in _constructions(plain, fair, 3):
+        assert _composed_mismatches(F, rule) == []
+        checked += sum(len(F.stage(e)) * len(F.base.strictly_below(e)) for e in F.base.elements)
+    assert checked > 1000

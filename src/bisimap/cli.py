@@ -177,9 +177,9 @@ def cmd_quotient(args) -> int:
         quotient = fair_quotient.lts
     else:
         raise PreconditionError(f"unknown quotient kind {args.kind!r}")
-    aut_path = out.with_suffix(".quotient.aut")
-    names_path = out.with_suffix(".quotient.names")
-    map_path = out.with_suffix(".quotient.map")
+    aut_path, names_path, map_path = (
+        Path(f"{out}.quotient.{ext}") for ext in ("aut", "names", "map")
+    )
     aut_path.write_text(serialize_aut(quotient))
     names_path.write_text("\n".join(quotient.states) + "\n")
     map_path.write_text("".join(f"{x} -> {y}\n" for (x, y) in sorted(f.items())))

@@ -1,14 +1,16 @@
 """Equivalence checkers and quotient constructions.
 
 Every check returns a ``Verdict``; a failed verdict carries a witness that can
-be re-evaluated against the violated condition.  Fairness-sensitive conditions
-over infinite runs are decided exactly for Streett and positional fairness by
-end-component analysis on a product graph, and by bounded lasso enumeration
-otherwise (such verdicts carry their bounds).
+be re-evaluated against the violated condition.  Fairness conditions over
+infinite runs (preserved and reflected along a map, transferred along a
+relation) are decided exactly for Streett and positional fairness, in both
+directions, by end-component analysis on a product graph, and by bounded lasso
+enumeration otherwise or on request (such verdicts carry their bounds).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -29,9 +31,9 @@ from .lts import (
 )
 from .presheaf import is_bisim_map_bounded
 from .semantics import (
-    _fair_simulation,
     branching_sem_map,
     branching_simulation_violation,
+    fair_mismatches,
     fair_sem_map,
     fair_simulation_violation,
     strong_sem_map,
@@ -577,21 +579,16 @@ def check_strong_bisim_fn(f: dict, source: Lts, target: Lts) -> Verdict:
 
 # ---------------------------------------------------------------------------
 # Fair checks
-#
-# A public fair check enumerates each system's lassos once: the source's come
-# with the fair-simulation check (``_fair_simulation``) and are handed on.
-# check_bisim_map hands on None: its lift has enumerated them already, and its
-# exact check needs them only for fairness kinds with no exact analysis.
 
 
 def check_fair_sim(f: dict, source: FairLts, target: FairLts,
                    stem_bound: int = 4, cycle_bound: int = 4) -> Verdict:
     """Transition preservation plus preservation of fair lassos in bounds."""
-    violation = fair_simulation_violation(f, source, target, stem_bound, cycle_bound)
-    bounds = {"stem_bound": stem_bound, "cycle_bound": cycle_bound}
-    if violation is None:
-        return Verdict("fair-sim", True, certified_bounds=bounds)
-    return Verdict("fair-sim", False, violation)
+    ok, w = is_simulation(f, source.lts, target.lts)
+    if not ok:
+        return Verdict("fair-sim", False, ("transition", w))
+    return _fair_transfer("fair-sim", f, source, target, "bounded", stem_bound, cycle_bound,
+                          lambda: fair_lassos(source, stem_bound, cycle_bound), preserve=True)
 
 
 def check_fair_reflection(f: dict, source: FairLts, target: FairLts,
@@ -599,11 +596,14 @@ def check_fair_reflection(f: dict, source: FairLts, target: FairLts,
                           stem_bound: int = 4, cycle_bound: int = 4) -> Verdict:
     """No run of the source may have a fair image without being fair itself
     (limits of increasing execution chains, by Kleene equality: both sides
-    undefined counts as satisfied)."""
-    violation, lassos = _fair_simulation(f, source, target, stem_bound, cycle_bound)
-    if violation is not None:
+    undefined counts as satisfied).  The precondition, that f is a fair
+    simulation, is decided in the same mode."""
+    lassos = functools.cache(lambda: fair_lassos(source, stem_bound, cycle_bound))
+    transfer = functools.partial(_fair_transfer, "fair-reflection", f, source, target,
+                                 mode, stem_bound, cycle_bound, lassos)
+    if not is_simulation(f, source.lts, target.lts)[0] or not transfer(True).holds:
         raise PreconditionError("reflection is only defined for fair simulations")
-    return _fair_reflection(f, source, target, mode, stem_bound, cycle_bound, lassos)
+    return transfer(False)
 
 
 def _exact_then_bounded(check, mode, nodes, adj, fair_a, unfair_b, exact_witness,
@@ -611,8 +611,8 @@ def _exact_then_bounded(check, mode, nodes, adj, fair_a, unfair_b, exact_witness
     """Decide whether some run of the graph satisfies ``fair_a`` and violates
     ``unfair_b``: exactly by ``exists_violating_run`` (the witness is
     ``exact_witness`` of its lasso) when mode is ``exact_streett`` and both
-    lifted conditions exist, else by the first of the ``bounded`` witnesses,
-    an iterator over the candidates within the bounds."""
+    lifted conditions exist, else by the first witness of ``bounded()``, an
+    iterator over the candidates within the bounds."""
     notes = ()
     if mode == "exact_streett":
         if fair_a is not None and unfair_b is not None:
@@ -623,33 +623,29 @@ def _exact_then_bounded(check, mode, nodes, adj, fair_a, unfair_b, exact_witness
         notes = ("fairness kind unsupported in exact mode; falling back to bounded",)
     elif mode != "bounded":
         raise PreconditionError(f"unknown mode {mode!r}")
-    w = next(bounded, None)
+    w = next(bounded(), None)
     if w is not None:
         return Verdict(check, False, w, notes=notes)
     bounds = {"stem_bound": stem_bound, "cycle_bound": cycle_bound}
     return Verdict(check, True, certified_bounds=bounds, notes=notes)
 
 
-def _fair_reflection(f, source, target, mode, stem_bound, cycle_bound, lassos) -> Verdict:
-    """check_fair_reflection for a fair simulation with the source's tagged
-    lassos, or None to enumerate them if the bounded check needs them."""
-    tag = "chain-with-fair-image-but-no-fair-limit"
-
-    def bounded():
-        tagged = fair_lassos(source, stem_bound, cycle_bound) if lassos is None else lassos
-        for (lasso, fair) in sorted(tagged, key=lambda lw: str(lw[0])):
-            if not fair:
-                image = lasso.map_states(f).canonical()
-                if target.fairness.is_fair(image):
-                    yield (tag, (lasso, image))
-
+def _fair_transfer(check, f, source, target, mode, stem_bound, cycle_bound,
+                   lassos, preserve) -> Verdict:
+    """Whether fairness transfers along f: no run of the source is fair with
+    an unfair image when ``preserve``, and none is unfair with a fair image
+    otherwise.  ``lassos()`` gives the source's tagged lassos, asked for only
+    by the bounded decision."""
+    tag = "unfair-image" if preserve else "chain-with-fair-image-but-no-fair-limit"
     nodes = list(source.lts.states)
+    own = _lift_fairness(source.fairness, nodes, lambda x: x)
+    lifted = _lift_fairness(target.fairness, nodes, lambda x: f[x])
+    fair_a, unfair_b = (own, lifted) if preserve else (lifted, own)
     return _exact_then_bounded(
-        "fair-reflection", mode, nodes, adjacency(source.lts),
-        _lift_fairness(target.fairness, nodes, lambda x: f[x]),
-        _lift_fairness(source.fairness, nodes, lambda x: x),
+        check, mode, nodes, adjacency(source.lts), fair_a, unfair_b,
         lambda w: (tag, (w, w.map_states(f).canonical())),
-        bounded(), stem_bound, cycle_bound,
+        lambda: ((tag, m) for m in fair_mismatches(f, target, lassos(), preserve)),
+        stem_bound, cycle_bound,
     )
 
 
@@ -657,24 +653,19 @@ def check_fair_bisim_fn(f: dict, source: FairLts, target: FairLts,
                         mode: str = "exact_streett",
                         stem_bound: int = 4, cycle_bound: int = 4) -> Verdict:
     """Fair simulation + surjectivity + transition reflection + limit
-    reflection, in that order."""
-    checked = _fair_simulation(f, source, target, stem_bound, cycle_bound)
-    return _fair_bisim_fn(f, source, target, mode, stem_bound, cycle_bound, checked)
-
-
-def _fair_bisim_fn(f, source, target, mode, stem_bound, cycle_bound, checked) -> Verdict:
-    """check_fair_bisim_fn from ``checked``, the result of
-    ``_fair_simulation``."""
-    violation, lassos = checked
-    if violation is None:
-        violation = _transfer_violation(f, source.lts, target.lts)
-    if violation is not None:
-        return Verdict("fair-bisim-fn", False, violation)
-    sub = _fair_reflection(f, source, target, mode, stem_bound, cycle_bound, lassos)
-    if not sub.holds:
-        return Verdict("fair-bisim-fn", False, sub.witness, notes=sub.notes)
-    return Verdict("fair-bisim-fn", True, certified_bounds=sub.certified_bounds,
-                   notes=sub.notes)
+    reflection, in that order.  Fairness is preserved and reflected as
+    decided in ``mode``, so the fair-simulation part follows the mode too."""
+    ok, w = is_simulation(f, source.lts, target.lts)
+    if not ok:
+        return Verdict("fair-bisim-fn", False, ("transition", w))
+    lassos = functools.cache(lambda: fair_lassos(source, stem_bound, cycle_bound))
+    transfer = functools.partial(_fair_transfer, "fair-bisim-fn", f, source, target,
+                                 mode, stem_bound, cycle_bound, lassos)
+    kept = transfer(True)
+    if not kept.holds:
+        return kept
+    w = _transfer_violation(f, source.lts, target.lts)
+    return Verdict("fair-bisim-fn", False, w) if w is not None else transfer(False)
 
 
 def check_hildebrandt_open(f: dict, source: FairLts, target: FairLts,
@@ -736,7 +727,7 @@ def check_forall_fair_bisim(R: PartitionRelation, system: FairLts,
         _lift_fairness(system.fairness, nodes, lambda n: n[0]),
         _lift_fairness(system.fairness, nodes, lambda n: n[1]),
         lambda w: (tag, _split_pair_lasso(w)),
-        bounded(), stem_bound, cycle_bound,
+        bounded, stem_bound, cycle_bound,
     )
 
 
@@ -907,10 +898,8 @@ def check_bisim_map(f: dict, source, target, mode: str,
         if not isinstance(source, FairLts) or not isinstance(target, FairLts):
             raise PreconditionError("fair mode takes fair systems")
         lifted = fair_sem_map(f, source, target, depth, stem_bound, cycle_bound)
-        # the lift enumerated both systems' lassos and found f a fair
-        # simulation; the exact limit check needs no lassos
-        concrete = _fair_bisim_fn(f, source, target, "exact_streett",
-                                  stem_bound, cycle_bound, (None, None))
+        concrete = check_fair_bisim_fn(f, source, target, "exact_streett",
+                                       stem_bound, cycle_bound)
         bounds.update({"stem_bound": stem_bound, "cycle_bound": cycle_bound})
     elif mode in ("branching", "branching_failed"):
         if isinstance(source, FairLts) or isinstance(target, FairLts):

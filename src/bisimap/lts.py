@@ -336,17 +336,21 @@ def enumerate_graph_lassos(nodes, adj, stem_bound: int, cycle_bound: int):
     def cycles_at(entry):
         if entry in cycles_from:
             return cycles_from[entry]
+        # depth-first, each cycle recorded when its last step is taken; the
+        # stack holds the open paths with their untried steps
         found = []
-
-        def grow(current, steps):
-            for (lab, tgt) in adj[current]:
+        stack = [((), iter(adj[entry]))]
+        while stack:
+            steps, moves = stack[-1]
+            for (lab, tgt) in moves:
                 nxt = steps + ((lab, tgt),)
                 if tgt == entry:
                     found.append(nxt)
                 if len(nxt) < cycle_bound:
-                    grow(tgt, nxt)
-
-        grow(entry, ())
+                    stack.append((nxt, iter(adj[tgt])))
+                    break
+            else:
+                stack.pop()
         cycles_from[entry] = found
         return found
 

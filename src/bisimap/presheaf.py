@@ -378,9 +378,10 @@ class NatTrans:
         each stage is indexed once, on first use."""
         fib = self._fibers.get(e)
         if fib is None:
-            fib = self._fibers[e] = {}
+            fib = {}
             for x in self.source.stage(e):
                 fib.setdefault(self.comp[e][x], []).append(x)
+            self._fibers[e] = fib
         return fib.get(y, [])
 
 

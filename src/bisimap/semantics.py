@@ -145,13 +145,19 @@ def _fair_simulation(f: dict, source: FairLts, target: FairLts,
     if not ok:
         return ("transition", witness), None
     lassos = fair_lassos(source, stem_bound, cycle_bound)
+    w = next(fair_mismatches(f, target, lassos, True), None)
+    return (None if w is None else ("unfair-image", w)), lassos
+
+
+def fair_mismatches(f: dict, target: FairLts, lassos, preserve: bool):
+    """The (lasso, canonical image) pairs, in ``str`` order of the source's
+    tagged lassos, whose fairness f does not transfer: fair lassos with
+    unfair images when ``preserve``, else unfair lassos with fair images."""
     for (lasso, fair) in sorted(lassos, key=lambda lw: str(lw[0])):
-        if not fair:
-            continue
-        image = lasso.map_states(f).canonical()
-        if not target.fairness.is_fair(image):
-            return ("unfair-image", (lasso, image)), lassos
-    return None, lassos
+        if fair == preserve:
+            image = lasso.map_states(f).canonical()
+            if target.fairness.is_fair(image) != preserve:
+                yield (lasso, image)
 
 
 def fair_simulation_violation(f: dict, source: FairLts, target: FairLts,

@@ -5,7 +5,7 @@ import pytest
 from bisimap import Lts, load_corpus
 from bisimap.errors import PreconditionError
 from bisimap.equiv import PartitionRelation
-from bisimap.lts import Execution, adjacency, eps_closure
+from bisimap.lts import Execution, Lasso, adjacency, eps_closure
 from bisimap.presheaf import (
     FinPoset,
     FinPresheaf,
@@ -117,6 +117,44 @@ def is_lasso_of(lts: Lts, lasso) -> bool:
             return False
         at = tgt
     return True
+
+
+def enumerate_graph_lassos_recursive(nodes, adj, stem_bound: int, cycle_bound: int):
+    """Oracle for ``enumerate_graph_lassos``: the same canonical lassos in
+    the same order, with cycles grown by recursion, one call per step."""
+    cycles_from = {}
+
+    def cycles_at(entry):
+        if entry not in cycles_from:
+            found = cycles_from[entry] = []
+
+            def grow(current, steps):
+                for (lab, tgt) in adj[current]:
+                    nxt = steps + ((lab, tgt),)
+                    if tgt == entry:
+                        found.append(nxt)
+                    if len(nxt) < cycle_bound:
+                        grow(tgt, nxt)
+
+            grow(entry, ())
+        return cycles_from[entry]
+
+    seen = set()
+    out = []
+    stems = [Execution.empty(s) for s in nodes]
+    for _ in range(stem_bound + 1):
+        nxt = []
+        for stem in stems:
+            for cyc in cycles_at(stem.last):
+                lasso = Lasso(stem, cyc).canonical()
+                if lasso not in seen:
+                    seen.add(lasso)
+                    out.append(lasso)
+            for (lab, tgt) in adj[stem.last]:
+                if len(stem.trace) < stem_bound:
+                    nxt.append(stem.extend(lab, tgt))
+        stems = nxt
+    return out
 
 
 def identity_trans(F: FinPresheaf) -> NatTrans:

@@ -77,6 +77,32 @@ def test_quotient_branching_writes_two_state_system(chain_file, tmp_path, capsys
     assert "x0 ->" in mapping and "x2 ->" in mapping
 
 
+def test_fair_check_with_a_cycle_bound_past_the_recursion_limit(capsys):
+    golden = Path(__file__).parent / "golden"
+    code = run(["check", "--kind", "fair-sim", "--map", str(golden / "loop.map"),
+                "--cycle-bound", "2000", str(golden / "loop_aa.aut"), str(golden / "loop_tgt.aut")])
+    out = capsys.readouterr().out
+    assert code in (0, 1)
+    assert out.startswith(f"fair-sim: {'holds' if code == 0 else 'fails'}\n")
+
+
+@pytest.mark.parametrize("use_output", [False, True])
+def test_quotient_keeps_a_dotted_prefix_whole(chain_file, tmp_path, use_output, capsys):
+    written = []
+    for version in ("v1", "v2"):
+        model = tmp_path / f"sys.{version}.aut"
+        model.write_text(Path(chain_file).read_text())
+        argv = ["quotient", "--kind", "branching", str(model)]
+        if use_output:
+            argv += ["--output", str(tmp_path / f"out.{version}")]
+        assert run(argv) == 0
+        prefix = tmp_path / (f"out.{version}" if use_output else f"sys.{version}")
+        written += [Path(f"{prefix}.quotient.{ext}") for ext in ("aut", "names", "map")]
+    capsys.readouterr()
+    assert all(p.exists() for p in written)
+    assert not list(tmp_path.glob("sys.quotient.*")) and not list(tmp_path.glob("out.quotient.*"))
+
+
 def test_dump_is_byte_stable(chain_file, capsys):
     run(["dump", "--semantics", "branching", "--depth", "2", chain_file])
     first = capsys.readouterr().out

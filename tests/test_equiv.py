@@ -21,7 +21,7 @@ from bisimap.equiv import (
     quotient_lts,
     Verdict,
 )
-from bisimap.lts import FairLts, StreettSpec, adjacency, eps_closure
+from bisimap.lts import AlwaysAfterSpec, FairLts, StreettSpec, adjacency, eps_closure
 
 from conftest import (
     branching_bisimilarity_fixpoint,
@@ -298,6 +298,82 @@ def test_exact_transfer_check_refutes_whenever_bounded_does():
         if exact.holds:
             assert bounded.holds, (system, rel.pairs)
     assert compared == 60 and refuted > 0
+
+
+def test_exact_fair_bisim_fn_refuses_a_fair_run_with_an_unfair_image():
+    # every run of p -a-> q -a-> p is fair and no run of y -a-> y is; the
+    # fair run (pq)^w needs a cycle of two steps, beyond bounds 1/1
+    X = FairLts(lts_of([("p", "a", "q"), ("q", "a", "p")]), StreettSpec(()))
+    Y = FairLts(lts_of([("y", "a", "y")]), StreettSpec(((frozenset({"y"}), frozenset()),)))
+    f = {"p": "y", "q": "y"}
+    exact = check_fair_bisim_fn(f, X, Y, "exact_streett", stem_bound=1, cycle_bound=1)
+    assert not exact.holds and exact.witness[0] == "unfair-image"
+    _assert_fair_witness(f, X, Y, exact.witness)
+    bounded = check_fair_bisim_fn(f, X, Y, "bounded", stem_bound=1, cycle_bound=1)
+    assert bounded.holds
+    assert bounded.certified_bounds == {"stem_bound": 1, "cycle_bound": 1}
+    with pytest.raises(PreconditionError):
+        check_fair_reflection(f, X, Y, "exact_streett", stem_bound=1, cycle_bound=1)
+
+
+def _assert_fair_witness(f, X, Y, witness):
+    """Re-evaluate a fair check's witness against the condition it names."""
+    tag, w = witness
+    if tag == "transition":
+        (x, a, x2) = w
+        assert X.lts.has_transition(x, a, x2) and not Y.lts.has_transition(f[x], a, f[x2])
+    elif tag in ("unfair-image", "chain-with-fair-image-but-no-fair-limit"):
+        lasso, image = w
+        assert is_lasso_of(X.lts, lasso)
+        assert image == lasso.map_states(f).canonical()
+        fair = tag == "unfair-image"
+        assert X.fairness.is_fair(lasso) == fair and Y.fairness.is_fair(image) != fair
+    else:
+        assert tag in ("not-surjective", "no-reflection")
+
+
+def _random_fair_system(rng, labels):
+    lts = random_lts(rng, 3, labels, density=1.8)
+
+    def some():
+        return frozenset(s for s in lts.states if rng.random() < 0.5)
+
+    if rng.random() < 0.5:
+        return FairLts(lts, StreettSpec(tuple((some(), some()) for _ in range(rng.randint(0, 2)))))
+    gate = tuple(rng.choice(labels) for _ in range(rng.randint(0, 1)))
+    return FairLts(lts, AlwaysAfterSpec(rng.randint(0, 1), some(), gate))
+
+
+def test_exact_fair_checks_refute_whenever_bounded_ones_do():
+    # a bounded witness is a genuine run, so the exact decision must refuse
+    # too, in each direction; it may refuse more, with runs beyond the bounds
+    rng = random.Random(2019)
+    compared = refuted = 0
+    for _ in range(400):
+        labels = rng.choice([("a",), ("a", "b")])
+        X, Y = _random_fair_system(rng, labels), _random_fair_system(rng, labels)
+        f = {x: rng.choice(Y.lts.states) for x in X.lts.states}
+        exact = check_fair_bisim_fn(f, X, Y, "exact_streett")
+        bounded = check_fair_bisim_fn(f, X, Y, "bounded", stem_bound=3, cycle_bound=3)
+        assert exact.holds <= bounded.holds, (X, Y, f)
+        if not exact.holds:
+            _assert_fair_witness(f, X, Y, exact.witness)
+        verdicts = []
+        for mode in ("exact_streett", "bounded"):
+            try:
+                verdicts.append(check_fair_reflection(f, X, Y, mode, 3, 3))
+            except PreconditionError:
+                verdicts.append(None)
+        exact, bounded = verdicts
+        if bounded is None:  # a bounded fair-simulation refusal holds exactly
+            assert exact is None, (X, Y, f)
+        elif not bounded.holds:
+            assert exact is None or not exact.holds, (X, Y, f)
+        if exact is not None and not exact.holds:
+            _assert_fair_witness(f, X, Y, exact.witness)
+        compared += bounded is not None
+        refuted += bounded is not None and not bounded.holds
+    assert compared > 40 and refuted > 5, (compared, refuted)
 
 
 def test_image_fairness_agrees_with_bounded_preimage_search(corpus):
@@ -582,12 +658,15 @@ def _lasso_calls(monkeypatch):
 def test_fair_checks_enumerate_each_system_once(corpus, monkeypatch, mode):
     entry = corpus.fair_rem
     f, X, Y = entry.mapping, entry.source, entry.target
+    # the exact decision needs no lassos; the bounded one enumerates the
+    # source's once for both directions
+    expected = [] if mode == "exact_streett" else [X]
     calls = _lasso_calls(monkeypatch)
     assert not check_fair_bisim_fn(f, X, Y, mode).holds
-    assert calls == [X]
+    assert calls == expected
     calls.clear()
     assert not check_fair_reflection(f, X, Y, mode).holds
-    assert calls == [X]
+    assert calls == expected
     calls.clear()
     check_hildebrandt_open(f, X, Y)
     assert sorted(map(id, calls)) == sorted([id(X), id(Y)])

@@ -15,10 +15,10 @@ from bisimap import (
     restrict,
     serialize_aut,
 )
-from bisimap.lts import FairLts, Lts, StreettSpec, adjacency
+from bisimap.lts import FairLts, Lts, StreettSpec, adjacency, enumerate_graph_lassos
 from bisimap.words import EPSILON, TAU, Word
 
-from conftest import lts_of, random_lts, weak_reach
+from conftest import enumerate_graph_lassos_recursive, lts_of, random_lts, weak_reach
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +206,16 @@ def test_fair_lassos_acyclic_system_empty(chain):
 def test_fair_lassos_rejects_zero_cycle_bound(corpus):
     with pytest.raises(PreconditionError):
         fair_lassos(corpus.union_sys.system, 2, 0)
+
+
+def test_graph_lassos_match_the_recursive_enumeration():
+    rng = random.Random(341)
+    for _ in range(300):
+        lts = random_lts(rng, 4, ("a", "b"), density=rng.choice([1.0, 1.8, 2.5]))
+        adj = adjacency(lts)
+        stem_bound, cycle_bound = rng.randint(0, 3), rng.randint(1, 4)
+        assert enumerate_graph_lassos(lts.states, adj, stem_bound, cycle_bound) == \
+            enumerate_graph_lassos_recursive(lts.states, adj, stem_bound, cycle_bound), lts
 
 
 def test_lasso_canonicalization_absorbs_unrolling(corpus):

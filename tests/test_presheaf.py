@@ -494,3 +494,20 @@ def test_failed_fiber_square_witnesses_non_surjectivity(monkeypatch):
     # q, the empty execution at q, has no preimage
     assert str(square) == "fiber square [eps, q]"
     assert find_filler(square) is None
+
+
+def test_fiber_index_is_stored_only_once_complete():
+    base = poset_from_leq([0, 1], lambda a, b: a <= b)
+    F = make_presheaf(base, lambda e: ["u", "v", "w"], lambda x, frm, to: x)
+    nt = nat_trans(F, F, lambda e, x: "u" if x == "v" else x)
+
+    class Watched(dict):
+        """A component table whose lookups see no index of its stage yet."""
+
+        def __getitem__(self, x):
+            assert 1 not in nt._fibers, "fiber index stored before it is complete"
+            return super().__getitem__(x)
+
+    nt.comp[1] = Watched(nt.comp[1])
+    assert nt.fiber(1, "u") == ["u", "v"]
+    assert nt.fiber(1, "w") == ["w"] and nt.fiber(1, "v") == []

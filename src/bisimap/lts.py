@@ -132,8 +132,8 @@ def restrict(p: Execution, prefix: Word) -> Execution:
 def executions_up_to(lts: Lts, depth: int) -> dict:
     """All executions of trace length <= depth, keyed by trace.
 
-    Every word over the system's labels (silent label included when in use)
-    gets a stage, empty stages included.
+    Only the words with an execution get a stage, and the empty word, whose
+    stage holds one empty execution per state; a missing word has none.
     """
     if depth < 0:
         raise PreconditionError("depth must be >= 0")
@@ -151,7 +151,8 @@ def executions_up_to(lts: Lts, depth: int) -> dict:
                     for (l, tgt) in adj[p.last]
                     if l == lab
                 ]
-                nxt[word.append(lab)] = frozenset(grown)
+                if grown:
+                    nxt[word.append(lab)] = frozenset(grown)
         stages.update(nxt)
         frontier = nxt
     return stages
@@ -438,6 +439,11 @@ def parse_aut(text: str, names=None) -> Lts:
         if len(names) != scount:
             raise ParseError(f"{scount} states but {len(names)} names")
         state_ids = tuple(names)
+        named = set()
+        for name in state_ids:
+            if name in named:
+                raise ParseError(f"state name {name!r} given twice")
+            named.add(name)
     else:
         state_ids = tuple(str(i) for i in range(scount))
 

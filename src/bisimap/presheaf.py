@@ -1,29 +1,25 @@
-"""Finite presheaves over finite posets.
+"""Finite presheaves over finite forests.
 
-Stage sets are finite and explicitly materialized.  Restriction tables are
-stored only along the cover edges of the base (from an element to a maximal
-element strictly below it); every other restriction is their composite, as
-functoriality forces.  The word posets are forests, each element covering
-just its longest proper prefix, so a depth-d base stores about d times fewer
-tables than it has comparable pairs.  Monos are stage-wise injections, which
-is the standard characterization in a presheaf category.
-
-Each poset indexes itself once: its down-sets, strict down-sets, covers and
-``element_key`` order are computed from the relation on first use and then
-looked up.  The word posets build words from their parents, in key order,
-and fill those indexes as they go.  Each natural transformation likewise
-indexes its fibers, stage by stage.
+Every base built here is a forest: each element covers at most one element,
+its parent (a word covers its longest proper prefix, ``tau_bar`` the empty
+word, a stretch point the one before it, a lasso trace its longest prefix),
+so every down-set is a chain.  A poset stores only the parent links and
+computes its down-sets from them once.  Stage sets are finite and explicitly
+materialized.  Restriction tables are stored only along the parent links;
+every other restriction is their composite, as functoriality forces.  Monos
+are stage-wise injections, which is the standard characterization in a
+presheaf category.  Each natural transformation indexes its fibers, stage by
+stage.
 
 The squares that ``enumerate_mono_squares`` streams have a Q generated by one
 element, so by Yoneda a filler is fixed by its value at that generator; over
-the chain-shaped bases built here, a square with two generators is filled as
-soon as the stream's squares are.  ``is_bisim_map_bounded`` therefore decides
-every square from its generator and the fiber index
-(``StreamSquare.has_filler``) and builds no square at all: a refusal returns
-the failing ``StreamSquare``, whose text names its family and generators.
-The generic diagonal-filler search, ``find_filler``, is exhaustive over a
-fixed deterministic order and works for any square; it is the oracle the
-tests hold the generator decision to.
+a forest, a square with two generators is filled as soon as the stream's
+squares are.  ``is_bisim_map_bounded`` therefore decides every square from
+its generator and the fiber index (``StreamSquare.has_filler``) and builds
+no square at all: a refusal returns the failing ``StreamSquare``, whose text
+names its family and generators.  The generic diagonal-filler search,
+``find_filler``, is exhaustive over a fixed deterministic order and works for
+any square; it is the oracle the tests hold the generator decision to.
 Verdicts and witnesses are reproducible.
 """
 
@@ -52,93 +48,60 @@ from .words import (
 
 @dataclass(frozen=True)
 class FinPoset:
-    """A finite poset; the relation is stored reflexively closed.
+    """A finite forest: ``parent`` maps each element to the one element it
+    covers, or to None for a root, and ``elements`` lists them, in
+    ``element_key`` order wherever that key applies.
 
-    The down-sets, the strict down-sets, the covers (the maximal elements
-    strictly below an element) and the elements sorted by ``element_key`` are
-    computed from ``relation`` once, on first use, and kept with the poset;
-    the prefix posets fill them while they build.  They are not fields, so
-    they take no part in equality or the repr."""
+    Every down-set is the chain of parents from an element to its root.  The
+    down-sets are computed from the parents once, on first use, and the
+    order, the covers and the strict down-sets are read off them."""
 
     elements: tuple
-    relation: frozenset
+    parent: dict
 
     @cached_property
     def _down(self) -> dict:
-        index = {e: i for i, e in enumerate(self.elements)}
-        below = {e: [] for e in self.elements}
-        for (a, b) in self.relation:
-            if a in index and b in index:
-                below[b].append(a)
-        return {e: tuple(sorted(xs, key=index.__getitem__)) for e, xs in below.items()}
-
-    @cached_property
-    def _strictly_below(self) -> dict:
-        return {e: tuple(x for x in xs if x != e) for e, xs in self._down.items()}
-
-    @cached_property
-    def _covers(self) -> dict:
-        return {
-            e: tuple(x for x in xs if not any(y != x and self.leq(x, y) for y in xs))
-            for e, xs in self._strictly_below.items()
-        }
-
-    @cached_property
-    def keyed(self) -> tuple:
-        """The elements sorted by ``element_key`` (smaller elements first)."""
-        return tuple(sorted(self.elements, key=element_key))
+        down = {None: ()}
+        for e in self.elements:
+            # climb to an element already done, then fill the path back down
+            path = []
+            while e not in down:
+                path.append(e)
+                e = self.parent[e]
+                if len(path) > len(self.elements):
+                    raise PreconditionError("the parent links form a cycle")
+            for x in reversed(path):
+                down[x] = down[e] + (x,)
+                e = x
+        del down[None]
+        return down
 
     def leq(self, a, b) -> bool:
-        return (a, b) in self.relation
+        return a in self._down.get(b, ())
 
     def down(self, e) -> tuple:
-        """The elements below e, e included, in ``elements`` order."""
+        """The elements below e, from its root up to e itself."""
         return self._down.get(e, ())
 
     def strictly_below(self, e) -> tuple:
-        """The elements strictly below e, in ``elements`` order."""
-        return self._strictly_below.get(e, ())
+        """The elements strictly below e, from its root up."""
+        return self._down.get(e, ())[:-1]
 
     def covers(self, e) -> tuple:
-        """The maximal elements strictly below e, in ``elements`` order."""
-        return self._covers.get(e, ())
+        """The parent of e, as a one-element tuple; empty for a root."""
+        p = self.parent.get(e)
+        return () if p is None else (p,)
 
     def comparable(self, a, b) -> bool:
         return self.leq(a, b) or self.leq(b, a)
-
-    def meet(self, a, b):
-        """Greatest common lower bound, or None if there is no greatest one."""
-        lower = [x for x in self.elements if self.leq(x, a) and self.leq(x, b)]
-        best = None
-        for x in lower:
-            if all(self.leq(y, x) for y in lower):
-                best = x
-        return best
-
-    def violations(self) -> list:
-        """Poset-law violations (empty for a genuine poset)."""
-        bad = []
-        elems = set(self.elements)
-        for (a, b) in self.relation:
-            if a not in elems or b not in elems:
-                bad.append(("element", a, b))
-        for a in self.elements:
-            if (a, a) not in self.relation:
-                bad.append(("reflexive", a))
-        for (a, b) in self.relation:
-            if a != b and (b, a) in self.relation:
-                bad.append(("antisymmetric", a, b))
-        for (a, b) in self.relation:
-            for c in self.elements:
-                if (b, c) in self.relation and (a, c) not in self.relation:
-                    bad.append(("transitive", a, b, c))
-        return bad
 
 
 def poset_from_leq(elements, leq) -> FinPoset:
     """The elements ordered by ``leq``, sorted by ``element_key``; elements
     outside that key's family (pairs from the category of elements) sort
-    after them, by str and repr."""
+    after them, by str and repr.  Each element's parent is the greatest
+    element strictly below it; the order must be a forest, and any other
+    raises ``PreconditionError``."""
 
     def key(e):
         try:
@@ -147,47 +110,37 @@ def poset_from_leq(elements, leq) -> FinPoset:
             return (1, str(e), repr(e))
 
     elements = tuple(sorted(elements, key=key))
-    rel = frozenset((a, b) for a in elements for b in elements if leq(a, b))
-    return FinPoset(elements, rel)
+    parent = {}
+    for b in elements:
+        below = [a for a in elements if a != b and leq(a, b)]
+        tops = [p for p in below if all(leq(a, p) for a in below)]
+        if below and not tops:
+            raise PreconditionError(f"the elements below {b} are not a chain")
+        parent[b] = tops[0] if tops else None
+    return FinPoset(elements, parent)
 
 
 def _prefix_poset(labels, depth, extras=(), parent=None) -> FinPoset:
     """All words over the labels up to the depth plus the extra elements, in
     ``element_key`` order.
 
-    Each element has one cover: a word's is its longest proper prefix, an
-    extra's is ``parent(extra)``, an element that sorts before it.  The words
-    are built level by level from their parents, so they come out in key
-    order, and each element's down-set is its parent's plus itself.  The
-    relation is read off the down-sets, pairs (a, b) in the order of a and
-    then of b, as a scan of every pair would insert them."""
-    down = {EPSILON: (EPSILON,)}
-    covers = {EPSILON: ()}
+    A word's parent is its longest proper prefix, an extra's is
+    ``parent(extra)``, an element that sorts before it.  The words are built
+    level by level from their parents, so they come out in key order."""
+    parents = {EPSILON: None}
     frontier = [EPSILON]
     labels = sorted(set(labels), key=label_key)
     for _ in range(depth):
         grown = []
         for w in frontier:
-            chain = down[w]
             for l in labels:
                 u = w.append(l)
-                down[u] = chain + (u,)
-                covers[u] = (w,)
+                parents[u] = w
                 grown.append(u)
         frontier = grown
     for e in sorted(extras, key=element_key):
-        p = parent(e)
-        down[e] = down[p] + (e,)
-        covers[e] = (p,)
-    elements = tuple(down)
-    ups = {e: [] for e in elements}
-    for b, chain in down.items():
-        for a in chain:
-            ups[a].append(b)
-    poset = FinPoset(elements, frozenset((a, b) for a in elements for b in ups[a]))
-    # the indexes FinPoset would compute from the relation, known already
-    poset.__dict__.update(_down=down, _covers=covers, keyed=elements)
-    return poset
+        parents[e] = parent(e)
+    return FinPoset(tuple(parents), parents)
 
 
 def word_poset(labels, depth: int) -> FinPoset:
@@ -247,9 +200,9 @@ def _stage_sorted(xs) -> tuple:
 @dataclass(frozen=True)
 class FinPresheaf:
     """Stage sets indexed by poset elements, with a restriction table
-    ``res[(lo, hi)]`` for each cover edge of the base whose upper stage is
-    nonempty.  Every other restriction is the composite of tables down a
-    chain of covers (identities are implicit)."""
+    ``res[(lo, hi)]`` for each parent link (lo the parent of hi) whose upper
+    stage is nonempty.  Every other restriction is the composite of tables
+    down the parent links (identities are implicit)."""
 
     base: FinPoset
     stages: dict
@@ -260,15 +213,12 @@ class FinPresheaf:
 
     def restrict(self, x, frm, to):
         """x at frm restricted to ``to`` below it, table by table down the
-        covers; where frm has several covers, through the first above ``to``."""
+        parent links."""
+        parent = self.base.parent
         while frm != to:
-            below = self.base.covers(frm)
-            if len(below) == 1:
-                lo = below[0]
-            else:
-                lo = next((c for c in below if self.base.leq(to, c)), None)
-                if lo is None:
-                    raise PreconditionError(f"{to} is not below {frm}")
+            lo = parent.get(frm)
+            if lo is None:
+                raise PreconditionError(f"{to} is not below {frm}")
             x = self.res[(lo, frm)][x]
             frm = lo
         return x
@@ -284,21 +234,21 @@ def _cover_tables(base: FinPoset, stages: dict, rule) -> dict:
     res = {}
     lower = {}
     for hi, xs in stages.items():
-        if not xs:
+        lo = base.parent[hi]
+        if not xs or lo is None:
             continue
-        for lo in base.covers(hi):
-            lo_stage = lower.get(lo)
-            if lo_stage is None:
-                lo_stage = lower[lo] = set(stages.get(lo, ()))
-            table = {}
-            for x in xs:
-                y = rule(x, hi, lo)
-                if y not in lo_stage:
-                    raise PreconditionError(
-                        f"restriction of {x} from {hi} to {lo} leaves its stage"
-                    )
-                table[x] = y
-            res[(lo, hi)] = table
+        lo_stage = lower.get(lo)
+        if lo_stage is None:
+            lo_stage = lower[lo] = set(stages.get(lo, ()))
+        table = {}
+        for x in xs:
+            y = rule(x, hi, lo)
+            if y not in lo_stage:
+                raise PreconditionError(
+                    f"restriction of {x} from {hi} to {lo} leaves its stage"
+                )
+            table[x] = y
+        res[(lo, hi)] = table
     return res
 
 
@@ -322,41 +272,25 @@ class PresheafReport:
 
 
 def validate(F: FinPresheaf) -> PresheafReport:
-    """Check each stored cover table (its domain is the stage above, its
-    values lie in the stage below) and, where two cover paths join a pair,
-    that they compose alike; a failure there names the triple (low, mid,
-    top) whose path through the cover mid disagrees with the first one.
-    Paths are compared only once the tables are sound.  Over a base with
-    chain down-sets there is one path per pair, so sound tables are all the
-    presheaf laws ask."""
+    """Check each stored cover table: its domain is the stage above, its
+    values lie in the stage below.  Over a forest there is one cover path
+    per pair, so sound tables are all the presheaf laws ask."""
     bad = []
-    base = F.base
-    for hi in base.elements:
-        for lo in base.covers(hi):
-            table = F.res.get((lo, hi))
-            if table is None:
-                if F.stage(hi):
-                    bad.append(("missing-restriction", lo, hi))
-                continue
-            if set(table) != set(F.stage(hi)):
-                bad.append(("domain", lo, hi))
-            lo_stage = set(F.stage(lo))
-            for x, y in table.items():
-                if y not in lo_stage:
-                    bad.append(("codomain", lo, hi, x))
-    if bad:
-        return PresheafReport(False, tuple(bad))
-    for top in base.elements:
-        covers = base.covers(top)
-        if len(covers) < 2:
+    for hi in F.base.elements:
+        lo = F.base.parent[hi]
+        if lo is None:
             continue
-        for low in base.strictly_below(top):
-            first, *others = [c for c in covers if base.leq(low, c)]
-            for x in F.stage(top):
-                expected = F.restrict(F.restrict(x, top, first), first, low)
-                for mid in others:
-                    if F.restrict(F.restrict(x, top, mid), mid, low) != expected:
-                        bad.append(("composition", low, mid, top, x))
+        table = F.res.get((lo, hi))
+        if table is None:
+            if F.stage(hi):
+                bad.append(("missing-restriction", lo, hi))
+            continue
+        if set(table) != set(F.stage(hi)):
+            bad.append(("domain", lo, hi))
+        lo_stage = set(F.stage(lo))
+        for x, y in table.items():
+            if y not in lo_stage:
+                bad.append(("codomain", lo, hi, x))
     return PresheafReport(not bad, tuple(bad))
 
 
@@ -474,7 +408,7 @@ def find_filler(square: MonoSquare):
     naturality and the two triangle identities, visiting stages and elements in
     a fixed deterministic order; it returns the first filler found or None.
     It works for any square; ``StreamSquare.has_filler`` decides the squares
-    of the stream faster, and the tests hold it to this search.
+    of the stream at their generators, and the tests hold it to this search.
     """
     _check_square(square)
     g, m, n, f = square.g, square.m, square.n, square.f
@@ -490,7 +424,7 @@ def find_filler(square: MonoSquare):
             table[g.at(e, p)] = m.at(e, p)
         forced[e] = table
 
-    slots = [(e, q) for e in base.keyed for q in Q.stage(e)]
+    slots = [(e, q) for e in base.elements for q in Q.stage(e)]
     assign = {}
 
     def candidates(e, q):
@@ -540,59 +474,22 @@ def find_filler(square: MonoSquare):
     return k
 
 
-def _build_square(f: NatTrans, family: str, about: tuple) -> MonoSquare:
-    """The full square of the stream with this family and about data."""
-    F, G = f.source, f.target
-    e, w = about[:2]
-    Q = sub_presheaf(G, [(e, w)])
-    n = inclusion(Q, G)
-    if family == "fiber":
-        P0 = empty_presheaf(G.base)
-        return MonoSquare(g=NatTrans(P0, Q, {}), m=NatTrans(P0, F, {}), n=n, f=f,
-                          family=family, about=about)
-    e2, x = about[2:]
-    P = sub_presheaf(F, [(e2, x)])
-    g = nat_trans(P, Q, lambda lo, p: G.restrict(w, e, lo))
-    return MonoSquare(g=g, m=inclusion(P, F), n=n, f=f, family=family, about=about)
-
-
 class StreamSquare:
     """A square of ``enumerate_mono_squares``, held as its generators.
 
-    ``family`` and ``about`` fix the square.  Its legs g, m and n are built on
-    first use, so a stream square goes wherever a ``MonoSquare`` does
-    (``find_filler`` included), and ``build`` returns the full square.  Its
-    text is ``<family> square [<about items, comma-separated>]``.
+    ``family`` and ``about`` fix the square over f; its text is
+    ``<family> square [<about items, comma-separated>]``.
     """
 
-    __slots__ = ("f", "family", "about", "_built")
+    __slots__ = ("f", "family", "about")
 
     def __init__(self, f: NatTrans, family: str, about: tuple):
         self.f = f
         self.family = family
         self.about = about
-        self._built = None
 
     def __str__(self):
         return f"{self.family} square [{', '.join(str(a) for a in self.about)}]"
-
-    def build(self) -> MonoSquare:
-        """The full square, built on the first call."""
-        if self._built is None:
-            self._built = _build_square(self.f, self.family, self.about)
-        return self._built
-
-    @property
-    def g(self) -> NatTrans:
-        return self.build().g
-
-    @property
-    def m(self) -> NatTrans:
-        return self.build().m
-
-    @property
-    def n(self) -> NatTrans:
-        return self.build().n
 
     def has_filler(self) -> bool:
         """Decide the square at its generator, without building it.
@@ -600,7 +497,7 @@ class StreamSquare:
         Q is generated by one element, so by Yoneda a filler is fixed by its
         value there: for ``fiber`` any preimage v of w at e will do; for
         ``extension`` and ``chain-limit`` a preimage that restricts to x at
-        e2.  The answer equals ``find_filler(self) is not None``.
+        e2.  The answer is the one ``find_filler`` gives on the full square.
         """
         f = self.f
         if self.family == "fiber":
@@ -622,12 +519,11 @@ def enumerate_mono_squares(f: NatTrans):
       matched part (when e is a limit point and e2 its greatest prefix, this
       is the prefix-chain square of an infinite run, tagged ``chain-limit``).
 
-    Every down-set of the base must be a chain, as word prefixes, ``tau_bar``
-    above the empty word and each lasso trace above its prefixes are; the
-    stream raises ``PreconditionError`` at the first element where one is
-    not.  Over such a base a square whose Q has two generators (e1, w1) and
-    (e2, w2) is filled once the stream's squares are (path lifting, as in
-    Joyal, Nielsen & Winskel, Inf. & Comput. 1996):
+    Every base is a forest (word prefixes, ``tau_bar`` above the empty word,
+    stretch points in a chain and each lasso trace above its longest prefix),
+    so every down-set is a chain.  Over such a base a square whose Q has two
+    generators (e1, w1) and (e2, w2) is filled once the stream's squares are
+    (path lifting, as in Joyal, Nielsen & Winskel, Inf. & Comput. 1996):
 
     1. lift w1 to v1;
     2. the stages where w1 and w2 agree form a chain; let m be its top;
@@ -641,7 +537,7 @@ def enumerate_mono_squares(f: NatTrans):
     truncation), so a failure there would reflect the depth, not f.
 
     The items are ``StreamSquare``s: the stream computes only their ``about``
-    data, from the poset index and f's fiber index, and builds no presheaf.
+    data, from the base's down-sets and f's fiber index, and builds no presheaf.
     """
     G = f.target
     base = G.base
@@ -657,12 +553,8 @@ def enumerate_mono_squares(f: NatTrans):
             return False
         return len(trace) + (len(e) - len(e2)) > word_budget
 
-    chains = {}  # element -> its down-set, from the element down its covers
-    for e in base.keyed:
-        covers = base.covers(e)
-        if len(covers) > 1:
-            raise PreconditionError(f"the elements below {e} are not a chain")
-        chain = chains[e] = [e] + (chains[covers[0]] if covers else [])
+    for e in base.elements:
+        chain = base.down(e)[::-1]
         top_family = "chain-limit" if isinstance(e, LassoTrace) else "extension"
         for w in G.stage(e):
             yield StreamSquare(f, "fiber", (e, w))
@@ -681,11 +573,10 @@ def is_bisim_map_bounded(f: NatTrans):
     """Decide every square of the enumerated stream at its generator.
 
     Each square is decided by ``StreamSquare.has_filler`` from its ``about``
-    data, f's fiber index and the base's covers, and no square is built:
+    data, f's fiber index and the parent links, and no square is built:
     the first one without a filler is returned as the witness, a
-    ``StreamSquare`` whose legs are built only if a caller asks for them.
-    The generic ``find_filler`` agrees on every square (the tests hold the two
-    together).
+    ``StreamSquare``.  The generic ``find_filler`` agrees on every square
+    (the tests hold the two together).
 
     A ``False`` verdict is definitive for the truncated semantics: the witness
     square has no filler at this depth.  A ``True`` verdict certifies the
@@ -712,22 +603,6 @@ class ColimitClass:
     rep: tuple
 
 
-def _component_meets_exist(base: FinPoset, comp) -> bool:
-    """Cheap sufficient condition: a least element plus chain-shaped down-sets
-    make every common-lower-bound set a nonempty finite chain."""
-    if not any(all(base.leq(e, x) for x in comp) for e in comp):
-        return False
-    for e in comp:
-        below = [x for x in comp if base.leq(x, e)]
-        if any(
-            not base.comparable(a, b)
-            for i, a in enumerate(below)
-            for b in below[i + 1:]
-        ):
-            return False
-    return True
-
-
 def _components(poset: FinPoset, subset):
     subset = list(subset)
     seen = set()
@@ -752,55 +627,17 @@ def filtered_colimit(F: FinPresheaf) -> tuple:
     """Quotient the disjoint union of the stages by identifying elements that
     agree after restriction below both indices.
 
-    The index poset (F's base) must be meet-closed within each connected
-    component; the canonical representative of a class is its restriction to
-    the minimal index occurring in the class.
+    The index poset (F's base) is a forest, so each connected component is a
+    rooted tree, and an element is identified with its restriction to the
+    root: that restriction is the class's canonical representative.
     """
     base = F.base
-    for comp in _components(base, base.elements):
-        if _component_meets_exist(base, comp):
-            continue
-        for i, a in enumerate(comp):
-            for b in comp[i + 1:]:
-                if base.meet(a, b) is None:
-                    raise PreconditionError(
-                        f"index not meet-closed: {a} and {b} have no meet"
-                    )
-
-    parent = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    nodes = [(e, x) for e in base.elements for x in F.stage(e)]
-    for node in nodes:
-        parent[node] = node
-    for hi in base.elements:
-        for lo in base.covers(hi):
-            for x in F.stage(hi):
-                union((hi, x), (lo, F.restrict(x, hi, lo)))
-
     groups = {}
-    for node in nodes:
-        groups.setdefault(find(node), []).append(node)
-
-    classes = []
-    for members in groups.values():
-        minimal = [
-            (e, x) for (e, x) in members
-            if not any(base.leq(e2, e) and e2 != e for (e2, _) in members)
-        ]
-        if len({e for (e, _) in minimal}) != 1:
-            raise PreconditionError("class has no unique minimal index")
-        classes.append(ColimitClass(frozenset(members), minimal[0]))
+    for e in base.elements:
+        root = base.down(e)[0]
+        for x in F.stage(e):
+            groups.setdefault((root, F.restrict(x, e, root)), []).append((e, x))
+    classes = [ColimitClass(frozenset(members), rep) for rep, members in groups.items()]
     classes.sort(key=lambda c: (element_key(c.rep[0]), str(c.rep[1])))
     return tuple(classes)
 
@@ -816,8 +653,8 @@ class MonotoneMap:
         for a in self.source.elements:
             if self.mapping[a] not in targets:
                 raise PreconditionError("map leaves the target poset")
-        for (a, b) in self.source.relation:
-            if not self.target.leq(self.mapping[a], self.mapping[b]):
+        for b, a in self.source.parent.items():
+            if a is not None and not self.target.leq(self.mapping[a], self.mapping[b]):
                 raise PreconditionError(f"map not order-preserving at ({a}, {b})")
 
     def __call__(self, e):
@@ -954,12 +791,11 @@ def elements_poset(F: FinPresheaf) -> ElementsPosetResult:
 def dump_presheaf(F: FinPresheaf) -> str:
     """Stable textual dump: one line per stage, one per restriction entry."""
     lines = []
-    elems = sorted(F.base.elements, key=element_key)
-    for e in elems:
+    for e in F.base.elements:
         inner = ", ".join(str(x) for x in F.stage(e))
         lines.append(f"stage {e}: {{{inner}}}")
-    for hi in elems:
-        for lo in sorted(F.base.strictly_below(hi), key=element_key):
+    for hi in F.base.elements:
+        for lo in F.base.strictly_below(hi):
             for x in F.stage(hi):
                 lines.append(f"res {hi} -> {lo}: {x} |-> {F.restrict(x, hi, lo)}")
     return "\n".join(lines) + "\n"

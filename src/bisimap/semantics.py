@@ -276,8 +276,6 @@ def _minimal_presheaf(base, lts: Lts, depth: int) -> FinPresheaf:
     by_rho = {}
     silent = []
     for w, ps in execs.items():
-        if not ps:
-            continue
         rho = w.visible()
         if minimal_trace_for(rho, w):
             by_rho.setdefault(rho, []).extend(ps)

@@ -9,10 +9,14 @@ from bisimap.lts import Execution, Lasso, adjacency, eps_closure
 from bisimap.presheaf import (
     FinPoset,
     FinPresheaf,
+    MonoSquare,
     NatTrans,
+    empty_presheaf,
+    inclusion,
     make_presheaf,
     nat_trans,
     poset_from_leq,
+    sub_presheaf,
 )
 from bisimap.words import EPSILON, TAU, TAU_BAR
 
@@ -159,6 +163,25 @@ def enumerate_graph_lassos_recursive(nodes, adj, stem_bound: int, cycle_bound: i
 
 def identity_trans(F: FinPresheaf) -> NatTrans:
     return nat_trans(F, F, lambda e, x: x)
+
+
+def build_square(sq) -> MonoSquare:
+    """The full square of a ``StreamSquare``: Q generated by its target
+    generator; P empty for a ``fiber`` square, else generated by its source
+    generator below."""
+    f = sq.f
+    F, G = f.source, f.target
+    e, w = sq.about[:2]
+    Q = sub_presheaf(G, [(e, w)])
+    n = inclusion(Q, G)
+    if sq.family == "fiber":
+        P0 = empty_presheaf(G.base)
+        return MonoSquare(g=NatTrans(P0, Q, {}), m=NatTrans(P0, F, {}), n=n, f=f,
+                          family=sq.family, about=sq.about)
+    e2, x = sq.about[2:]
+    P = sub_presheaf(F, [(e2, x)])
+    g = nat_trans(P, Q, lambda lo, p: G.restrict(w, e, lo))
+    return MonoSquare(g=g, m=inclusion(P, F), n=n, f=f, family=sq.family, about=sq.about)
 
 
 def compose_trans(outer: NatTrans, inner: NatTrans) -> NatTrans:

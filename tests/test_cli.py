@@ -119,6 +119,14 @@ def test_parse_error_exit_code(tmp_path):
     assert code == 2
 
 
+def test_names_sidecar_repeating_a_name_is_a_parse_error(chain_file, capsys):
+    names = Path(chain_file).with_suffix(".names")
+    names.write_text("x0\nx1\nx0\n")
+    code = run(["dump", "--semantics", "branching", chain_file])
+    assert code == 2
+    assert "state name 'x0' given twice" in capsys.readouterr().err
+
+
 def test_precondition_exit_code(branch_files, tmp_path):
     src, tgt, _ = branch_files
     bad_map = tmp_path / "bad.map"

@@ -38,9 +38,10 @@ from bisimap.presheaf import (
     word_poset,
 )
 from bisimap.semantics import base_presheaf, fair_sem, fair_sem_map, strong_sem, strong_sem_map
-from bisimap.words import EPSILON, TAU, TAU_BAR, LassoTrace, StretchPoint, Word
+from bisimap.words import EPSILON, TAU, TAU_BAR, LassoTrace, StretchPoint, Word, element_key
 
 from conftest import (
+    build_square,
     identity_trans,
     lts_of,
     order_isomorphic,
@@ -65,20 +66,16 @@ def test_one_stage_presheaf_is_valid():
     assert validate(F).ok
 
 
-def _diamond():
+def _diamond_leq(a, b):
     # 0 below 1 and 2, both below 3: two cover paths from 3 down to 0
-    return poset_from_leq([0, 1, 2, 3], lambda a, b: a == b or a == 0 or b == 3)
+    return a == b or a == 0 or b == 3
 
 
 def test_corrupted_restriction_reported_with_triple():
-    F = make_presheaf(_diamond(), lambda e: ["u", "v"], lambda x, frm, to: x)
-    assert validate(F).ok
-    res = {pair: dict(table) for pair, table in F.res.items()}
-    res[(0, 2)]["u"] = "v"  # the path 3 -> 2 -> 0 now disagrees with 3 -> 1 -> 0
-    broken = dataclasses.replace(F, res=res)
-    report = validate(broken)
-    assert not report.ok
-    assert report.violations == (("composition", 0, 2, 3, "u"),)
+    # two cover paths that could disagree need a diamond, and a base is a
+    # forest: the diamond is refused, naming the element above the split
+    with pytest.raises(PreconditionError, match="the elements below 3 are not a chain"):
+        poset_from_leq([0, 1, 2, 3], _diamond_leq)
 
 
 # ---------------------------------------------------------------------------
@@ -118,16 +115,19 @@ def test_prefix_built_posets_equal_pairwise_comparison(corpus):
              a == b or (isinstance(a, Word) and a == b.word_prefix(len(a))))),
     ]
     for built, elems, extra_leq in cases:
-        reference = poset_from_leq(elems, _scan_order(extra_leq))
+        leq = _scan_order(extra_leq)
+        reference = poset_from_leq(elems, leq)
+        assert built.elements == reference.elements
+        assert built.parent == reference.parent
         assert built == reference
-        # same insertion order, so the same iteration order and repr
-        assert list(built.relation) == list(reference.relation)
-        assert not built.violations()
+        for a in elems:
+            for b in elems:
+                assert built.leq(a, b) == leq(a, b), (a, b)
 
 
 def _maximal_below_by_scan(P, e):
-    below = [x for x in P.elements if x != e and (x, e) in P.relation]
-    return tuple(x for x in below if not any(y != x and (x, y) in P.relation for y in below))
+    below = [x for x in P.elements if x != e and P.leq(x, e)]
+    return tuple(x for x in below if not any(y != x and P.leq(x, y) for y in below))
 
 
 def test_covers_are_the_maximal_elements_strictly_below(corpus):
@@ -138,25 +138,35 @@ def test_covers_are_the_maximal_elements_strictly_below(corpus):
         barred_source_poset(("a", TAU), 3),
         branching_target_poset(("a", "b"), 2),
         fair_target_poset(("a",), 3, traces),
-        _diamond(),
     ]
     for P in posets:
+        assert P.elements == tuple(sorted(P.elements, key=element_key))
         for e in P.elements:
             assert P.covers(e) == _maximal_below_by_scan(P, e)
-    assert _diamond().covers(3) == (1, 2)
-    assert all(len(P.covers(e)) <= 1 for P in posets[:4] for e in P.elements)
+            assert len(P.covers(e)) <= 1
 
 
 def test_poset_index_matches_relation_scan():
     P = barred_source_poset(("a", TAU), 2)
+    assert P.elements == tuple(sorted(P.elements, key=element_key))
     for e in P.elements:
         assert P.down(e) == tuple(x for x in P.elements if P.leq(x, e))
         assert P.strictly_below(e) == tuple(x for x in P.elements if x != e and P.leq(x, e))
-    assert P.keyed == P.elements
     assert P.down(Word.of("b")) == () and P.strictly_below(Word.of("b")) == ()
-    unsorted = FinPoset((2, 0, 1), frozenset({(0, 0), (1, 1), (2, 2), (0, 2), (1, 2)}))
-    assert unsorted.down(2) == (2, 0, 1) and unsorted.strictly_below(2) == (0, 1)
-    assert unsorted.keyed == (0, 1, 2)
+    # the public constructor: each element's parent, or None for a root
+    V = FinPoset((0, 1, 2), {0: None, 1: 0, 2: 0})
+    assert V.down(2) == (0, 2) and V.strictly_below(2) == (0,) and V.covers(0) == ()
+    assert V.leq(0, 1) and not V.comparable(1, 2)
+    with pytest.raises(PreconditionError, match="cycle"):
+        FinPoset((0, 1), {0: 1, 1: 0}).down(0)
+
+
+def test_monotone_map_refuses_a_map_that_breaks_a_parent_link():
+    base = word_poset(("a", "b"), 1)
+    a, b = Word.of("a"), Word.of("b")
+    MonotoneMap(base, base, {EPSILON: EPSILON, a: b, b: a})
+    with pytest.raises(PreconditionError, match=r"not order-preserving at \(eps, a\)"):
+        MonotoneMap(base, base, {EPSILON: a, a: EPSILON, b: a})
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +274,7 @@ def test_unfillable_chain_square_from_fair_counterexample(corpus):
     ok, square = is_bisim_map_bounded(lifted)
     assert not ok
     assert square.family == "chain-limit"
-    assert find_filler(square) is None
+    assert find_filler(build_square(square)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -283,11 +293,10 @@ def test_enumeration_includes_path_extension():
 
 
 def test_enumeration_rejects_a_base_with_a_non_chain_down_set():
-    # a "V": 0 and 1 are incomparable, both below 2
-    base = poset_from_leq([0, 1, 2], lambda a, b: a == b or b == 2)
-    F = make_presheaf(base, lambda e: ["u"], lambda x, frm, to: x)
-    with pytest.raises(PreconditionError, match="not a chain"):
-        list(enumerate_mono_squares(identity_trans(F)))
+    # a "V": 0 and 1 are incomparable, both below 2; no base of the stream
+    # can be one, since every base is a forest
+    with pytest.raises(PreconditionError, match="the elements below 2 are not a chain"):
+        poset_from_leq([0, 1, 2], lambda a, b: a == b or b == 2)
 
 
 def test_enumeration_contains_chain_limit_of_alternating_lasso(corpus):
@@ -343,15 +352,15 @@ def test_filtered_colimit_chain_classes(chain):
 
 
 def test_filtered_colimit_requires_meets():
+    # a and b have no meet; a base with such a pair is not a forest, so the
+    # colimit never sees one
     elems = [Word.of("a"), Word.of("b"), Word.of("a", "a")]
 
     def leq(u, v):
         return u == v or (u in (Word.of("a"), Word.of("b")) and v == Word.of("a", "a"))
 
-    base = poset_from_leq(elems, leq)
-    F = make_presheaf(base, lambda e: ["x"], lambda x, frm, to: x)
-    with pytest.raises(PreconditionError):
-        filtered_colimit(F)
+    with pytest.raises(PreconditionError, match="the elements below a.a are not a chain"):
+        poset_from_leq(elems, leq)
 
 
 # ---------------------------------------------------------------------------
@@ -487,13 +496,13 @@ def test_failed_fiber_square_witnesses_non_surjectivity(monkeypatch):
         raise AssertionError("the decision builds no square")
 
     with monkeypatch.context() as patch:
-        for name in ("_build_square", "sub_presheaf", "nat_trans"):
+        for name in ("sub_presheaf", "nat_trans"):
             patch.setattr(presheaf_mod, name, no_build)
         ok, square = is_bisim_map_bounded(lifted)
     assert not ok
     # q, the empty execution at q, has no preimage
     assert str(square) == "fiber square [eps, q]"
-    assert find_filler(square) is None
+    assert find_filler(build_square(square)) is None
 
 
 def test_fiber_index_is_stored_only_once_complete():

@@ -40,7 +40,7 @@ from bisimap.semantics import (
 )
 from bisimap.words import LassoTrace, Word, element_key
 
-from conftest import random_lts, random_total_map
+from conftest import build_square, random_lts, random_total_map
 
 DEPTH = 3
 # (stage bound, support bound) settings of the pair-square oracle
@@ -124,7 +124,7 @@ SAMPLES = {
 def generic_bounded(f):
     """``is_bisim_map_bounded`` as a loop of generic filler searches."""
     for square in enumerate_mono_squares(f):
-        if find_filler(square) is None:
+        if find_filler(build_square(square)) is None:
             return False, square
     return True, None
 
@@ -200,7 +200,8 @@ def test_generator_decision_matches_generic_search(mode):
         first_failure = None
         for square in stream:
             fast = square.has_filler()
-            assert fast == (find_filler(square) is not None), (square.family, square.about)
+            assert fast == (find_filler(build_square(square)) is not None), (
+                square.family, square.about)
             outcomes[square.family, fast] += 1
             if not fast and first_failure is None:
                 first_failure = (square.family, square.about)
@@ -214,9 +215,9 @@ def test_generator_decision_matches_generic_search(mode):
         else:
             assert isinstance(witness, StreamSquare)
             assert (witness.family, witness.about) == (witness_ref.family, witness_ref.about)
-            assert witness.build() == witness_ref.build()
+            assert build_square(witness) == build_square(witness_ref)
             assert str(witness) == str(witness_ref)
-            assert find_filler(witness) is None
+            assert find_filler(build_square(witness)) is None
 
         for bounds in PAIR_BOUNDS:
             # the old stream: this stream, then the pair squares

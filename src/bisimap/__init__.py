@@ -28,20 +28,13 @@ from .presheaf import (
     FinPoset,
     FinPresheaf,
     MonoSquare,
-    MonotoneMap,
     NatTrans,
     StreamSquare,
     dump_presheaf,
-    elements_poset,
     enumerate_mono_squares,
-    filtered_colimit,
     find_filler,
-    hiding_map,
-    identity_map,
     is_bisim_map_bounded,
     is_mono,
-    left_kan,
-    validate,
 )
 from .semantics import (
     base_presheaf,
@@ -49,9 +42,7 @@ from .semantics import (
     branching_sem_map,
     fair_sem,
     fair_sem_map,
-    hide,
     map_pf,
-    minimal_executions,
     mpast,
     strong_sem,
     strong_sem_map,
@@ -71,7 +62,6 @@ from .equiv import (
     check_forall_fair_bisim,
     check_hildebrandt_open,
     check_strong_bisim_fn,
-    extend_reduction,
     forall_fair_quotient,
 )
 from .corpus import load_corpus

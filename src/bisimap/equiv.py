@@ -117,11 +117,6 @@ class PartitionRelation:
     def contains(self, a, b) -> bool:
         return (a, b) in self.pairs
 
-    def symmetric_closure(self) -> "PartitionRelation":
-        return PartitionRelation(
-            self.universe, self.pairs | {(b, a) for (a, b) in self.pairs}
-        )
-
     def reflexive_closure(self) -> "PartitionRelation":
         return PartitionRelation(
             self.universe, self.pairs | {(s, s) for s in self.universe}
@@ -171,10 +166,6 @@ class PartitionRelation:
             (a, b) for a in universe for b in universe if f[a] == f[b]
         )
         return PartitionRelation(tuple(universe), pairs)
-
-    @staticmethod
-    def identity(universe) -> "PartitionRelation":
-        return PartitionRelation(tuple(universe), frozenset((s, s) for s in universe))
 
 
 # ---------------------------------------------------------------------------
@@ -844,13 +835,6 @@ def branching_quotient(lts: Lts):
     return Lts.make(quotient.states, quotient.alphabet, quotient.transitions - stutter), f
 
 
-def extend_reduction(g: dict, source: Lts, mid: Lts):
-    """Compose a reduction with the quotient map of its target, yielding a
-    stuttering-respecting quotient map.  Returns (target system, composite)."""
-    quotient, q = branching_quotient(mid)
-    return quotient, {s: q[g[s]] for s in source.states}
-
-
 # ---------------------------------------------------------------------------
 # Abstract bisimulation-map check
 
@@ -885,7 +869,11 @@ def check_bisim_map(f: dict, source, target, mode: str,
       onto a one-state loop, is refused concretely and accepted here at
       every depth tried, 2 to 5);
     * branching: the filler check refuses some maps that the concrete check
-      accepts, at every depth tried so far."""
+      accepts, at every depth tried so far.
+
+    In fair mode f must be a fair simulation, decided exactly for Streett
+    and positional fairness: a map that breaks a transition or sends a fair
+    run to an unfair one raises ``PreconditionError`` at any bounds."""
     bounds = {"depth": depth}
     if mode == "strong":
         if not isinstance(source, Lts) or not isinstance(target, Lts):
@@ -897,9 +885,11 @@ def check_bisim_map(f: dict, source, target, mode: str,
     elif mode == "fair":
         if not isinstance(source, FairLts) or not isinstance(target, FairLts):
             raise PreconditionError("fair mode takes fair systems")
-        lifted = fair_sem_map(f, source, target, depth, stem_bound, cycle_bound)
         concrete = check_fair_bisim_fn(f, source, target, "exact_streett",
                                        stem_bound, cycle_bound)
+        if not concrete.holds and concrete.witness[0] in ("transition", "unfair-image"):
+            raise PreconditionError("not a fair simulation: " + format_witness(concrete.witness))
+        lifted = fair_sem_map(f, source, target, depth, stem_bound, cycle_bound)
         bounds.update({"stem_bound": stem_bound, "cycle_bound": cycle_bound})
     elif mode in ("branching", "branching_failed"):
         if isinstance(source, FairLts) or isinstance(target, FairLts):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 
-from .errors import InternalCheckError, PreconditionError, UnsupportedError
+from .errors import InternalCheckError, PreconditionError
 from .words import (
     EPSILON,
     TAU,
@@ -38,7 +38,6 @@ from .words import (
     StretchPoint,
     Word,
     element_key,
-    hide,
     label_key,
 )
 
@@ -54,7 +53,7 @@ class FinPoset:
 
     Every down-set is the chain of parents from an element to its root.  The
     down-sets are computed from the parents once, on first use, and the
-    order, the covers and the strict down-sets are read off them."""
+    order and the strict down-sets are read off them."""
 
     elements: tuple
     parent: dict
@@ -86,38 +85,6 @@ class FinPoset:
     def strictly_below(self, e) -> tuple:
         """The elements strictly below e, from its root up."""
         return self._down.get(e, ())[:-1]
-
-    def covers(self, e) -> tuple:
-        """The parent of e, as a one-element tuple; empty for a root."""
-        p = self.parent.get(e)
-        return () if p is None else (p,)
-
-    def comparable(self, a, b) -> bool:
-        return self.leq(a, b) or self.leq(b, a)
-
-
-def poset_from_leq(elements, leq) -> FinPoset:
-    """The elements ordered by ``leq``, sorted by ``element_key``; elements
-    outside that key's family (pairs from the category of elements) sort
-    after them, by str and repr.  Each element's parent is the greatest
-    element strictly below it; the order must be a forest, and any other
-    raises ``PreconditionError``."""
-
-    def key(e):
-        try:
-            return (0,) + element_key(e)
-        except PreconditionError:
-            return (1, str(e), repr(e))
-
-    elements = tuple(sorted(elements, key=key))
-    parent = {}
-    for b in elements:
-        below = [a for a in elements if a != b and leq(a, b)]
-        tops = [p for p in below if all(leq(a, p) for a in below)]
-        if below and not tops:
-            raise PreconditionError(f"the elements below {b} are not a chain")
-        parent[b] = tops[0] if tops else None
-    return FinPoset(elements, parent)
 
 
 def _prefix_poset(labels, depth, extras=(), parent=None) -> FinPoset:
@@ -261,39 +228,6 @@ def make_presheaf(base: FinPoset, stage_of, restrict_to) -> FinPresheaf:
     return FinPresheaf(base, stages, _cover_tables(base, stages, restrict_to))
 
 
-def empty_presheaf(base: FinPoset) -> FinPresheaf:
-    return FinPresheaf(base, {}, {})
-
-
-@dataclass(frozen=True)
-class PresheafReport:
-    ok: bool
-    violations: tuple
-
-
-def validate(F: FinPresheaf) -> PresheafReport:
-    """Check each stored cover table: its domain is the stage above, its
-    values lie in the stage below.  Over a forest there is one cover path
-    per pair, so sound tables are all the presheaf laws ask."""
-    bad = []
-    for hi in F.base.elements:
-        lo = F.base.parent[hi]
-        if lo is None:
-            continue
-        table = F.res.get((lo, hi))
-        if table is None:
-            if F.stage(hi):
-                bad.append(("missing-restriction", lo, hi))
-            continue
-        if set(table) != set(F.stage(hi)):
-            bad.append(("domain", lo, hi))
-        lo_stage = set(F.stage(lo))
-        for x, y in table.items():
-            if y not in lo_stage:
-                bad.append(("codomain", lo, hi, x))
-    return PresheafReport(not bad, tuple(bad))
-
-
 @dataclass(frozen=True)
 class NatTrans:
     source: FinPresheaf
@@ -354,20 +288,6 @@ def is_mono(g: NatTrans) -> bool:
         if len(set(table.values())) != len(table):
             return False
     return True
-
-
-def sub_presheaf(F: FinPresheaf, generators) -> FinPresheaf:
-    """Down-closure of the given (element, value) generators inside F."""
-    stages = {}
-    for (e, x) in generators:
-        for lo in F.base.down(e):
-            stages.setdefault(lo, set()).add(F.restrict(x, e, lo))
-    stages = {e: _stage_sorted(xs) for e, xs in stages.items()}
-    return FinPresheaf(F.base, stages, _cover_tables(F.base, stages, F.restrict))
-
-
-def inclusion(sub: FinPresheaf, sup: FinPresheaf) -> NatTrans:
-    return nat_trans(sub, sup, lambda e, x: x)
 
 
 # ---------------------------------------------------------------------------
@@ -591,197 +511,6 @@ def is_bisim_map_bounded(f: NatTrans):
         if not square.has_filler():
             return False, square
     return True, None
-
-
-# ---------------------------------------------------------------------------
-# Filtered colimits and the left Kan extension
-
-
-@dataclass(frozen=True)
-class ColimitClass:
-    members: frozenset
-    rep: tuple
-
-
-def _components(poset: FinPoset, subset):
-    subset = list(subset)
-    seen = set()
-    comps = []
-    for e in subset:
-        if e in seen:
-            continue
-        comp = {e}
-        stack = [e]
-        while stack:
-            u = stack.pop()
-            for v in subset:
-                if v not in comp and poset.comparable(u, v):
-                    comp.add(v)
-                    stack.append(v)
-        seen |= comp
-        comps.append(sorted(comp, key=element_key))
-    return comps
-
-
-def filtered_colimit(F: FinPresheaf) -> tuple:
-    """Quotient the disjoint union of the stages by identifying elements that
-    agree after restriction below both indices.
-
-    The index poset (F's base) is a forest, so each connected component is a
-    rooted tree, and an element is identified with its restriction to the
-    root: that restriction is the class's canonical representative.
-    """
-    base = F.base
-    groups = {}
-    for e in base.elements:
-        root = base.down(e)[0]
-        for x in F.stage(e):
-            groups.setdefault((root, F.restrict(x, e, root)), []).append((e, x))
-    classes = [ColimitClass(frozenset(members), rep) for rep, members in groups.items()]
-    classes.sort(key=lambda c: (element_key(c.rep[0]), str(c.rep[1])))
-    return tuple(classes)
-
-
-@dataclass(frozen=True)
-class MonotoneMap:
-    source: FinPoset
-    target: FinPoset
-    mapping: dict
-
-    def __post_init__(self):
-        targets = set(self.target.elements)
-        for a in self.source.elements:
-            if self.mapping[a] not in targets:
-                raise PreconditionError("map leaves the target poset")
-        for b, a in self.source.parent.items():
-            if a is not None and not self.target.leq(self.mapping[a], self.mapping[b]):
-                raise PreconditionError(f"map not order-preserving at ({a}, {b})")
-
-    def __call__(self, e):
-        return self.mapping[e]
-
-
-def hiding_map(source: FinPoset, target: FinPoset) -> MonotoneMap:
-    """The monotone map that deletes silent letters (and collapses stretch
-    points onto the stretchable observation, when present)."""
-    barred = any(e is TAU_BAR for e in target.elements)
-    mapping = {e: hide(e, barred=barred) for e in source.elements}
-    return MonotoneMap(source, target, mapping)
-
-
-def identity_map(poset: FinPoset) -> MonotoneMap:
-    return MonotoneMap(poset, poset, {e: e for e in poset.elements})
-
-
-def restrict_presheaf(F: FinPresheaf, elems) -> FinPresheaf:
-    """The restriction of a presheaf to a subset of its base (the induced
-    sub-poset keeps the original order)."""
-    sub = poset_from_leq(elems, F.base.leq)
-    stages = {e: F.stages[e] for e in sub.elements}
-    return FinPresheaf(sub, stages, _cover_tables(sub, stages, F.restrict))
-
-
-def _check_hiding_shape(h: MonotoneMap):
-    if h.source == h.target and all(h.mapping[e] == e for e in h.source.elements):
-        return
-    for e in h.source.elements:
-        if isinstance(e, Word):
-            expected = e.visible()
-        elif isinstance(e, StretchPoint):
-            expected = TAU_BAR
-        else:
-            raise UnsupportedError(f"unsupported source element {e!r}")
-        if h.mapping[e] != expected:
-            raise UnsupportedError("only truncations of hiding maps are supported")
-
-
-def left_kan(h: MonotoneMap, F: FinPresheaf) -> FinPresheaf:
-    """The left Kan extension of F along a hiding-map truncation.
-
-    The stage at a target element is the colimit over everything whose image
-    lies above it, computed component-wise (one component per minimal source
-    element) through ``filtered_colimit``; elements are (root, value) pairs
-    where the root is the component's minimal index and the value the class
-    representative there.  The action restricts the representative to the
-    unique minimal prefix with the requested image.
-    """
-    _check_hiding_shape(h)
-    if F.base != h.source:
-        raise PreconditionError("presheaf base and map source disagree")
-    target = h.target
-
-    stage_classes = {}
-    for rho in target.elements:
-        index = [s for s in h.source.elements if target.leq(rho, h(s))]
-        elems = []
-        for comp in _components(h.source, index):
-            roots = [e for e in comp if not any(h.source.leq(e2, e) and e2 != e for e2 in comp)]
-            if len(roots) != 1:
-                raise UnsupportedError(f"index component at {rho} has no unique root")
-            for cls in filtered_colimit(restrict_presheaf(F, comp)):
-                elems.append(cls.rep)
-        stage_classes[rho] = _stage_sorted(elems)
-
-    def minimal_prefix(root, rho2):
-        cands = [s for s in h.source.down(root) if h(s) == rho2]
-        if not cands:
-            raise PreconditionError(f"no prefix of {root} hides to {rho2}")
-        best = cands[0]
-        for s in cands[1:]:
-            if h.source.leq(s, best):
-                best = s
-        return best
-
-    def act(pair, frm, to):
-        root, value = pair
-        s2 = minimal_prefix(root, to)
-        return (s2, F.restrict(value, root, s2))
-
-    return make_presheaf(target, lambda e: stage_classes[e], act)
-
-
-# ---------------------------------------------------------------------------
-# Category of elements
-
-
-@dataclass(frozen=True)
-class ElementsPosetResult:
-    raw: FinPoset
-    simplified: FinPoset
-    simplify: dict
-
-
-def elements_poset(F: FinPresheaf) -> ElementsPosetResult:
-    """The poset of (stage index, element) pairs of a presheaf over a time
-    poset, together with the canonical simplification that drops the index
-    wherever the element alone already determines it."""
-    if not all(isinstance(e, int) for e in F.base.elements):
-        raise PreconditionError("category of elements is built over a time poset")
-    objs = [(e, x) for e in F.base.elements for x in F.stage(e)]
-
-    def leq(a, b):
-        (ea, xa), (eb, xb) = a, b
-        return F.base.leq(ea, eb) and F.restrict(xb, eb, ea) == xa
-
-    raw = poset_from_leq(objs, leq)
-
-    occurrences = {}
-    for (e, x) in objs:
-        occurrences.setdefault(x, set()).add(e)
-    simplify = {}
-    for (e, x) in objs:
-        if len(occurrences[x]) == 1:
-            simplify[(e, x)] = x
-        elif x is TAU_BAR:
-            simplify[(e, x)] = StretchPoint(e)
-        else:
-            simplify[(e, x)] = (e, x)
-    simple_elems = list(simplify.values())
-    if len(set(simple_elems)) != len(simple_elems):
-        raise PreconditionError("simplification collapsed distinct objects")
-    inverse = {v: k for k, v in simplify.items()}
-    simplified = poset_from_leq(simple_elems, lambda a, b: leq(inverse[a], inverse[b]))
-    return ElementsPosetResult(raw, simplified, simplify)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from .presheaf import (
     nat_trans,
     word_poset,
 )
-from .words import EPSILON, TAU, LassoTrace, StretchPoint, TAU_BAR, Word, hide
+from .words import EPSILON, TAU, LassoTrace, StretchPoint, TAU_BAR, Word
 
 
 def _joint_alphabet(*systems):
@@ -235,22 +235,6 @@ def minimal_trace_for(rho: Word, trace: Word) -> bool:
     return trace.letters[-1] is not TAU
 
 
-def is_minimal_execution(p: Execution) -> bool:
-    return minimal_trace_for(p.trace.visible(), p.trace)
-
-
-def minimal_executions(lts: Lts, rho: Word, depth: int) -> frozenset:
-    """All executions of trace length <= depth whose trace is minimal for rho."""
-    if len(rho) > depth:
-        raise PreconditionError("observable word longer than the depth")
-    if rho.has_tau:
-        raise PreconditionError("observable words are silent-free")
-    execs = executions_up_to(lts, depth)
-    return frozenset(
-        p for w, ps in execs.items() if minimal_trace_for(rho, w) for p in ps
-    )
-
-
 def mpast(p: Execution, rho2: Word) -> Execution:
     """Restrict to the unique minimal prefix whose visible trace is rho2."""
     for w in p.trace.prefixes():
@@ -371,10 +355,7 @@ __all__ = [
     "fair_sem",
     "fair_sem_map",
     "fair_simulation_violation",
-    "hide",
-    "is_minimal_execution",
     "map_pf",
-    "minimal_executions",
     "minimal_trace_for",
     "mpast",
     "strong_sem",

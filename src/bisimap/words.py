@@ -88,15 +88,6 @@ class Word:
     def is_prefix_of(self, other: "Word") -> bool:
         return self.letters == other.letters[: len(self.letters)]
 
-    def meet(self, other: "Word") -> "Word":
-        """Longest common prefix."""
-        n = 0
-        for a, b in zip(self.letters, other.letters):
-            if a != b:
-                break
-            n += 1
-        return Word(self.letters[:n])
-
     @property
     def has_tau(self) -> bool:
         return any(l is TAU for l in self.letters)
@@ -189,18 +180,6 @@ class LassoTrace:
         pre = ".".join(label_str(l) for l in self.prefix)
         cyc = ".".join(label_str(l) for l in self.cycle)
         return f"{pre}({cyc})^w"
-
-
-def hide(element, barred: bool = False):
-    """Delete silent letters from a word; with ``barred`` also collapse every
-    stretch point to the single stretchable observation."""
-    if isinstance(element, Word):
-        return element.visible()
-    if isinstance(element, StretchPoint):
-        if not barred:
-            raise PreconditionError("stretch points only hide in barred mode")
-        return TAU_BAR
-    raise PreconditionError(f"cannot hide {element!r}")
 
 
 def element_key(element):

@@ -11,14 +11,12 @@ from bisimap.presheaf import (
     FinPresheaf,
     MonoSquare,
     NatTrans,
-    empty_presheaf,
-    inclusion,
     make_presheaf,
     nat_trans,
-    poset_from_leq,
-    sub_presheaf,
 )
 from bisimap.words import EPSILON, TAU, TAU_BAR
+
+from oracles import empty_presheaf, inclusion, poset_from_leq, sub_presheaf
 
 
 @pytest.fixture(scope="session")

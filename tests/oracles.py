@@ -1,0 +1,277 @@
+"""Constructions that only the tests call.
+
+The library keeps the decision engine: bases, presheaves, natural
+transformations, the square stream and its generator decision.  What is
+here builds presheaves and relations the tests compare the engine with (the
+paper's left Kan extension along a hiding map, the category of elements,
+sub-presheaves and inclusions for full squares), or checks its outputs
+(``validate``).  Everything is built from public ``bisimap`` names.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from bisimap.equiv import PartitionRelation, branching_quotient
+from bisimap.errors import PreconditionError, UnsupportedError
+from bisimap.lts import Execution, Lts, executions_up_to
+from bisimap.presheaf import FinPoset, FinPresheaf, make_presheaf, nat_trans
+from bisimap.semantics import minimal_trace_for
+from bisimap.words import TAU_BAR, StretchPoint, Word, element_key
+
+# ---------------------------------------------------------------------------
+# Words and relations
+
+
+def hide(element, barred: bool = False):
+    """Delete silent letters from a word; with ``barred`` also collapse every
+    stretch point to the single stretchable observation."""
+    if isinstance(element, Word):
+        return element.visible()
+    if isinstance(element, StretchPoint):
+        if not barred:
+            raise PreconditionError("stretch points only hide in barred mode")
+        return TAU_BAR
+    raise PreconditionError(f"cannot hide {element!r}")
+
+
+def meet(u: Word, v: Word) -> Word:
+    """The longest common prefix of two words."""
+    n = 0
+    for a, b in zip(u.letters, v.letters):
+        if a != b:
+            break
+        n += 1
+    return Word(u.letters[:n])
+
+
+def identity_relation(universe) -> PartitionRelation:
+    return PartitionRelation(tuple(universe), frozenset((s, s) for s in universe))
+
+
+def symmetric_closure(R: PartitionRelation) -> PartitionRelation:
+    return PartitionRelation(R.universe, R.pairs | {(b, a) for (a, b) in R.pairs})
+
+
+def extend_reduction(g: dict, source: Lts, mid: Lts):
+    """Compose a reduction with the quotient map of its target, yielding a
+    stuttering-respecting quotient map.  Returns (target system, composite)."""
+    quotient, q = branching_quotient(mid)
+    return quotient, {s: q[g[s]] for s in source.states}
+
+
+# ---------------------------------------------------------------------------
+# Posets and presheaves
+
+
+def poset_from_leq(elements, leq) -> FinPoset:
+    """The elements ordered by ``leq``, sorted by ``element_key``; elements
+    outside that key's family (pairs from the category of elements) sort
+    after them, by str and repr.  Each element's parent is the greatest
+    element strictly below it; the order must be a forest, and any other
+    raises ``PreconditionError``."""
+
+    def key(e):
+        try:
+            return (0,) + element_key(e)
+        except PreconditionError:
+            return (1, str(e), repr(e))
+
+    elements = tuple(sorted(elements, key=key))
+    parent = {}
+    for b in elements:
+        below = [a for a in elements if a != b and leq(a, b)]
+        tops = [p for p in below if all(leq(a, p) for a in below)]
+        if below and not tops:
+            raise PreconditionError(f"the elements below {b} are not a chain")
+        parent[b] = tops[0] if tops else None
+    return FinPoset(elements, parent)
+
+
+def empty_presheaf(base: FinPoset) -> FinPresheaf:
+    return FinPresheaf(base, {}, {})
+
+
+@dataclass(frozen=True)
+class PresheafReport:
+    ok: bool
+    violations: tuple
+
+
+def validate(F: FinPresheaf) -> PresheafReport:
+    """Check each stored cover table: its domain is the stage above, its
+    values lie in the stage below.  Over a forest there is one cover path
+    per pair, so sound tables are all the presheaf laws ask."""
+    bad = []
+    for hi in F.base.elements:
+        lo = F.base.parent[hi]
+        if lo is None:
+            continue
+        table = F.res.get((lo, hi))
+        if table is None:
+            if F.stage(hi):
+                bad.append(("missing-restriction", lo, hi))
+            continue
+        if set(table) != set(F.stage(hi)):
+            bad.append(("domain", lo, hi))
+        lo_stage = set(F.stage(lo))
+        for x, y in table.items():
+            if y not in lo_stage:
+                bad.append(("codomain", lo, hi, x))
+    return PresheafReport(not bad, tuple(bad))
+
+
+def sub_presheaf(F: FinPresheaf, generators) -> FinPresheaf:
+    """Down-closure of the given (element, value) generators inside F."""
+    stages = {}
+    for (e, x) in generators:
+        for lo in F.base.down(e):
+            stages.setdefault(lo, set()).add(F.restrict(x, e, lo))
+    return make_presheaf(F.base, lambda e: stages.get(e, ()), F.restrict)
+
+
+def inclusion(sub: FinPresheaf, sup: FinPresheaf):
+    return nat_trans(sub, sup, lambda e, x: x)
+
+
+# ---------------------------------------------------------------------------
+# The left Kan extension along a hiding map
+
+
+@dataclass(frozen=True)
+class MonotoneMap:
+    source: FinPoset
+    target: FinPoset
+    mapping: dict
+
+    def __post_init__(self):
+        targets = set(self.target.elements)
+        for a in self.source.elements:
+            if self.mapping[a] not in targets:
+                raise PreconditionError("map leaves the target poset")
+        for b, a in self.source.parent.items():
+            if a is not None and not self.target.leq(self.mapping[a], self.mapping[b]):
+                raise PreconditionError(f"map not order-preserving at ({a}, {b})")
+
+    def __call__(self, e):
+        return self.mapping[e]
+
+
+def hiding_map(source: FinPoset, target: FinPoset) -> MonotoneMap:
+    """The monotone map that deletes silent letters (and collapses stretch
+    points onto the stretchable observation, when present)."""
+    barred = any(e is TAU_BAR for e in target.elements)
+    mapping = {e: hide(e, barred=barred) for e in source.elements}
+    return MonotoneMap(source, target, mapping)
+
+
+def identity_map(poset: FinPoset) -> MonotoneMap:
+    return MonotoneMap(poset, poset, {e: e for e in poset.elements})
+
+
+def _check_hiding_shape(h: MonotoneMap):
+    if h.source == h.target and all(h.mapping[e] == e for e in h.source.elements):
+        return
+    for e in h.source.elements:
+        if isinstance(e, Word):
+            expected = e.visible()
+        elif isinstance(e, StretchPoint):
+            expected = TAU_BAR
+        else:
+            raise UnsupportedError(f"unsupported source element {e!r}")
+        if h.mapping[e] != expected:
+            raise UnsupportedError("only truncations of hiding maps are supported")
+
+
+def left_kan(h: MonotoneMap, F: FinPresheaf) -> FinPresheaf:
+    """The left Kan extension of F along a hiding-map truncation.
+
+    The stage at rho is the colimit of F over the index {s : rho <= h(s)}.
+    That index is an up-set of a forest, so each of its components is the
+    up-set of one minimal element m (an element whose parent lies outside
+    it), and the component's colimit is F's stage at m.  The stage is read
+    off directly: the pairs (m, x) for x in F's stage at m.  The action
+    restricts x to the first element of m's down-set with the requested
+    image.
+    """
+    _check_hiding_shape(h)
+    if F.base != h.source:
+        raise PreconditionError("presheaf base and map source disagree")
+    source = h.source
+
+    def stage(rho):
+        index = {s for s in source.elements if h.target.leq(rho, h(s))}
+        return [(m, x) for m in source.elements
+                if m in index and source.parent[m] not in index
+                for x in F.stage(m)]
+
+    def act(pair, frm, to):
+        root, value = pair
+        s = next(s for s in source.down(root) if h(s) == to)
+        return (s, F.restrict(value, root, s))
+
+    return make_presheaf(h.target, stage, act)
+
+
+# ---------------------------------------------------------------------------
+# Category of elements
+
+
+@dataclass(frozen=True)
+class ElementsPosetResult:
+    raw: FinPoset
+    simplified: FinPoset
+    simplify: dict
+
+
+def elements_poset(F: FinPresheaf) -> ElementsPosetResult:
+    """The poset of (stage index, element) pairs of a presheaf over a time
+    poset, together with the canonical simplification that drops the index
+    wherever the element alone already determines it."""
+    if not all(isinstance(e, int) for e in F.base.elements):
+        raise PreconditionError("category of elements is built over a time poset")
+    objs = [(e, x) for e in F.base.elements for x in F.stage(e)]
+
+    def leq(a, b):
+        (ea, xa), (eb, xb) = a, b
+        return F.base.leq(ea, eb) and F.restrict(xb, eb, ea) == xa
+
+    raw = poset_from_leq(objs, leq)
+
+    occurrences = {}
+    for (e, x) in objs:
+        occurrences.setdefault(x, set()).add(e)
+    simplify = {}
+    for (e, x) in objs:
+        if len(occurrences[x]) == 1:
+            simplify[(e, x)] = x
+        elif x is TAU_BAR:
+            simplify[(e, x)] = StretchPoint(e)
+        else:
+            simplify[(e, x)] = (e, x)
+    simple_elems = list(simplify.values())
+    if len(set(simple_elems)) != len(simple_elems):
+        raise PreconditionError("simplification collapsed distinct objects")
+    inverse = {v: k for k, v in simplify.items()}
+    simplified = poset_from_leq(simple_elems, lambda a, b: leq(inverse[a], inverse[b]))
+    return ElementsPosetResult(raw, simplified, simplify)
+
+
+# ---------------------------------------------------------------------------
+# Minimal executions
+
+
+def is_minimal_execution(p: Execution) -> bool:
+    return minimal_trace_for(p.trace.visible(), p.trace)
+
+
+def minimal_executions(lts: Lts, rho: Word, depth: int) -> frozenset:
+    """All executions of trace length <= depth whose trace is minimal for rho."""
+    if len(rho) > depth:
+        raise PreconditionError("observable word longer than the depth")
+    if rho.has_tau:
+        raise PreconditionError("observable words are silent-free")
+    execs = executions_up_to(lts, depth)
+    return frozenset(
+        p for w, ps in execs.items() if minimal_trace_for(rho, w) for p in ps
+    )

@@ -21,24 +21,12 @@ from bisimap.equiv import (
     quotient_lts,
 )
 from bisimap.lts import executions_up_to, is_simulation
-from bisimap.presheaf import (
-    branching_target_poset,
-    hiding_map,
-    left_kan,
-    word_poset,
-)
-from bisimap.semantics import (
-    base_presheaf,
-    hide,
-    is_minimal_execution,
-    map_pf,
-    minimal_executions,
-    mpast,
-    strong_sem_map,
-)
+from bisimap.presheaf import branching_target_poset, word_poset
+from bisimap.semantics import base_presheaf, map_pf, mpast, strong_sem_map
 from bisimap.words import EPSILON, TAU, TAU_BAR
 
 from conftest import brute_force_largest, random_lts, random_total_map
+from oracles import hide, hiding_map, is_minimal_execution, left_kan, minimal_executions
 
 SEED = 20250809
 DEPTH = 4

@@ -16,7 +16,6 @@ from bisimap.equiv import (
     check_forall_fair_bisim,
     check_hildebrandt_open,
     check_strong_bisim_fn,
-    extend_reduction,
     forall_fair_quotient,
     quotient_lts,
     Verdict,
@@ -30,6 +29,7 @@ from conftest import (
     lts_of,
     random_lts,
 )
+from oracles import extend_reduction, identity_relation, symmetric_closure
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +40,7 @@ def test_partition_relation_kinds():
     universe = ("a", "b", "c")
     raw = PartitionRelation(universe, frozenset({("a", "b")}))
     assert raw.kind == "raw"
-    sym = raw.symmetric_closure()
+    sym = symmetric_closure(raw)
     assert sym.kind == "symmetric"
     eq = sym.equivalence_closure()
     assert eq.kind == "equivalence"
@@ -141,7 +141,7 @@ def test_fair_reflection_witness_is_recheckable(corpus):
 
 def test_forall_fair_identity_relation(corpus):
     sys = corpus.union_sys.system
-    ident = PartitionRelation.identity(sys.lts.states)
+    ident = identity_relation(sys.lts.states)
     assert check_forall_fair_bisim(ident, sys).holds
 
 
@@ -195,7 +195,7 @@ def test_forall_fair_union_witness_is_recheckable(corpus):
 
 def test_forall_fair_quotient_identity(corpus):
     sys = corpus.union_sys.system
-    ident = PartitionRelation.identity(sys.lts.states)
+    ident = identity_relation(sys.lts.states)
     quotient, f = forall_fair_quotient(ident, sys)
     assert len(quotient.lts.states) == len(sys.lts.states)
     assert len(set(f.values())) == len(sys.lts.states)
@@ -314,6 +314,19 @@ def test_exact_fair_bisim_fn_refuses_a_fair_run_with_an_unfair_image():
     assert bounded.certified_bounds == {"stem_bound": 1, "cycle_bound": 1}
     with pytest.raises(PreconditionError):
         check_fair_reflection(f, X, Y, "exact_streett", stem_bound=1, cycle_bound=1)
+
+
+def test_fair_bisim_map_refuses_a_non_fair_simulation_at_any_bounds():
+    # the same map: its precondition is decided exactly, so the refusal does
+    # not depend on whether the lasso bounds reach the cycle of two steps
+    X = FairLts(lts_of([("p", "a", "q"), ("q", "a", "p")]), StreettSpec(()))
+    Y = FairLts(lts_of([("y", "a", "y")]), StreettSpec(((frozenset({"y"}), frozenset()),)))
+    f = {"p": "y", "q": "y"}
+    for bound in (1, 2, 3):
+        with pytest.raises(PreconditionError) as refused:
+            check_bisim_map(f, X, Y, "fair", depth=2, stem_bound=bound, cycle_bound=bound)
+        assert str(refused.value) == (
+            "not a fair simulation: unfair-image: p (loop: -a-> q -a-> p); y (loop: -a-> y)")
 
 
 def _assert_fair_witness(f, X, Y, witness):

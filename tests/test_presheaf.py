@@ -8,33 +8,21 @@ from bisimap import (
     PreconditionError,
     UnsupportedError,
     dump_presheaf,
-    elements_poset,
     enumerate_mono_squares,
-    filtered_colimit,
     find_filler,
-    hiding_map,
-    identity_map,
     is_bisim_map_bounded,
     is_mono,
-    left_kan,
-    validate,
 )
 from bisimap.lts import Execution
 from bisimap.presheaf import (
     FinPoset,
     MonoSquare,
-    MonotoneMap,
     barred_source_poset,
     branching_target_poset,
-    empty_presheaf,
     fair_target_poset,
-    inclusion,
     make_presheaf,
     nat_trans,
     naturality_violations,
-    poset_from_leq,
-    restrict_presheaf,
-    sub_presheaf,
     word_poset,
 )
 from bisimap.semantics import base_presheaf, fair_sem, fair_sem_map, strong_sem, strong_sem_map
@@ -48,6 +36,18 @@ from conftest import (
     stretch_word_presheaf,
     time_poset,
     word_length_presheaf,
+)
+from oracles import (
+    MonotoneMap,
+    elements_poset,
+    empty_presheaf,
+    hiding_map,
+    identity_map,
+    inclusion,
+    left_kan,
+    poset_from_leq,
+    sub_presheaf,
+    validate,
 )
 
 
@@ -142,8 +142,8 @@ def test_covers_are_the_maximal_elements_strictly_below(corpus):
     for P in posets:
         assert P.elements == tuple(sorted(P.elements, key=element_key))
         for e in P.elements:
-            assert P.covers(e) == _maximal_below_by_scan(P, e)
-            assert len(P.covers(e)) <= 1
+            parent = P.parent[e]
+            assert _maximal_below_by_scan(P, e) == (() if parent is None else (parent,))
 
 
 def test_poset_index_matches_relation_scan():
@@ -155,8 +155,8 @@ def test_poset_index_matches_relation_scan():
     assert P.down(Word.of("b")) == () and P.strictly_below(Word.of("b")) == ()
     # the public constructor: each element's parent, or None for a root
     V = FinPoset((0, 1, 2), {0: None, 1: 0, 2: 0})
-    assert V.down(2) == (0, 2) and V.strictly_below(2) == (0,) and V.covers(0) == ()
-    assert V.leq(0, 1) and not V.comparable(1, 2)
+    assert V.down(2) == (0, 2) and V.strictly_below(2) == (0,) and V.parent[0] is None
+    assert V.leq(0, 1) and not V.leq(1, 2) and not V.leq(2, 1)
     with pytest.raises(PreconditionError, match="cycle"):
         FinPoset((0, 1), {0: 1, 1: 0}).down(0)
 
@@ -323,37 +323,12 @@ def test_identity_is_bisim_map_at_any_bound():
 
 
 # ---------------------------------------------------------------------------
-# Filtered colimits
-
-
-def test_filtered_colimit_of_up_set_is_stage_at_root(chain):
-    F = base_presheaf(chain, 3)
-    root = Word.of(TAU, "a")
-    up = [e for e in F.base.elements if F.base.leq(root, e)]
-    classes = filtered_colimit(restrict_presheaf(F, up))
-    reps = {c.rep for c in classes}
-    assert reps == {(root, p) for p in F.stage(root)}
-
-
-def test_filtered_colimit_single_object():
-    base = poset_from_leq([0], lambda a, b: True)
-    F = make_presheaf(base, lambda e: ["u", "v"], lambda x, frm, to: x)
-    classes = filtered_colimit(F)
-    assert len(classes) == 2
-
-
-def test_filtered_colimit_chain_classes(chain):
-    # everything over the empty observable collapses to the start states
-    F = base_presheaf(chain, 2)
-    taus = [w for w in F.base.elements if not w.visible().letters]
-    classes = filtered_colimit(restrict_presheaf(F, taus))
-    reps = {c.rep[1] for c in classes}
-    assert reps == {Execution.empty(s) for s in chain.states}
+# Meets
 
 
 def test_filtered_colimit_requires_meets():
-    # a and b have no meet; a base with such a pair is not a forest, so the
-    # colimit never sees one
+    # a and b lie below a.a but have no meet; such an order is not a forest,
+    # so no base is one
     elems = [Word.of("a"), Word.of("b"), Word.of("a", "a")]
 
     def leq(u, v):
@@ -471,7 +446,7 @@ def test_dump_golden(chain):
 
 def test_validate_catches_codomain_escape():
     F = word_length_presheaf(("a",), 2)
-    assert F.base.covers(1) == (0,)
+    assert F.base.parent[1] == 0
     res = {pair: dict(table) for pair, table in F.res.items()}
     res[(0, 1)][Word.of("a")] = Word.of("a")  # the cover table 1 -> 0 leaves stage 0
     broken = dataclasses.replace(F, res=res)
@@ -496,7 +471,7 @@ def test_failed_fiber_square_witnesses_non_surjectivity(monkeypatch):
         raise AssertionError("the decision builds no square")
 
     with monkeypatch.context() as patch:
-        for name in ("sub_presheaf", "nat_trans"):
+        for name in ("make_presheaf", "nat_trans"):
             patch.setattr(presheaf_mod, name, no_build)
         ok, square = is_bisim_map_bounded(lifted)
     assert not ok

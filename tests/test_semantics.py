@@ -4,30 +4,30 @@ import pytest
 
 from bisimap import PreconditionError
 from bisimap.lts import Execution, FairLts, StreettSpec, restrict
-from bisimap.presheaf import (
-    branching_target_poset,
-    hiding_map,
-    naturality_violations,
-    validate,
-)
+from bisimap.presheaf import branching_target_poset, naturality_violations
 from bisimap.semantics import (
     base_presheaf,
     branching_sem,
     branching_sem_map,
     fair_sem,
     fair_sem_map,
-    hide,
-    is_minimal_execution,
     map_pf,
-    minimal_executions,
     mpast,
     strong_sem,
     strong_sem_map,
 )
-from bisimap.presheaf import left_kan
 from bisimap.words import EPSILON, TAU, TAU_BAR, LassoTrace, StretchPoint, Word
 
 from conftest import compose_trans, identity_trans, lts_of, random_lts
+from oracles import (
+    extend_reduction,
+    hide,
+    hiding_map,
+    is_minimal_execution,
+    left_kan,
+    minimal_executions,
+    validate,
+)
 
 
 def exec_of(word_letters, states):
@@ -277,7 +277,7 @@ def test_branching_sem_map_is_natural(corpus):
 
 
 def test_branching_sem_map_functor_laws(corpus):
-    from bisimap.equiv import branching_quotient, extend_reduction
+    from bisimap.equiv import branching_quotient
 
     # identity lifts to the identity transformation
     X = corpus.branch.combined

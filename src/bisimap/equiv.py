@@ -172,12 +172,6 @@ class PartitionRelation:
 # Graph machinery for exact fairness analysis
 
 
-# A condition on the nodes of an analysis graph is a fairness spec whose
-# states are the nodes.
-NodeStreett = StreettSpec
-NodeAlwaysAfter = AlwaysAfterSpec
-
-
 def _lift_fairness(spec, nodes, proj):
     """Reinterpret a state-level fairness condition over graph nodes via a
     projection; None when the kind is not supported exactly."""
@@ -405,7 +399,7 @@ def _product_lasso(comp, prod_adj, parents, via=None, span=None) -> Lasso:
         start, steps = _steps_to(via, parents)
         steps += _bfs_path(via, entry, prod_adj, span, require_step=False)
     stem = Execution(
-        Word(tuple(lab for (lab, _) in steps)),
+        Word(lab for (lab, _) in steps),
         (start[0],) + tuple(p[0] for (_, p) in steps),
     )
     return Lasso(stem, tuple((lab, p[0]) for (lab, p) in walk)).canonical()
@@ -682,21 +676,18 @@ def check_hildebrandt_open(f: dict, source: FairLts, target: FairLts,
 
 def check_forall_fair_bisim(R: PartitionRelation, system: FairLts,
                             mode: str = "exact_streett",
-                            stem_bound: int = 4, cycle_bound: int = 4,
-                            require_equivalence: bool = True) -> Verdict:
+                            stem_bound: int = 4, cycle_bound: int = 4) -> Verdict:
     """The two transfer properties of a fairness-respecting equivalence.
 
     Condition (1): related states match transitions into related states.
     Condition (2): no pair of pointwise-related infinite runs where the left
     is fair and the right is not; decided on the synchronized product of
     related pairs (exactly for Streett/positional fairness, by bounded lasso
-    pairs otherwise).  With ``require_equivalence=False`` only symmetry is
-    demanded (nonstandard; for reproducing the closure discussion).
+    pairs otherwise).
     """
-    wanted = "equivalence" if require_equivalence else "symmetric"
     kind = R.kind
-    if kind != wanted and not (wanted == "symmetric" and kind == "equivalence"):
-        return Verdict("forall-fair-bisim", False, ("not-" + wanted, kind))
+    if kind != "equivalence":
+        return Verdict("forall-fair-bisim", False, ("not-equivalence", kind))
     adjX = adjacency(system.lts)
     for (x, y) in sorted(R.pairs):
         for (a, x2) in adjX[x]:

@@ -12,6 +12,7 @@ import json
 import re
 import warnings
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import ParseError, PreconditionError
 from .words import EPSILON, TAU, LassoTrace, Word, label_key, label_str, minimal_period
@@ -80,23 +81,22 @@ def transition_str(src, lab, tgt) -> str:
 # Executions
 
 
-@dataclass(frozen=True)
-class Execution:
-    """A finite run: one state per prefix of its trace."""
+class Execution(tuple):
+    """A finite run: one state per prefix of its trace, held as the pair
+    ``(trace, states)``."""
 
-    trace: Word
-    states: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.states) != len(self.trace) + 1:
+    trace = property(itemgetter(0))
+    states = property(itemgetter(1))
+
+    def __new__(cls, trace: Word, states: tuple):
+        if len(states) != len(trace) + 1:
             raise PreconditionError("an execution has one state per prefix of its trace")
+        return tuple.__new__(cls, (trace, states))
 
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.trace, self.states))
-            object.__setattr__(self, "_hash", h)
-        return h
+    def __getnewargs__(self):
+        return tuple(self)  # copy and pickle call __new__(cls, trace, states)
 
     @staticmethod
     def empty(state) -> "Execution":
@@ -112,6 +112,9 @@ class Execution:
 
     def extend(self, label, target) -> "Execution":
         return Execution(self.trace.append(label), self.states + (target,))
+
+    def __repr__(self):
+        return f"Execution(trace={self.trace!r}, states={self.states!r})"
 
     def __str__(self):
         if len(self.states) == 1:
@@ -200,13 +203,6 @@ class Lasso:
         if self.cycle[-1][1] != self.stem.last:
             raise PreconditionError("cycle must close back onto its entry state")
 
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.stem, self.cycle))
-            object.__setattr__(self, "_hash", h)
-        return h
-
     @property
     def cycle_states(self) -> frozenset:
         return frozenset(st for (_, st) in self.cycle)
@@ -226,7 +222,7 @@ class Lasso:
     def unroll(self, n: int) -> Execution:
         """The finite execution formed by the first n steps of the run."""
         return Execution(
-            Word(tuple(self.label_at(i) for i in range(n))),
+            Word(self.label_at(i) for i in range(n)),
             tuple(self.state_at(i) for i in range(n + 1)),
         )
 
@@ -250,7 +246,7 @@ class Lasso:
                 cycle = [cycle[-1]] + cycle[:-1]
             else:
                 break
-        return Lasso(Execution(Word(tuple(trace)), tuple(states)), tuple(cycle))
+        return Lasso(Execution(Word(trace), tuple(states)), tuple(cycle))
 
     def map_states(self, f) -> "Lasso":
         stem = Execution(self.stem.trace, tuple(f[s] for s in self.stem.states))

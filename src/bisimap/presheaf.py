@@ -167,9 +167,9 @@ def _stage_sorted(xs) -> tuple:
 @dataclass(frozen=True)
 class FinPresheaf:
     """Stage sets indexed by poset elements, with a restriction table
-    ``res[(lo, hi)]`` for each parent link (lo the parent of hi) whose upper
-    stage is nonempty.  Every other restriction is the composite of tables
-    down the parent links (identities are implicit)."""
+    ``res[hi]`` from hi to its parent for each non-root hi whose stage is
+    nonempty.  Every other restriction is the composite of tables down the
+    parent links (identities are implicit)."""
 
     base: FinPoset
     stages: dict
@@ -186,7 +186,7 @@ class FinPresheaf:
             lo = parent.get(frm)
             if lo is None:
                 raise PreconditionError(f"{to} is not below {frm}")
-            x = self.res[(lo, frm)][x]
+            x = self.res[frm][x]
             frm = lo
         return x
 
@@ -215,7 +215,7 @@ def _cover_tables(base: FinPoset, stages: dict, rule) -> dict:
                     f"restriction of {x} from {hi} to {lo} leaves its stage"
                 )
             table[x] = y
-        res[(lo, hi)] = table
+        res[hi] = table
     return res
 
 

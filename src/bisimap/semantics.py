@@ -202,7 +202,7 @@ def base_presheaf(lts: Lts, depth: int, barred: bool = False) -> FinPresheaf:
     base = barred_source_poset(labels, depth)
     execs = executions_up_to(lts, depth)
     silent = sorted(
-        (p for w, ps in execs.items() if not w.visible().letters for p in ps),
+        (p for w, ps in execs.items() if not w.visible() for p in ps),
         key=str,
     )
 
@@ -232,7 +232,7 @@ def minimal_trace_for(rho: Word, trace: Word) -> bool:
         return False
     if len(rho) == 0:
         return len(trace) == 0
-    return trace.letters[-1] is not TAU
+    return trace[-1] is not TAU
 
 
 def mpast(p: Execution, rho2: Word) -> Execution:
@@ -263,7 +263,7 @@ def _minimal_presheaf(base, lts: Lts, depth: int) -> FinPresheaf:
         rho = w.visible()
         if minimal_trace_for(rho, w):
             by_rho.setdefault(rho, []).extend(ps)
-        if not rho.letters:
+        if not rho:
             silent.extend(ps)
     silent.sort(key=str)
 
@@ -311,7 +311,7 @@ def map_pf(f: dict, p: Execution, target: Lts = None) -> Execution:
             )
         letters.append(lab)
         states.append(img)
-    return Execution(Word(tuple(letters)), tuple(states))
+    return Execution(Word(letters), tuple(states))
 
 
 def branching_simulation_violation(f: dict, source: Lts, target: Lts):

@@ -49,57 +49,37 @@ def label_key(label):
     return (1, "") if label is TAU else (0, label)
 
 
-@dataclass(frozen=True)
-class Word:
-    """A finite word, possibly containing the silent label."""
+class Word(tuple):
+    """A finite word, possibly containing the silent label: the tuple of its
+    labels."""
 
-    letters: tuple = ()
-
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash(self.letters)
-            object.__setattr__(self, "_hash", h)
-        return h
+    __slots__ = ()
 
     @staticmethod
     def of(*letters) -> "Word":
-        return Word(tuple(letters))
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __iter__(self):
-        return iter(self.letters)
-
-    def __getitem__(self, i):
-        return self.letters[i]
+        return Word(letters)
 
     def append(self, label) -> "Word":
-        return Word(self.letters + (label,))
-
-    def prefix(self, n: int) -> "Word":
-        return Word(self.letters[:n])
+        return Word(self + (label,))
 
     def prefixes(self):
         """All prefixes, shortest first (including self)."""
-        return [Word(self.letters[:n]) for n in range(len(self.letters) + 1)]
+        return [Word(self[:n]) for n in range(len(self) + 1)]
 
     def is_prefix_of(self, other: "Word") -> bool:
-        return self.letters == other.letters[: len(self.letters)]
-
-    @property
-    def has_tau(self) -> bool:
-        return any(l is TAU for l in self.letters)
+        return self == other[: len(self)]
 
     def visible(self) -> "Word":
         """The word with all silent letters deleted."""
-        return Word(tuple(l for l in self.letters if l is not TAU))
+        return Word(l for l in self if l is not TAU)
+
+    def __repr__(self):
+        return f"Word(letters={tuple.__repr__(self)})"
 
     def __str__(self):
-        if not self.letters:
+        if not self:
             return "eps"
-        return ".".join(label_str(l) for l in self.letters)
+        return ".".join(label_str(l) for l in self)
 
 
 EPSILON = Word()

@@ -14,7 +14,7 @@ from bisimap.presheaf import (
     make_presheaf,
     nat_trans,
 )
-from bisimap.words import EPSILON, TAU, TAU_BAR
+from bisimap.words import EPSILON, TAU, TAU_BAR, Word
 
 from oracles import empty_presheaf, inclusion, poset_from_leq, sub_presheaf
 
@@ -218,7 +218,7 @@ def word_length_presheaf(labels, depth: int) -> FinPresheaf:
     return make_presheaf(
         time_poset(depth),
         lambda n: by_len[n],
-        lambda w, frm, to: w.prefix(to),
+        lambda w, frm, to: Word(w[:to]),
     )
 
 
@@ -234,7 +234,7 @@ def stretch_word_presheaf(labels, depth: int) -> FinPresheaf:
     def act(x, frm, to):
         if x is TAU_BAR:
             return EPSILON if to == 0 else TAU_BAR
-        return x.prefix(to)
+        return Word(x[:to])
 
     return make_presheaf(time_poset(depth), stage, act)
 

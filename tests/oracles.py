@@ -17,7 +17,7 @@ from bisimap.errors import PreconditionError, UnsupportedError
 from bisimap.lts import Execution, Lts, executions_up_to
 from bisimap.presheaf import FinPoset, FinPresheaf, make_presheaf, nat_trans
 from bisimap.semantics import minimal_trace_for
-from bisimap.words import TAU_BAR, StretchPoint, Word, element_key
+from bisimap.words import TAU, TAU_BAR, StretchPoint, Word, element_key
 
 # ---------------------------------------------------------------------------
 # Words and relations
@@ -38,11 +38,11 @@ def hide(element, barred: bool = False):
 def meet(u: Word, v: Word) -> Word:
     """The longest common prefix of two words."""
     n = 0
-    for a, b in zip(u.letters, v.letters):
+    for a, b in zip(u, v):
         if a != b:
             break
         n += 1
-    return Word(u.letters[:n])
+    return Word(u[:n])
 
 
 def identity_relation(universe) -> PartitionRelation:
@@ -107,7 +107,7 @@ def validate(F: FinPresheaf) -> PresheafReport:
         lo = F.base.parent[hi]
         if lo is None:
             continue
-        table = F.res.get((lo, hi))
+        table = F.res.get(hi)
         if table is None:
             if F.stage(hi):
                 bad.append(("missing-restriction", lo, hi))
@@ -269,7 +269,7 @@ def minimal_executions(lts: Lts, rho: Word, depth: int) -> frozenset:
     """All executions of trace length <= depth whose trace is minimal for rho."""
     if len(rho) > depth:
         raise PreconditionError("observable word longer than the depth")
-    if rho.has_tau:
+    if TAU in rho:
         raise PreconditionError("observable words are silent-free")
     execs = executions_up_to(lts, depth)
     return frozenset(

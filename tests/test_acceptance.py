@@ -150,7 +150,7 @@ def test_criterion_04_barred_kan_extension_stretch_stage(corpus):
         silent = {
             p
             for w, ps in executions_up_to(X, DEPTH).items()
-            if not w.visible().letters
+            if not w.visible()
             for p in ps
         }
         stage = {v for (_, v) in K.stage(TAU_BAR)}

@@ -152,17 +152,6 @@ def test_forall_fair_rejects_non_equivalence(corpus):
     assert not v.holds and v.witness[0] == "not-equivalence"
 
 
-def test_forall_fair_relaxed_symmetric_mode(corpus):
-    # the raw symmetric halves of the composition counterexample pass the
-    # relaxed check, mirroring the discussion of non-equivalence variants
-    comp = corpus.comp
-    for name in ("T", "TPRIME"):
-        rel = comp.relations[name]  # symmetric, irreflexive
-        assert rel.kind == "symmetric"
-        v = check_forall_fair_bisim(rel, comp.system, require_equivalence=False)
-        assert v.holds, (name, v.witness)
-
-
 def test_fair_sim_fails_on_unfair_image(corpus):
     # a map sending the fair alternating run onto the unfair constant loop
     sys = corpus.union_sys.system

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -118,6 +120,29 @@ def test_restrict_examples(chain):
     assert restrict(p, p.trace) == p
     with pytest.raises(PreconditionError):
         restrict(p, Word.of("a"))
+
+
+@pytest.mark.parametrize("trace, states", [
+    (Word.of("a"), ("x",)),
+    (EPSILON, ("x", "y")),
+])
+def test_execution_needs_one_state_per_prefix(trace, states):
+    with pytest.raises(PreconditionError):
+        Execution(trace, states)
+
+
+def test_execution_survives_pickle_and_deepcopy():
+    p = Execution(Word.of("a", TAU), ("x", "y", "z"))
+    assert pickle.loads(pickle.dumps(p)) == p
+    assert copy.deepcopy(p) == p
+
+
+def test_word_and_execution_reprs():
+    # stage sorting breaks str ties by repr, and error texts embed reprs
+    assert repr(Word.of("a", TAU)) == "Word(letters=('a', tau))"
+    assert repr(Execution(Word.of("a"), ("x", "y"))) == (
+        "Execution(trace=Word(letters=('a',)), states=('x', 'y'))"
+    )
 
 
 @settings(max_examples=30, deadline=None)

@@ -5,17 +5,12 @@ claims to witness."""
 
 import random
 
-from bisimap.equiv import (
-    NodeAlwaysAfter,
-    NodeStreett,
-    exists_fair_run,
-    exists_violating_run,
-)
-from bisimap.lts import enumerate_graph_lassos
+from bisimap.equiv import exists_fair_run, exists_violating_run
+from bisimap.lts import AlwaysAfterSpec, StreettSpec, enumerate_graph_lassos
 
 
 def lasso_satisfies(lasso, spec):
-    if isinstance(spec, NodeStreett):
+    if isinstance(spec, StreettSpec):
         cyc = lasso.cycle_states
         return all(not (cyc & L) or (cyc & U) for (L, U) in spec.pairs)
     g = len(spec.gate)
@@ -36,9 +31,9 @@ def random_spec(rng, nodes, labels):
             )
             for _ in range(rng.randint(0, 2))
         )
-        return NodeStreett(pairs)
+        return StreettSpec(pairs)
     gate = tuple(rng.choice(labels) for _ in range(rng.randint(0, 1)))
-    return NodeAlwaysAfter(
+    return AlwaysAfterSpec(
         rng.randint(0, 1),
         frozenset(n for n in nodes if rng.random() < 0.6),
         gate,

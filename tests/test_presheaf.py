@@ -447,8 +447,8 @@ def test_dump_golden(chain):
 def test_validate_catches_codomain_escape():
     F = word_length_presheaf(("a",), 2)
     assert F.base.parent[1] == 0
-    res = {pair: dict(table) for pair, table in F.res.items()}
-    res[(0, 1)][Word.of("a")] = Word.of("a")  # the cover table 1 -> 0 leaves stage 0
+    res = {hi: dict(table) for hi, table in F.res.items()}
+    res[1][Word.of("a")] = Word.of("a")  # the cover table 1 -> 0 leaves stage 0
     broken = dataclasses.replace(F, res=res)
     report = validate(broken)
     assert not report.ok

@@ -862,6 +862,15 @@ def check_bisim_map(f: dict, source, target, mode: str,
     * branching: the filler check refuses some maps that the concrete check
       accepts, at every depth tried so far.
 
+    Strong maps are lifted at depth ``min(depth, 1)``, with the verdict and
+    witness of every depth >= 1 (path lifting, as in Joyal, Nielsen &
+    Winskel, Inf. & Comput. 1996).  At depth 1 the ``fiber`` squares at the
+    empty word test that f is onto, and the ``extension`` squares
+    ``(a, y -a-> y', eps, x)`` test one-step reflection; if both hold, every
+    longer square is filled by lifting one step at a time.  The stream visits
+    elements shortest first, and stages of length <= 1 do not depend on the
+    depth, so the first failing square is the same at every depth >= 1.
+
     In fair mode f must be a fair simulation, decided exactly for Streett
     and positional fairness: a map that breaks a transition or sends a fair
     run to an unfair one raises ``PreconditionError`` at any bounds."""
@@ -871,7 +880,7 @@ def check_bisim_map(f: dict, source, target, mode: str,
             raise PreconditionError("strong mode takes plain systems")
         if source.has_tau or target.has_tau:
             raise PreconditionError("strong mode takes systems without silent steps")
-        lifted = strong_sem_map(f, source, target, depth)
+        lifted = strong_sem_map(f, source, target, min(depth, 1))
         concrete = check_strong_bisim_fn(f, source, target)
     elif mode == "fair":
         if not isinstance(source, FairLts) or not isinstance(target, FairLts):

@@ -333,21 +333,38 @@ def enumerate_graph_lassos(nodes, adj, stem_bound: int, cycle_bound: int):
     def cycles_at(entry):
         if entry in cycles_from:
             return cycles_from[entry]
-        # depth-first, each cycle recorded when its last step is taken; the
-        # stack holds the open paths with their untried steps
+        # depth-first over one open path, each cycle recorded when its last
+        # step is taken; the stack holds the untried steps at each state of
+        # the path.  A proper power of a shorter cycle canonicalises to the
+        # lasso of that cycle, which lies on the same path and is found
+        # first, so it is dropped: border[i] is the longest proper border of
+        # path[:i + 1] (Knuth, Morris & Pratt), and path[:n] is a proper
+        # power exactly when its shortest period n - border[n - 1] is
+        # shorter than n and divides n.
         found = []
-        stack = [((), iter(adj[entry]))]
+        path, border = [], []
+        stack = [iter(adj[entry])]
         while stack:
-            steps, moves = stack[-1]
-            for (lab, tgt) in moves:
-                nxt = steps + ((lab, tgt),)
-                if tgt == entry:
-                    found.append(nxt)
-                if len(nxt) < cycle_bound:
-                    stack.append((nxt, iter(adj[tgt])))
+            for step in stack[-1]:
+                k = border[-1] if path else 0
+                while k and path[k] != step:
+                    k = border[k - 1]
+                b = k + 1 if path and path[k] == step else 0
+                path.append(step)
+                border.append(b)
+                n = len(path)
+                if step[1] == entry and (b == 0 or n % (n - b)):
+                    found.append(tuple(path))
+                if n < cycle_bound:
+                    stack.append(iter(adj[step[1]]))
                     break
+                path.pop()
+                border.pop()
             else:
                 stack.pop()
+                if path:
+                    path.pop()
+                    border.pop()
         cycles_from[entry] = found
         return found
 

@@ -501,10 +501,11 @@ def is_bisim_map_bounded(f: NatTrans):
     A ``False`` verdict is definitive for the truncated semantics: the witness
     square has no filler at this depth.  A ``True`` verdict certifies the
     stream's squares at this depth and with them the squares whose Q has two
-    generators and whose P is empty (see ``enumerate_mono_squares``).  In the
+    generators and whose P is empty (see ``enumerate_mono_squares``).  For
+    strong maps the stream saturates at depth 1, so the verdict at depth 1
+    is the verdict at every depth (see ``check_bisim_map``).  In the
     branching and fair modes the verdict can differ from the concrete
-    characterization (see ``check_bisim_map``), so exact verdicts come from
-    the concrete checks.
+    characterization, so exact verdicts come from the concrete checks.
     Returns (verdict, witness square or None).
     """
     for square in enumerate_mono_squares(f):

@@ -137,18 +137,6 @@ def fair_sem(fl: FairLts, depth: int, stem_bound: int = 4, cycle_bound: int = 4)
     return _fair_presheaf(base, fl, depth, lassos)
 
 
-def _fair_simulation(f: dict, source: FairLts, target: FairLts,
-                     stem_bound: int, cycle_bound: int):
-    """(violation or None, the source's lassos tagged by fairness); the
-    lassos are None when f already fails on a transition."""
-    ok, witness = is_simulation(f, source.lts, target.lts)
-    if not ok:
-        return ("transition", witness), None
-    lassos = fair_lassos(source, stem_bound, cycle_bound)
-    w = next(fair_mismatches(f, target, lassos, True), None)
-    return (None if w is None else ("unfair-image", w)), lassos
-
-
 def fair_mismatches(f: dict, target: FairLts, lassos, preserve: bool):
     """The (lasso, canonical image) pairs, in ``str`` order of the source's
     tagged lassos, whose fairness f does not transfer: fair lassos with
@@ -164,16 +152,20 @@ def fair_simulation_violation(f: dict, source: FairLts, target: FairLts,
                               stem_bound: int = 4, cycle_bound: int = 4):
     """None if f preserves transitions and (within bounds) fair lassos;
     otherwise a tagged witness."""
-    return _fair_simulation(f, source, target, stem_bound, cycle_bound)[0]
+    ok, witness = is_simulation(f, source.lts, target.lts)
+    if not ok:
+        return ("transition", witness)
+    lassos = fair_lassos(source, stem_bound, cycle_bound)
+    w = next(fair_mismatches(f, target, lassos, True), None)
+    return None if w is None else ("unfair-image", w)
 
 
 def fair_sem_map(f: dict, source: FairLts, target: FairLts, depth: int,
                  stem_bound: int = 4, cycle_bound: int = 4) -> NatTrans:
     """Lift a fair simulation to the fair-semantics presheaves over a shared
-    base; raises with the offending lasso if fairness is not preserved."""
-    violation, source_lassos = _fair_simulation(f, source, target, stem_bound, cycle_bound)
-    if violation is not None:
-        raise PreconditionError(f"not a fair simulation: {violation[0]} witness {violation[1]}")
+    base.  f must be a fair simulation (``check_bisim_map`` decides that
+    exactly before lifting); the lift does not check it."""
+    source_lassos = fair_lassos(source, stem_bound, cycle_bound)
     target_lassos = fair_lassos(target, stem_bound, cycle_bound)
     traces = _fair_traces(source_lassos) | _fair_traces(target_lassos)
     base = fair_target_poset(_joint_alphabet(source.lts, target.lts), depth, traces)

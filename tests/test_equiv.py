@@ -17,10 +17,15 @@ from bisimap.equiv import (
     check_hildebrandt_open,
     check_strong_bisim_fn,
     forall_fair_quotient,
+    format_witness,
     quotient_lts,
     Verdict,
 )
-from bisimap.lts import AlwaysAfterSpec, FairLts, StreettSpec, adjacency, eps_closure
+from bisimap.lts import (
+    AlwaysAfterSpec, FairLts, StreettSpec, adjacency, eps_closure, is_simulation,
+)
+from bisimap.presheaf import is_bisim_map_bounded
+from bisimap.semantics import strong_sem_map
 
 from conftest import (
     branching_bisimilarity_fixpoint,
@@ -537,6 +542,59 @@ def test_bisim_map_strong_identity_agrees():
     assert report.agreement
 
 
+def _random_strong_simulations(rng, count):
+    """Seeded simulations between silent-step-free systems: into a quotient by
+    a random equivalence (some bisimulation maps, some not) or into another
+    random system."""
+    out = []
+    while len(out) < count:
+        X = random_lts(rng, 4, ("a", "b"), density=1.4)
+        if rng.random() < 0.5:
+            blocks = {s: rng.randrange(len(X.states)) for s in X.states}
+            R = PartitionRelation.kernel_of(blocks, X.states)
+            Y, f = quotient_lts(X, R)
+            candidates = [f]
+        else:
+            Y = random_lts(rng, 4, ("a", "b"), density=1.8)
+            candidates = [{s: rng.choice(Y.states) for s in X.states} for _ in range(4)]
+        for f in candidates:
+            try:
+                ok, _ = is_simulation(f, X, Y)
+            except PreconditionError:
+                continue
+            if ok:
+                out.append((f, X, Y))
+    return out
+
+
+def test_strong_bisim_map_verdict_and_witness_hold_at_every_depth():
+    # check_bisim_map decides strong maps at depth 1; the full stream at each
+    # depth is the oracle, and both agree with the concrete check
+    rng = random.Random(1601)
+    seen = set()
+    for (f, X, Y) in _random_strong_simulations(rng, 80):
+        for depth in range(1, 6):
+            ok, square = is_bisim_map_bounded(strong_sem_map(f, X, Y, depth))
+            verdict = check_bisim_map(f, X, Y, "strong", depth=depth).presheaf_verdict
+            assert verdict.holds == ok == check_strong_bisim_fn(f, X, Y).holds
+            if ok:
+                assert verdict.certified_bounds == {"depth": depth}
+            else:
+                assert format_witness(verdict.witness) == format_witness(square)
+            seen.add(ok)
+    assert seen == {True, False}
+
+
+def test_strong_bisim_map_builds_no_stage_beyond_length_one(monkeypatch):
+    import bisimap.semantics
+
+    calls = _count_calls(monkeypatch, bisimap.semantics, "executions_up_to")
+    lts = lts_of([("s", "a", "t"), ("t", "b", "s"), ("t", "a", "t")])
+    report = check_bisim_map({s: s for s in lts.states}, lts, lts, "strong", depth=4)
+    assert report.presheaf_verdict.certified_bounds == {"depth": 4}
+    assert calls and all(depth <= 1 for (_, depth) in calls)
+
+
 def test_bisim_map_branching_acceptance_is_sound_on_random_systems():
     # the truncated filler check never accepts a map the concrete checker
     # refuses: a concrete violation is always caught by an unpadded-anchor
@@ -581,7 +639,7 @@ def test_fair_map_of_unfair_self_loop_onto_loop_splits_the_routes():
     # s1 -a-> s1 forever is unfair (s0 must recur) but its image is fair, so
     # the concrete check refuses; every finite prefix of that run extends to
     # a fair lasso, so no chain square lacks a filler and the filler route
-    # accepts.  A known split of the two routes (ROADMAP item 3): when it is
+    # accepts.  A known split of the two routes (ROADMAP item 5): when it is
     # resolved, this test changes with it.
     X = FairLts(
         lts_of([("s0", "a", "s1"), ("s1", "a", "s0"), ("s1", "a", "s1")]),

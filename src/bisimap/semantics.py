@@ -162,9 +162,8 @@ def fair_simulation_violation(f: dict, source: FairLts, target: FairLts,
 
 def fair_sem_map(f: dict, source: FairLts, target: FairLts, depth: int,
                  stem_bound: int = 4, cycle_bound: int = 4) -> NatTrans:
-    """Lift a fair simulation to the fair-semantics presheaves over a shared
-    base.  f must be a fair simulation (``check_bisim_map`` decides that
-    exactly before lifting); the lift does not check it."""
+    """Lift a fair simulation, which ``check_bisim_map`` decides exactly and
+    this lift takes as given, to the fair-semantics presheaves over one base."""
     source_lassos = fair_lassos(source, stem_bound, cycle_bound)
     target_lassos = fair_lassos(target, stem_bound, cycle_bound)
     traces = _fair_traces(source_lassos) | _fair_traces(target_lassos)

@@ -33,6 +33,7 @@ from conftest import (
     is_lasso_of,
     lts_of,
     random_lts,
+    random_total_map,
 )
 from oracles import extend_reduction, identity_relation, symmetric_closure
 
@@ -556,7 +557,7 @@ def _random_strong_simulations(rng, count):
             candidates = [f]
         else:
             Y = random_lts(rng, 4, ("a", "b"), density=1.8)
-            candidates = [{s: rng.choice(Y.states) for s in X.states} for _ in range(4)]
+            candidates = [random_total_map(rng, X, Y) for _ in range(4)]
         for f in candidates:
             try:
                 ok, _ = is_simulation(f, X, Y)

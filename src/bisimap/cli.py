@@ -12,6 +12,7 @@ family and generators: ``<family> square [<about items>]``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -224,7 +225,9 @@ def cmd_corpus(args) -> int:
     return 0 if failed == 0 else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later runs."""
     parser = argparse.ArgumentParser(
         prog="bisimap",
         description="Check, quotient, and inspect behavioural equivalences of transition systems.",

@@ -26,6 +26,7 @@ from .lts import (
     enumerate_graph_lassos,
     eps_closure,
     fair_lassos,
+    format_witness,
     is_simulation,
     transition_str,
 )
@@ -70,16 +71,6 @@ class Verdict:
 
     def to_json(self) -> str:
         return json.dumps(self.to_record())
-
-
-def format_witness(w) -> str:
-    if isinstance(w, tuple):
-        if len(w) == 3 and isinstance(w[0], str) and isinstance(w[2], str) and not isinstance(w[1], tuple):
-            return transition_str(*w)
-        if len(w) == 2 and isinstance(w[0], str):
-            return f"{w[0]}: {format_witness(w[1])}"
-        return "; ".join(format_witness(part) for part in w)
-    return str(w)
 
 
 # ---------------------------------------------------------------------------

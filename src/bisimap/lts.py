@@ -77,6 +77,20 @@ def transition_str(src, lab, tgt) -> str:
     return f"{src} -{label_str(lab)}-> {tgt}"
 
 
+def format_witness(w) -> str:
+    """A verdict's witness as text: a transition as ``p -a-> q``, a tagged
+    witness as ``tag: witness``, a stutter witness by its three states."""
+    if isinstance(w, tuple):
+        if len(w) == 3 and isinstance(w[0], str) and isinstance(w[2], str) and not isinstance(w[1], tuple):
+            return transition_str(*w)
+        if len(w) == 2 and w[0] == "stutter":
+            return "stutter: silent run through " + ", ".join(map(str, w[1]))
+        if len(w) == 2 and isinstance(w[0], str):
+            return f"{w[0]}: {format_witness(w[1])}"
+        return "; ".join(format_witness(part) for part in w)
+    return str(w)
+
+
 # ---------------------------------------------------------------------------
 # Executions
 
@@ -186,6 +200,15 @@ def eps_closure(lts: Lts) -> dict:
 # Lassos and fairness
 
 
+def _folds(stem: Execution, cycle: tuple) -> bool:
+    """Does the stem end with the cycle's last step, taken from the same
+    state, so that the step can move into the cycle?  The cycle's last step
+    starts where its second-to-last ends, or at the entry state of a one-step
+    cycle: ``cycle[len(cycle) - 2]`` covers both."""
+    return (bool(stem.trace) and stem.trace[-1] == cycle[-1][0]
+            and stem.states[-2] == cycle[len(cycle) - 2][1])
+
+
 @dataclass(frozen=True)
 class Lasso:
     """An ultimately periodic infinite run: finite stem plus repeating cycle.
@@ -234,19 +257,11 @@ class Lasso:
     def canonical(self) -> "Lasso":
         """Minimal-period cycle, with the stem absorbed into the cycle as far
         as possible (unique representation of the denoted infinite run)."""
-        cycle = minimal_period(self.cycle)
-        states = list(self.stem.states)
-        trace = list(self.stem.trace)
-        while trace:
-            last_step = (trace[-1], states[-1])
-            cycle_src = cycle[-2][1] if len(cycle) >= 2 else cycle[-1][1]
-            if last_step == cycle[-1] and states[-2] == cycle_src:
-                trace.pop()
-                states.pop()
-                cycle = [cycle[-1]] + cycle[:-1]
-            else:
-                break
-        return Lasso(Execution(Word(trace), tuple(states)), tuple(cycle))
+        stem, cycle = self.stem, tuple(minimal_period(self.cycle))
+        while _folds(stem, cycle):
+            stem = Execution(Word(stem.trace[:-1]), stem.states[:-1])
+            cycle = cycle[-1:] + cycle[:-1]
+        return Lasso(stem, cycle)
 
     def map_states(self, f) -> "Lasso":
         stem = Execution(self.stem.trace, tuple(f[s] for s in self.stem.states))
@@ -322,7 +337,10 @@ class FairLts:
 
 def enumerate_graph_lassos(nodes, adj, stem_bound: int, cycle_bound: int):
     """All canonical lassos of a labelled graph with raw stem length
-    <= stem_bound and raw cycle length <= cycle_bound."""
+    <= stem_bound and raw cycle length <= cycle_bound, shorter stems first.
+    Each is emitted once, from its canonical (stem, cycle) pair: cycles of
+    minimal period, and no stem that folds into its cycle (``_folds``); a
+    pair that folds denotes the run of a pair with a shorter stem."""
     if cycle_bound < 1:
         raise PreconditionError("cycle bound must be >= 1")
     if stem_bound < 0:
@@ -335,9 +353,8 @@ def enumerate_graph_lassos(nodes, adj, stem_bound: int, cycle_bound: int):
             return cycles_from[entry]
         # depth-first over one open path, each cycle recorded when its last
         # step is taken; the stack holds the untried steps at each state of
-        # the path.  A proper power of a shorter cycle canonicalises to the
-        # lasso of that cycle, which lies on the same path and is found
-        # first, so it is dropped: border[i] is the longest proper border of
+        # the path.  A proper power of a shorter cycle is not of minimal
+        # period, so it is dropped: border[i] is the longest proper border of
         # path[:i + 1] (Knuth, Morris & Pratt), and path[:n] is a proper
         # power exactly when its shortest period n - border[n - 1] is
         # shorter than n and divides n.
@@ -368,17 +385,13 @@ def enumerate_graph_lassos(nodes, adj, stem_bound: int, cycle_bound: int):
         cycles_from[entry] = found
         return found
 
-    seen = set()
     out = []
     stems = [Execution.empty(s) for s in nodes]
     for _ in range(stem_bound + 1):
         nxt = []
         for stem in stems:
-            for cyc in cycles_at(stem.last):
-                lasso = Lasso(stem, cyc).canonical()
-                if lasso not in seen:
-                    seen.add(lasso)
-                    out.append(lasso)
+            out.extend(Lasso(stem, cyc) for cyc in cycles_at(stem.last)
+                       if not _folds(stem, cyc))
             for (lab, tgt) in adj[stem.last]:
                 if len(stem.trace) < stem_bound:
                     nxt.append(stem.extend(lab, tgt))

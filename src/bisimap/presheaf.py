@@ -468,10 +468,7 @@ def enumerate_mono_squares(f: NatTrans):
     def beyond_budget(e, e2, x):
         if not (isinstance(e, Word) and isinstance(e2, Word)):
             return False
-        trace = getattr(x, "trace", None)
-        if trace is None:
-            return False
-        return len(trace) + (len(e) - len(e2)) > word_budget
+        return len(x.trace) + (len(e) - len(e2)) > word_budget
 
     for e in base.elements:
         chain = base.down(e)[::-1]

@@ -28,8 +28,10 @@ from .lts import (
     eps_closure,
     executions_up_to,
     fair_lassos,
+    format_witness,
     is_simulation,
     restrict,
+    transition_str,
 )
 from .presheaf import (
     FinPresheaf,
@@ -87,7 +89,7 @@ def strong_sem_map(f: dict, source: Lts, target: Lts, depth: int) -> NatTrans:
     built over one base."""
     ok, witness = is_simulation(f, source, target)
     if not ok:
-        raise PreconditionError(f"not a simulation: violates {witness}")
+        raise PreconditionError(f"not a simulation: violates {transition_str(*witness)}")
     if source.has_tau or target.has_tau:
         raise PreconditionError("strong semantics is for systems without silent steps")
     base = word_poset(_joint_alphabet(source, target), depth)
@@ -192,10 +194,7 @@ def base_presheaf(lts: Lts, depth: int, barred: bool = False) -> FinPresheaf:
         return _execution_presheaf(word_poset(labels, depth), lts, depth)
     base = barred_source_poset(labels, depth)
     execs = executions_up_to(lts, depth)
-    silent = sorted(
-        (p for w, ps in execs.items() if not w.visible() for p in ps),
-        key=str,
-    )
+    silent = [p for w, ps in execs.items() if not w.visible() for p in ps]
 
     def stage(e):
         if isinstance(e, StretchPoint):
@@ -256,7 +255,6 @@ def _minimal_presheaf(base, lts: Lts, depth: int) -> FinPresheaf:
             by_rho.setdefault(rho, []).extend(ps)
         if not rho:
             silent.extend(ps)
-    silent.sort(key=str)
 
     def stage(e):
         if e is TAU_BAR:
@@ -308,7 +306,9 @@ def map_pf(f: dict, p: Execution, target: Lts = None) -> Execution:
 def branching_simulation_violation(f: dict, source: Lts, target: Lts):
     """None if f is a branching simulation, else a tagged witness: visible
     steps must map to steps, silent steps must map to steps or collapse, and
-    silent stuttering must be respected."""
+    silent stuttering must be respected.  A stutter witness is the first
+    (x1, x2, x3) in state order with silent runs from x1 to x2 and from x2
+    to x3, and f(x1) = f(x3) != f(x2)."""
     check_map_shape(f, source, target)
     for (src, lab, tgt) in sorted(source.transitions, key=str):
         if lab is TAU:
@@ -317,9 +317,10 @@ def branching_simulation_violation(f: dict, source: Lts, target: Lts):
         elif not target.has_transition(f[src], lab, f[tgt]):
             return ("visible", (src, lab, tgt))
     eps = eps_closure(source)
+    reach = {x: [y for y in source.states if y in eps[x]] for x in source.states}
     for x1 in source.states:
-        for x2 in eps[x1]:
-            for x3 in eps[x2]:
+        for x2 in reach[x1]:
+            for x3 in reach[x2]:
                 if f[x1] == f[x3] and f[x1] != f[x2]:
                     return ("stutter", (x1, x2, x3))
     return None
@@ -331,7 +332,7 @@ def branching_sem_map(f: dict, source: Lts, target: Lts, depth: int,
     built over one base."""
     violation = branching_simulation_violation(f, source, target)
     if violation is not None:
-        raise PreconditionError(f"not a branching simulation: {violation[0]} witness {violation[1]}")
+        raise PreconditionError("not a branching simulation: " + format_witness(violation))
     base = _branching_base(_joint_alphabet(source, target), depth, with_stretch)
     FX = _minimal_presheaf(base, source, depth)
     FY = _minimal_presheaf(base, target, depth)

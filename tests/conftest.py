@@ -48,6 +48,16 @@ def lts_of(triples, extra_states=(), alphabet=None):
     return Lts.make(tuple(states), labs, fixed)
 
 
+def stutter_fan():
+    """p fans out by silent steps to q1, q2, q3, which all go on to r; the
+    map sends the fan onto a silent star around A, so p, qi, r stutters for
+    every i.  Returns (map, source, target)."""
+    src = lts_of([("p", "tau", q) for q in ("q1", "q2", "q3")]
+                 + [(q, "tau", "r") for q in ("q1", "q2", "q3")])
+    tgt = lts_of([("A", "tau", y) for y in "BCD"] + [(y, "tau", "A") for y in "BCD"])
+    return {"p": "A", "q1": "B", "q2": "C", "q3": "D", "r": "A"}, src, tgt
+
+
 def random_lts(rng: random.Random, max_states: int, labels, tau_prob: float = 0.0,
                density: float = 1.2) -> Lts:
     n = rng.randint(1, max_states)

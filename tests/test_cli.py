@@ -16,6 +16,8 @@ from bisimap.cli import run
 from bisimap.equiv import check_branching_bisim_fn
 from bisimap.lts import parse_aut, parse_names, parse_state_map, serialize_aut
 
+from conftest import stutter_fan
+
 
 @pytest.fixture()
 def branch_files(tmp_path, corpus):
@@ -425,3 +427,62 @@ def test_branching_refusal_prints_the_same_bytes_under_any_hash_seed(branch_file
         outs.add(proc.stdout)
     assert len(outs) == 1
     assert b"witness: fiber square [tau_bar, y1 -tau-> y3]" in outs.pop()
+
+
+@pytest.fixture()
+def stutter_files(tmp_path):
+    """``stutter_fan`` as files: the source, the target and the map."""
+    f, *systems = stutter_fan()
+    paths = []
+    for name, lts in zip(("fan", "star"), systems):
+        (tmp_path / f"{name}.aut").write_text(serialize_aut(lts))
+        (tmp_path / f"{name}.names").write_text("\n".join(lts.states) + "\n")
+        paths.append(str(tmp_path / f"{name}.aut"))
+    mp = tmp_path / "fan.map"
+    mp.write_text("".join(f"{x} -> {y}\n" for x, y in f.items()))
+    return [*paths, str(mp)]
+
+
+def _run_in_fresh_process(argvs, seed="0"):
+    """Stdout, stderr and exit codes of ``run`` on each argv in turn, in one
+    new interpreter under the given hash seed."""
+    env = dict(os.environ, PYTHONHASHSEED=seed,
+               PYTHONPATH=str(Path(bisimap.__file__).resolve().parents[1]))
+    script = ("import sys; from bisimap.cli import run\n"
+              f"for argv in {argvs!r}:\n"
+              "    print('exit', run(argv), flush=True)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env,
+                          timeout=300, check=True)
+    return proc.stdout, proc.stderr
+
+
+def test_stutter_witnesses_print_the_same_bytes_under_any_hash_seed(stutter_files):
+    fan, star, mp = stutter_files
+    argvs = [["check", "--kind", kind, "--map", mp, fan, star]
+             for kind in ("branching-sim", "branching-bisim-fn")]
+    argvs.append(["check", "--kind", "bisim-map", "--mode", "branching", "--map", mp, fan, star])
+    # before the closures were walked in state order, seeds 0 and 1 named
+    # different middle states
+    runs = {_run_in_fresh_process(argvs, seed) for seed in ("0", "1")}
+    assert len(runs) == 1
+    out, err = runs.pop()
+    assert out.decode() == (
+        "branching-sim: fails\n  witness: stutter: silent run through p, q1, r\nexit 1\n"
+        "branching-bisim-fn: fails\n  witness: stutter: silent run through p, q1, r\nexit 1\n"
+        "exit 3\n"
+    )
+    assert err.decode() == "error: not a branching simulation: stutter: silent run through p, q1, r\n"
+
+
+def test_runs_in_one_process_match_fresh_processes(stutter_files, chain_file, capsys):
+    fan, star, mp = stutter_files
+    argvs = [
+        ["check", "--kind", "branching-sim", "--format", "machine", "--map", mp, fan, star],
+        ["dump", "--semantics", "branching", "--depth", "2", chain_file],
+        ["check", "--kind", "branching-bisim-fn", "--map", mp, fan, star],
+    ]
+    in_process = ""
+    for argv in argvs:
+        code = run(argv)
+        in_process += capsys.readouterr().out + f"exit {code}\n"
+    assert in_process == "".join(_run_in_fresh_process([argv])[0].decode() for argv in argvs)

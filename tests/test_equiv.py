@@ -34,6 +34,7 @@ from conftest import (
     lts_of,
     random_lts,
     random_total_map,
+    stutter_fan,
 )
 from oracles import extend_reduction, identity_relation, symmetric_closure
 
@@ -421,6 +422,25 @@ def test_branching_sim_stutter_violation():
     assert v.witness[0] == "stutter"
     x1, x2, x3 = v.witness[1]
     assert f[x1] == f[x3] and f[x1] != f[x2]
+
+
+@pytest.mark.parametrize("check", [check_branching_sim, check_branching_bisim_fn])
+def test_stutter_witness_is_the_first_in_state_order(check):
+    f, src, tgt = stutter_fan()
+    v = check(f, src, tgt)
+    assert v.witness == ("stutter", ("p", "q1", "r"))
+    assert format_witness(v.witness) == "stutter: silent run through p, q1, r"
+
+
+def test_lift_preconditions_print_witnesses_as_verdicts_do():
+    f, src, tgt = stutter_fan()
+    with pytest.raises(PreconditionError) as exc:
+        check_bisim_map(f, src, tgt, "branching")
+    assert str(exc.value) == "not a branching simulation: stutter: silent run through p, q1, r"
+    X, Y = lts_of([("p", "a", "p")]), lts_of([("y", "b", "y")], alphabet={"a", "b"})
+    with pytest.raises(PreconditionError) as exc:
+        check_bisim_map({"p": "y"}, X, Y, "strong")
+    assert str(exc.value) == "not a simulation: violates p -a-> p"
 
 
 def test_branching_bisimilarity_chain():

@@ -7,6 +7,7 @@ definition.  Imports and ``__all__`` entries are not references: they name a
 definition without using it."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bisimap"
@@ -17,29 +18,25 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bisimap"
 ALLOWED = {("presheaf", "find_filler")}
 
 
-def _references(tree, outside) -> set:
-    """The names and attribute names a module reads, outside the node
-    ``outside``."""
-    skip = {id(node) for node in ast.walk(outside)}
-    out = set()
-    for node in ast.walk(tree):
-        if id(node) in skip:
-            continue
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            out.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
-    return out
+def _reads(tree) -> Counter:
+    """How often the tree reads each name or attribute name."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    )
 
 
 def test_every_library_definition_has_a_library_caller():
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     assert "presheaf" in trees
+    reads = sum(map(_reads, trees.values()), Counter())
     unused = []
     for module, tree in trees.items():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            if not any(node.name in _references(t, node) for t in trees.values()):
+            if reads[node.name] == _reads(node)[node.name]:
                 unused.append((module, node.name))
     assert sorted(unused) == sorted(ALLOWED), f"only the tests call {sorted(set(unused) - ALLOWED)}"

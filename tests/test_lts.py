@@ -244,6 +244,27 @@ def test_graph_lassos_match_the_recursive_enumeration():
             enumerate_graph_lassos_recursive(lts.states, adj, stem_bound, cycle_bound), lts
 
 
+def test_graph_lassos_are_their_own_canonical_forms():
+    rng = random.Random(342)
+    for _ in range(300):
+        lts = random_lts(rng, 4, ("a", "b"), density=rng.choice([1.0, 1.8, 2.5]))
+        lassos = enumerate_graph_lassos(lts.states, adjacency(lts),
+                                        rng.randint(0, 3), rng.randint(1, 4))
+        assert all(lasso.canonical() == lasso for lasso in lassos), lts
+
+
+def test_unrolled_rotated_and_powered_lassos_canonicalise_to_the_originals():
+    rng = random.Random(343)
+    for _ in range(200):
+        lts = random_lts(rng, 4, ("a", "b"), density=rng.choice([1.0, 1.8, 2.5]))
+        for lasso in enumerate_graph_lassos(lts.states, adjacency(lts), 2, 3)[:6]:
+            k = len(lasso.cycle)
+            shift = rng.randint(0, 2 * k)
+            stem = lasso.unroll(len(lasso.stem.trace) + shift)
+            cycle = lasso.cycle[shift % k:] + lasso.cycle[:shift % k]
+            assert Lasso(stem, cycle * rng.randint(1, 3)).canonical() == lasso, lts
+
+
 def test_lasso_canonicalization_absorbs_unrolling(corpus):
     sys = corpus.union_sys.system
     for (lasso, _) in fair_lassos(sys, 2, 3):

@@ -5,8 +5,10 @@ claims to witness."""
 
 import random
 
-from bisimap.equiv import exists_fair_run, exists_violating_run
-from bisimap.lts import AlwaysAfterSpec, StreettSpec, enumerate_graph_lassos
+from bisimap.equiv import check_fair_bisim_fn, exists_fair_run, exists_violating_run
+from bisimap.lts import AlwaysAfterSpec, FairLts, StreettSpec, adjacency, enumerate_graph_lassos
+
+from conftest import lts_of
 
 
 def lasso_satisfies(lasso, spec):
@@ -93,3 +95,28 @@ def test_fair_run_engine_matches_lasso_oracle():
         if engine is not None:
             assert engine.stem.start in starts
             assert lasso_satisfies(engine, spec)
+
+
+def test_fair_component_found_only_inside_a_refined_component():
+    # p -a-> p, p -a-> q, q -a-> p: the component {p, q} meets L = {q} of
+    # the pair (L, U) = ({q}, {}), so only the self-loop at p, left once q
+    # is removed, is fair; the bounded search finds the same lasso first
+    lts = lts_of([("p", "a", "p"), ("p", "a", "q"), ("q", "a", "p")])
+    nodes, adj = lts.states, adjacency(lts)
+    avoid_q = StreettSpec(((frozenset({"q"}), frozenset()),))
+    avoid_p = StreettSpec(((frozenset({"p"}), frozenset()),))
+    bounded = enumerate_graph_lassos(nodes, adj, 4, 6)
+
+    fair = exists_fair_run(nodes, adj, avoid_q)
+    assert str(fair) == "p (loop: -a-> p)"
+    assert fair == next(l for l in bounded if lasso_satisfies(l, avoid_q))
+    violating = exists_violating_run(nodes, adj, avoid_q, avoid_p)
+    assert violating == fair == next(
+        l for l in bounded if lasso_satisfies(l, avoid_q) and not lasso_satisfies(l, avoid_p)
+    )
+
+    ident = {s: s for s in nodes}
+    X, Y = FairLts(lts, avoid_q), FairLts(lts, avoid_p)
+    exact = check_fair_bisim_fn(ident, X, Y, "exact_streett")
+    assert exact.witness == ("unfair-image", (fair, fair))
+    assert check_fair_bisim_fn(ident, X, Y, "bounded").witness == exact.witness

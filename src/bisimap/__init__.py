@@ -43,7 +43,6 @@ from .semantics import (
     fair_sem,
     fair_sem_map,
     map_pf,
-    mpast,
     strong_sem,
     strong_sem_map,
 )

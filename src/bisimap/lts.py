@@ -54,13 +54,6 @@ class Lts:
             has_tau=any(lab is TAU for (_, lab, _) in transitions),
         )
 
-    def labels(self) -> tuple:
-        """All labels in play: the alphabet plus the silent label if used."""
-        labs = sorted(self.alphabet)
-        if self.has_tau:
-            labs.append(TAU)
-        return tuple(labs)
-
     def has_transition(self, src, lab, tgt) -> bool:
         return (src, lab, tgt) in self.transitions
 
@@ -133,10 +126,12 @@ class Execution(tuple):
     def __str__(self):
         if len(self.states) == 1:
             return str(self.states[0])
-        parts = [str(self.states[0])]
-        for lab, st in zip(self.trace, self.states[1:]):
-            parts.append(f"-{label_str(lab)}-> {st}")
-        return " ".join(parts)
+        return str(self.states[0]) + "".join(map(_step_text, self.trace, self.states[1:]))
+
+
+def _step_text(label, target) -> str:
+    """One step of an execution's text."""
+    return f" -{label_str(label)}-> {target}"
 
 
 def restrict(p: Execution, prefix: Word) -> Execution:
@@ -146,33 +141,47 @@ def restrict(p: Execution, prefix: Word) -> Execution:
     return Execution(prefix, p.states[: len(prefix) + 1])
 
 
+def execution_tree(lts: Lts, depth: int) -> list:
+    """The executions of trace length <= depth as the nodes of one prefix
+    tree, walked once, shortest first; the roots are the empty executions.
+
+    A node is ``(execution, text, visible, anchor)``.  The text is
+    ``str(execution)``, the parent's text plus one ``" -a-> s"``; the
+    visible word is the trace without its silent letters; the anchor is the
+    last execution before it on its path that is a root or ends in a
+    visible step, and a root is its own anchor.
+    """
+    if depth < 0:
+        raise PreconditionError("depth must be >= 0")
+    adj = adjacency(lts)
+    steps = {s: [(lab, t, _step_text(lab, t)) for (lab, t) in adj[s]] for s in lts.states}
+    level = [(p, str(p.last), EPSILON, p) for p in map(Execution.empty, lts.states)]
+    nodes = list(level)
+    for _ in range(depth):
+        grown = []
+        for (p, text, visible, anchor) in level:
+            trace, states = p
+            if not trace or trace[-1] is not TAU:
+                anchor = p
+            for (lab, t, step) in steps[states[-1]]:
+                grown.append((Execution(trace.append(lab), states + (t,)), text + step,
+                              visible if lab is TAU else visible.append(lab), anchor))
+        nodes += grown
+        level = grown
+    return nodes
+
+
 def executions_up_to(lts: Lts, depth: int) -> dict:
-    """All executions of trace length <= depth, keyed by trace.
+    """All executions of trace length <= depth, keyed by trace: the nodes of
+    ``execution_tree`` grouped.
 
     Only the words with an execution get a stage, and the empty word, whose
     stage holds one empty execution per state; a missing word has none.
     """
-    if depth < 0:
-        raise PreconditionError("depth must be >= 0")
-    labs = lts.labels()
-    adj = adjacency(lts)
-    stages = {EPSILON: frozenset(Execution.empty(s) for s in lts.states)}
-    frontier = {EPSILON: stages[EPSILON]}
-    for _ in range(depth):
-        nxt = {}
-        for word, execs in frontier.items():
-            for lab in labs:
-                grown = [
-                    p.extend(lab, tgt)
-                    for p in execs
-                    for (l, tgt) in adj[p.last]
-                    if l == lab
-                ]
-                if grown:
-                    nxt[word.append(lab)] = frozenset(grown)
-        stages.update(nxt)
-        frontier = nxt
-    return stages
+    stages = {EPSILON: []}
+    for (p, _, _, _) in execution_tree(lts, depth):
+        stages.setdefault(p.trace, []).append(p)
+    return {w: frozenset(ps) for w, ps in stages.items()}
 
 
 # ---------------------------------------------------------------------------

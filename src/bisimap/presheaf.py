@@ -152,16 +152,21 @@ def fair_target_poset(labels, depth: int, traces) -> FinPoset:
 # Presheaves and natural transformations
 
 
-def _stage_sorted(xs) -> tuple:
-    """The elements sorted by ``(str, repr)``: by str alone, unless two of
-    them print alike."""
-    xs = list(xs)
-    if len(xs) < 2:
-        return tuple(xs)
-    named = sorted(zip(map(str, xs), xs), key=itemgetter(0))
+def _by_text(named) -> tuple:
+    """The elements of ``(text, element)`` pairs in stage order, by
+    ``(text, repr)``: by text alone, unless two texts tie."""
+    named = sorted(named, key=itemgetter(0))
     if any(a[0] == b[0] for a, b in zip(named, named[1:])):
-        return tuple(sorted(xs, key=lambda x: (str(x), repr(x))))
+        named.sort(key=lambda tx: (tx[0], repr(tx[1])))
     return tuple(x for _, x in named)
+
+
+def _stage_sorted(xs) -> tuple:
+    """The elements in stage order, each printed by ``str``."""
+    xs = tuple(xs)
+    if len(xs) < 2:
+        return xs
+    return _by_text(zip(map(str, xs), xs))
 
 
 @dataclass(frozen=True)
@@ -221,10 +226,12 @@ def _cover_tables(base: FinPoset, stages: dict, rule) -> dict:
 
 def make_presheaf(base: FinPoset, stage_of, restrict_to) -> FinPresheaf:
     """Materialize a presheaf from a stage function and a restriction rule
-    ``restrict_to(x, frm, to)``.  The rule is asked only along the cover
-    edges (``to`` a cover of frm); ``FinPresheaf.restrict`` composes the
-    rest, so the rule is assumed to be functorial."""
-    stages = {e: _stage_sorted(stage_of(e)) for e in base.elements}
+    ``restrict_to(x, frm, to)``.  Each stage keeps the order ``stage_of``
+    gives it; the library's constructions give stage order (``_by_text``).
+    The rule is asked only along the cover edges (``to`` a cover of frm);
+    ``FinPresheaf.restrict`` composes the rest, so the rule is assumed to be
+    functorial."""
+    stages = {e: tuple(stage_of(e)) for e in base.elements}
     return FinPresheaf(base, stages, _cover_tables(base, stages, restrict_to))
 
 

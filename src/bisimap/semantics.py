@@ -8,13 +8,17 @@ only shortens words, so truncation is closed):
   trace realized by a fair lasso within bounds, holding those lassos;
 * branching: stages over visible words hold minimal executions (no trailing
   silent steps), and an extra stage holds the purely silent executions,
-  restricting to their start states.
+  restricting to their start states.  Both are read off one walk of the
+  execution tree (``execution_tree``): a restriction is a node's anchor
+  link, back to its last visible step but one, or to its root.
 
 Each construction lifts suitable state maps to natural transformations.
 ``make_presheaf`` asks each restriction rule only along the cover edges of
 the base: from a word to the word one letter shorter, from a lasso trace to
 its longest prefix in the base, from a stretch point to the one below it or
-to the empty word, and from ``tau_bar`` to the empty word.
+to the empty word, and from ``tau_bar`` to the empty word.  Every stage is
+handed over in stage order (``_stage_sorted``, or ``_by_text`` on the text
+each node carries).
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .lts import (
     FairLts,
     Lts,
     check_map_shape,
-    eps_closure,
+    execution_tree,
     executions_up_to,
     fair_lassos,
     format_witness,
@@ -36,6 +40,8 @@ from .lts import (
 from .presheaf import (
     FinPresheaf,
     NatTrans,
+    _by_text,
+    _stage_sorted,
     barred_source_poset,
     branching_target_poset,
     fair_target_poset,
@@ -71,7 +77,7 @@ def _execution_presheaf(base, lts: Lts, depth: int) -> FinPresheaf:
     execs = executions_up_to(lts, depth)
     return make_presheaf(
         base,
-        lambda w: execs.get(w, frozenset()),
+        lambda w: _stage_sorted(execs.get(w, ())),
         lambda p, frm, to: restrict(p, to),
     )
 
@@ -117,8 +123,8 @@ def _fair_presheaf(base, fl: FairLts, depth: int, lassos) -> FinPresheaf:
 
     def stage(e):
         if isinstance(e, LassoTrace):
-            return by_trace.get(e, [])
-        return execs.get(e, frozenset())
+            return _stage_sorted(by_trace.get(e, ()))
+        return _stage_sorted(execs.get(e, ()))
 
     def act(x, frm, to):
         if isinstance(frm, LassoTrace):
@@ -194,12 +200,12 @@ def base_presheaf(lts: Lts, depth: int, barred: bool = False) -> FinPresheaf:
         return _execution_presheaf(word_poset(labels, depth), lts, depth)
     base = barred_source_poset(labels, depth)
     execs = executions_up_to(lts, depth)
-    silent = [p for w, ps in execs.items() if not w.visible() for p in ps]
+    silent = _stage_sorted(p for w, ps in execs.items() if not w.visible() for p in ps)
 
     def stage(e):
         if isinstance(e, StretchPoint):
             return silent
-        return execs.get(e, frozenset())
+        return _stage_sorted(execs.get(e, ()))
 
     def act(x, frm, to):
         if isinstance(frm, StretchPoint):
@@ -209,28 +215,6 @@ def base_presheaf(lts: Lts, depth: int, barred: bool = False) -> FinPresheaf:
         return restrict(x, to)
 
     return make_presheaf(base, stage, act)
-
-
-# ---------------------------------------------------------------------------
-# Minimal executions
-
-
-def minimal_trace_for(rho: Word, trace: Word) -> bool:
-    """Is ``trace`` a minimal word for the visible word ``rho``: does it hide
-    to rho with no proper prefix hiding to rho (no trailing silent letters)?"""
-    if trace.visible() != rho:
-        return False
-    if len(rho) == 0:
-        return len(trace) == 0
-    return trace[-1] is not TAU
-
-
-def mpast(p: Execution, rho2: Word) -> Execution:
-    """Restrict to the unique minimal prefix whose visible trace is rho2."""
-    for w in p.trace.prefixes():
-        if w.visible() == rho2:
-            return restrict(p, w)
-    raise PreconditionError(f"{rho2} is not a visible prefix of {p.trace}")
 
 
 # ---------------------------------------------------------------------------
@@ -245,28 +229,25 @@ def _branching_base(labels, depth: int, with_stretch: bool):
 
 def _minimal_presheaf(base, lts: Lts, depth: int) -> FinPresheaf:
     """The minimal executions of lts up to the depth over a branching base,
-    with the purely silent ones at the stretchable observation if present."""
-    execs = executions_up_to(lts, depth)
-    by_rho = {}
-    silent = []
-    for w, ps in execs.items():
-        rho = w.visible()
-        if minimal_trace_for(rho, w):
-            by_rho.setdefault(rho, []).extend(ps)
+    with the purely silent ones at the stretchable observation if present,
+    read off one walk of its execution tree.
+
+    The stage at a visible word rho holds the nodes with visible word rho
+    that end in a visible step, the stage at the empty word the roots, and
+    the stretch stage the nodes with no visible step.  Each restriction is
+    the anchor link: cutting a minimal execution back after its last visible
+    step but one, or a silent one back to its start."""
+    named, anchor = {TAU_BAR: []}, {}
+    for (p, text, rho, up) in execution_tree(lts, depth):
+        trace = p.trace
         if not rho:
-            silent.extend(ps)
-
-    def stage(e):
-        if e is TAU_BAR:
-            return silent
-        return by_rho.get(e, ())
-
-    def act(x, frm, to):
-        if frm is TAU_BAR:
-            return restrict(x, EPSILON)
-        return mpast(x, to)
-
-    return make_presheaf(base, stage, act)
+            named[TAU_BAR].append((text, p))
+            anchor[p] = up
+        if not trace or trace[-1] is not TAU:
+            named.setdefault(rho, []).append((text, p))
+            anchor[p] = up
+    return make_presheaf(base, lambda e: _by_text(named[e]) if e in named else (),
+                         lambda x, frm, to: anchor[x])
 
 
 def branching_sem(lts: Lts, depth: int, with_stretch: bool = True) -> FinPresheaf:
@@ -316,14 +297,63 @@ def branching_simulation_violation(f: dict, source: Lts, target: Lts):
                 return ("silent", (src, lab, tgt))
         elif not target.has_transition(f[src], lab, f[tgt]):
             return ("visible", (src, lab, tgt))
-    eps = eps_closure(source)
-    reach = {x: [y for y in source.states if y in eps[x]] for x in source.states}
-    for x1 in source.states:
-        for x2 in reach[x1]:
-            for x3 in reach[x2]:
-                if f[x1] == f[x3] and f[x1] != f[x2]:
-                    return ("stutter", (x1, x2, x3))
-    return None
+    stutter = _first_stutter(f, source)
+    return None if stutter is None else ("stutter", stutter)
+
+
+def _reach(starts, steps) -> set:
+    """The states that ``steps`` leads to from the starts, starts included."""
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        for v in steps[stack.pop()]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen
+
+
+def _first_stutter(f: dict, source: Lts):
+    """The first (x1, x2, x3) in state order with silent runs from x1 to x2
+    and from x2 to x3 and f(x1) = f(x3) != f(x2), or None.
+
+    One search per target state y: it starts at y's preimage P and follows
+    silent steps through states mapped elsewhere; a step back into P is a
+    violation.  Only then is the witness located, by reachability: x2 ranges
+    over the states outside P that reach P, x1 over the states of P that
+    reach such an x2, and each is the first in state order."""
+    succ = {s: [] for s in source.states}
+    pred = {s: [] for s in source.states}
+    for (u, lab, v) in source.transitions:
+        if lab is TAU and u != v:
+            succ[u].append(v)
+            pred[v].append(u)
+    preimage = {}
+    for s in source.states:
+        preimage.setdefault(f[s], set()).add(s)
+    order = {s: i for i, s in enumerate(source.states)}
+    first = None
+    for P in preimage.values():
+        stack = [v for u in P for v in succ[u] if v not in P]
+        seen = set(stack)
+        returns = False
+        while stack and not returns:
+            for v in succ[stack.pop()]:
+                if v in P:
+                    returns = True
+                    break
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        if not returns:
+            continue
+        middles = _reach(P, pred) - P
+        x1 = min(P & _reach(middles, pred), key=order.__getitem__)
+        if first is None or order[x1] < order[first[0]]:
+            x2 = min(_reach([x1], succ) & middles, key=order.__getitem__)
+            x3 = min(_reach([x2], succ) & P, key=order.__getitem__)
+            first = (x1, x2, x3)
+    return first
 
 
 def branching_sem_map(f: dict, source: Lts, target: Lts, depth: int,
@@ -348,8 +378,6 @@ __all__ = [
     "fair_sem_map",
     "fair_simulation_violation",
     "map_pf",
-    "minimal_trace_for",
-    "mpast",
     "strong_sem",
     "strong_sem_map",
 ]

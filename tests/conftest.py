@@ -11,6 +11,7 @@ from bisimap.presheaf import (
     FinPresheaf,
     MonoSquare,
     NatTrans,
+    _stage_sorted,
     make_presheaf,
     nat_trans,
 )
@@ -227,7 +228,7 @@ def word_length_presheaf(labels, depth: int) -> FinPresheaf:
         by_len[n] = [w.append(l) for w in by_len[n - 1] for l in labels]
     return make_presheaf(
         time_poset(depth),
-        lambda n: by_len[n],
+        lambda n: _stage_sorted(by_len[n]),
         lambda w, frm, to: Word(w[:to]),
     )
 
@@ -239,7 +240,7 @@ def stretch_word_presheaf(labels, depth: int) -> FinPresheaf:
     words = word_length_presheaf(labels, depth)
 
     def stage(n):
-        return words.stage(n) + ((TAU_BAR,) if n > 0 else ())
+        return _stage_sorted(words.stage(n) + ((TAU_BAR,) if n > 0 else ()))
 
     def act(x, frm, to):
         if x is TAU_BAR:

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 from bisimap.equiv import PartitionRelation, branching_quotient
 from bisimap.errors import PreconditionError, UnsupportedError
-from bisimap.lts import Execution, Lts, executions_up_to
-from bisimap.presheaf import FinPoset, FinPresheaf, make_presheaf, nat_trans
-from bisimap.semantics import minimal_trace_for
+from bisimap.lts import Execution, Lts, eps_closure, executions_up_to, restrict
+from bisimap.presheaf import FinPoset, FinPresheaf, _stage_sorted, make_presheaf, nat_trans
 from bisimap.words import TAU, TAU_BAR, StretchPoint, Word, element_key
 
 # ---------------------------------------------------------------------------
@@ -127,7 +126,7 @@ def sub_presheaf(F: FinPresheaf, generators) -> FinPresheaf:
     for (e, x) in generators:
         for lo in F.base.down(e):
             stages.setdefault(lo, set()).add(F.restrict(x, e, lo))
-    return make_presheaf(F.base, lambda e: stages.get(e, ()), F.restrict)
+    return make_presheaf(F.base, lambda e: _stage_sorted(stages.get(e, ())), F.restrict)
 
 
 def inclusion(sub: FinPresheaf, sup: FinPresheaf):
@@ -201,9 +200,9 @@ def left_kan(h: MonotoneMap, F: FinPresheaf) -> FinPresheaf:
 
     def stage(rho):
         index = {s for s in source.elements if h.target.leq(rho, h(s))}
-        return [(m, x) for m in source.elements
-                if m in index and source.parent[m] not in index
-                for x in F.stage(m)]
+        return _stage_sorted((m, x) for m in source.elements
+                             if m in index and source.parent[m] not in index
+                             for x in F.stage(m))
 
     def act(pair, frm, to):
         root, value = pair
@@ -258,7 +257,26 @@ def elements_poset(F: FinPresheaf) -> ElementsPosetResult:
 
 
 # ---------------------------------------------------------------------------
-# Minimal executions
+# Minimal executions: the library reads them off one walk of the execution
+# tree (``semantics._minimal_presheaf``); these define them word by word
+
+
+def minimal_trace_for(rho: Word, trace: Word) -> bool:
+    """Is ``trace`` a minimal word for the visible word ``rho``: does it hide
+    to rho with no proper prefix hiding to rho (no trailing silent letters)?"""
+    if trace.visible() != rho:
+        return False
+    if len(rho) == 0:
+        return len(trace) == 0
+    return trace[-1] is not TAU
+
+
+def mpast(p: Execution, rho2: Word) -> Execution:
+    """Restrict to the unique minimal prefix whose visible trace is rho2."""
+    for w in p.trace.prefixes():
+        if w.visible() == rho2:
+            return restrict(p, w)
+    raise PreconditionError(f"{rho2} is not a visible prefix of {p.trace}")
 
 
 def is_minimal_execution(p: Execution) -> bool:
@@ -275,3 +293,21 @@ def minimal_executions(lts: Lts, rho: Word, depth: int) -> frozenset:
     return frozenset(
         p for w, ps in execs.items() if minimal_trace_for(rho, w) for p in ps
     )
+
+
+# ---------------------------------------------------------------------------
+# Stutter witnesses: the library searches once per target state
+# (``semantics._first_stutter``); this walks every triple
+
+
+def first_stutter(f: dict, source: Lts):
+    """The first (x1, x2, x3) in state order with silent runs from x1 to x2
+    and from x2 to x3 and f(x1) = f(x3) != f(x2), or None."""
+    eps = eps_closure(source)
+    reach = {x: [y for y in source.states if y in eps[x]] for x in source.states}
+    for x1 in source.states:
+        for x2 in reach[x1]:
+            for x3 in reach[x2]:
+                if f[x1] == f[x3] and f[x1] != f[x2]:
+                    return (x1, x2, x3)
+    return None

@@ -41,6 +41,10 @@ def test_tracer_patches_and_restores_every_hook(tracing):
     "bisimap.semantics.fair_lassos",
     "bisimap.equiv.fair_lassos",
     "bisimap.equiv.exists_fair_run",
+    "bisimap.semantics.make_presheaf",
+    "bisimap.semantics.nat_trans",
+    "bisimap.equiv.branching_sem_map",
+    "bisimap.equiv.is_bisim_map_bounded",
 ])
 def test_tracer_hooks_include(tracing, name):
     module, attr = name.rsplit(".", 1)

@@ -22,7 +22,7 @@ from bisimap.equiv import (
     Verdict,
 )
 from bisimap.lts import (
-    AlwaysAfterSpec, FairLts, StreettSpec, adjacency, eps_closure, is_simulation,
+    AlwaysAfterSpec, FairLts, Lts, StreettSpec, adjacency, eps_closure, is_simulation,
 )
 from bisimap.presheaf import is_bisim_map_bounded
 from bisimap.semantics import strong_sem_map
@@ -36,7 +36,7 @@ from conftest import (
     random_total_map,
     stutter_fan,
 )
-from oracles import extend_reduction, identity_relation, symmetric_closure
+from oracles import extend_reduction, first_stutter, identity_relation, symmetric_closure
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +430,48 @@ def test_stutter_witness_is_the_first_in_state_order(check):
     v = check(f, src, tgt)
     assert v.witness == ("stutter", ("p", "q1", "r"))
     assert format_witness(v.witness) == "stutter: silent run through p, q1, r"
+
+
+def _complete(states, labels):
+    """Every step between any two states, silent ones included, so that any
+    map into it passes the step checks and only stuttering can fail."""
+    return lts_of([(y, l, z) for y in states for z in states for l in (*labels, "tau")])
+
+
+def test_stutter_search_names_the_oracle_witness():
+    rng = random.Random(1919)
+    found = held = 0
+    for i in range(600):
+        X = random_lts(rng, 3 + i % 6, ("a",), tau_prob=0.7, density=1.0 + (i % 4) / 2)
+        # a shuffled state order, so that the witness follows the order, not the names
+        X = Lts.make(rng.sample(X.states, len(X.states)), X.alphabet, X.transitions)
+        Y = _complete([f"y{j}" for j in range(1 + i % 3)], ("a",))
+        f = random_total_map(rng, X, Y)
+        expected = first_stutter(f, X)
+        v = check_branching_sim(f, X, Y)
+        if expected is None:
+            assert v.holds, (X, f)
+            held += 1
+        else:
+            assert v.witness == ("stutter", expected), (X, f)
+            found += 1
+    assert found > 80 and held > 300
+
+
+@pytest.mark.parametrize("images", [1, 2])
+def test_stutter_search_on_a_long_silent_cycle(images):
+    # the triple loop took 10 s on this cycle at 500 states
+    n = 1000
+    states = [f"s{i}" for i in range(n)]
+    X = lts_of([(states[i], "tau", states[(i + 1) % n]) for i in range(n)]
+               + [(states[0], "a", states[0])])
+    Y = _complete(["y0", "y1"][:images], ("a",))
+    f = {s: "y1" if images == 2 and i == n // 2 else "y0" for i, s in enumerate(states)}
+    v = check_branching_sim(f, X, Y)
+    if images == 1:
+        assert v.holds
+    else:
+        assert v.witness == ("stutter", ("s0", f"s{n // 2}", "s0"))
 
 
 def test_lift_preconditions_print_witnesses_as_verdicts_do():

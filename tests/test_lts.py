@@ -17,7 +17,9 @@ from bisimap import (
     restrict,
     serialize_aut,
 )
-from bisimap.lts import FairLts, Lts, StreettSpec, adjacency, enumerate_graph_lassos
+from bisimap.lts import (
+    FairLts, Lts, StreettSpec, adjacency, enumerate_graph_lassos, execution_tree,
+)
 from bisimap.words import EPSILON, TAU, Word
 
 from conftest import enumerate_graph_lassos_recursive, lts_of, random_lts, weak_reach
@@ -112,6 +114,28 @@ def test_executions_branch_depth_one(corpus):
     assert stages[Word.of(TAU)] == frozenset({
         Execution(Word.of(TAU), ("y1", "y3")),
     })
+
+
+def test_execution_tree_nodes_carry_text_visible_word_and_anchor():
+    rng = random.Random(1919)
+    nodes = 0
+    for i in range(40):
+        lts = random_lts(rng, 4, ("a", "b"), tau_prob=0.4, density=1.5)
+        depth = i % 5
+        tree = execution_tree(lts, depth)
+        walked = [p for (p, _, _, _) in tree]
+        assert len(set(walked)) == len(walked)
+        assert set(walked) == {p for ps in executions_up_to(lts, depth).values() for p in ps}
+        assert [len(p.trace) for p in walked] == sorted(len(p.trace) for p in walked)
+        for (p, text, visible, anchor) in tree:
+            assert text == str(p)
+            assert visible == p.trace.visible()
+            # the longest proper prefix that is empty or ends in a visible step
+            cut = max((n for n in range(len(p.trace))
+                       if n == 0 or p.trace[n - 1] is not TAU), default=0)
+            assert anchor == restrict(p, Word(p.trace[:cut]))
+            nodes += 1
+    assert nodes > 400
 
 
 def test_restrict_examples(chain):

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from bisimap import PreconditionError
-from bisimap.lts import Execution, FairLts, StreettSpec, restrict
-from bisimap.presheaf import branching_target_poset, naturality_violations
+from bisimap.lts import Execution, FairLts, Lts, StreettSpec, executions_up_to, restrict
+from bisimap.presheaf import _stage_sorted, branching_target_poset, naturality_violations
 from bisimap.semantics import (
     base_presheaf,
     branching_sem,
@@ -12,7 +12,6 @@ from bisimap.semantics import (
     fair_sem,
     fair_sem_map,
     map_pf,
-    mpast,
     strong_sem,
     strong_sem_map,
 )
@@ -26,6 +25,7 @@ from oracles import (
     is_minimal_execution,
     left_kan,
     minimal_executions,
+    mpast,
     validate,
 )
 
@@ -223,6 +223,57 @@ def test_branching_sem_agrees_with_kan_extension(chain):
     K = left_kan(h, F)
     for e in B.base.elements:
         assert {v for (_, v) in K.stage(e)} == set(B.stage(e))
+
+
+def test_branching_stages_are_the_minimal_executions_restricted_by_mpast():
+    rng = random.Random(1906)
+    systems = [random_lts(rng, 4, ("a", "b"), tau_prob=0.5, density=1.2 + i % 3 / 2)
+               for i in range(30)]
+    checked = 0
+    for i, X in enumerate(systems):
+        depth = i % 5
+        for with_stretch in (True, False):
+            B = branching_sem(X, depth, with_stretch)
+            assert (TAU_BAR in B.base.elements) == with_stretch
+            for e in B.base.elements:
+                if e is TAU_BAR:
+                    silent = {p for ps in executions_up_to(X, depth).values()
+                              for p in ps if not p.trace.visible()}
+                    assert set(B.stage(e)) == silent
+                    for p in B.stage(e):
+                        assert B.restrict(p, e, EPSILON) == Execution.empty(p.start)
+                    continue
+                assert set(B.stage(e)) == minimal_executions(X, e, depth)
+                if e:
+                    for p in B.stage(e):
+                        assert B.restrict(p, e, Word(e[:-1])) == mpast(p, Word(e[:-1]))
+                        checked += 1
+    assert checked > 500
+
+
+def test_branching_lift_formats_no_execution(monkeypatch, corpus):
+    # the states 1 and "1" print alike, and so do their executions
+    ties = Lts.make((1, "1"), {"a"}, [(1, "a", 1), ("1", "a", "1"), (1, TAU, "1")])
+    cases = [({s: s for s in ties.states}, ties, ties),
+             (corpus.branch.mapping, corpus.branch.source, corpus.branch.target)]
+    formatted = []
+    original = Execution.__str__
+
+    def counted(self):
+        formatted.append(self)
+        return original(self)
+
+    for (f, X, Y) in cases:
+        for with_stretch in (True, False):
+            monkeypatch.setattr(Execution, "__str__", counted)
+            lifted = branching_sem_map(f, X, Y, 3, with_stretch)
+            monkeypatch.undo()
+            assert formatted == []
+            for F in (lifted.source, lifted.target):
+                for e in F.base.elements:
+                    assert F.stage(e) == _stage_sorted(F.stage(e))
+    tied = branching_sem(ties, 3).stage(Word.of("a"))
+    assert str(tied[0]) == str(tied[1]) and repr(tied[0]) < repr(tied[1])
 
 
 # ---------------------------------------------------------------------------

@@ -164,8 +164,8 @@ def execution_tree(lts: Lts, depth: int) -> list:
             if not trace or trace[-1] is not TAU:
                 anchor = p
             for (lab, t, step) in steps[states[-1]]:
-                grown.append((Execution(trace.append(lab), states + (t,)), text + step,
-                              visible if lab is TAU else visible.append(lab), anchor))
+                grown.append((Execution(Word(trace + (lab,)), states + (t,)), text + step,
+                              visible if lab is TAU else Word(visible + (lab,)), anchor))
         nodes += grown
         level = grown
     return nodes

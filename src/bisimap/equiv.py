@@ -24,10 +24,10 @@ from .lts import (
     AlwaysAfterSpec,
     adjacency,
     enumerate_graph_lassos,
-    eps_closure,
     fair_lassos,
     format_witness,
     is_simulation,
+    reach,
     transition_str,
 )
 from .presheaf import is_bisim_map_bounded
@@ -114,16 +114,18 @@ class PartitionRelation:
         )
 
     def equivalence_closure(self) -> "PartitionRelation":
-        pairs = set(self.pairs) | {(b, a) for (a, b) in self.pairs}
-        pairs |= {(s, s) for s in self.universe}
-        changed = True
-        while changed:
-            changed = False
-            for (a, b) in list(pairs):
-                for (c, d) in list(pairs):
-                    if b == c and (a, d) not in pairs:
-                        pairs.add((a, d))
-                        changed = True
+        """The least equivalence containing the pairs: all pairs inside each
+        component of the pairs read as undirected links."""
+        links = {s: [] for s in self.universe}
+        for (a, b) in self.pairs:
+            links[a].append(b)
+            links[b].append(a)
+        pairs, done = set(), set()
+        for s in self.universe:
+            if s not in done:
+                comp = reach([s], links.__getitem__)
+                done |= comp
+                pairs.update((a, b) for a in comp for b in comp)
         return PartitionRelation(self.universe, frozenset(pairs))
 
     def after(self, other: "PartitionRelation") -> "PartitionRelation":
@@ -409,14 +411,7 @@ def exists_violating_run(nodes, adj, fair_a, unfair_b):
     if isinstance(unfair_b, AlwaysAfterSpec):
         targets = sorted((p for p in prod_nodes if p[2] == "fail"), key=_node_key)
         for t in targets:
-            span = set()
-            stack = [t]
-            while stack:
-                u = stack.pop()
-                if u in span:
-                    continue
-                span.add(u)
-                stack.extend(v for (_, v) in prod_adj.get(u, ()))
+            span = reach([t], lambda u: [v for (_, v) in prod_adj[u]])
             comp = _find_streett_ec(span, prod_adj, a_pairs, lambda D: True)
             if comp is not None:
                 return _product_lasso(comp, prod_adj, parents, via=t, span=span)
@@ -756,27 +751,44 @@ def check_branching_sim(f: dict, source: Lts, target: Lts) -> Verdict:
 
 
 def check_branching_bisim_fn(f: dict, source: Lts, target: Lts) -> Verdict:
-    """Branching simulation + surjectivity + weak reflection of target steps."""
+    """Branching simulation + surjectivity + weak reflection of target steps.
+
+    Weak reflection asks that, for every x and every target step
+    f(x) -a-> y, some x1 silently reachable from x with f(x1) = f(x) takes
+    an a-step to some x2 with f(x2) = y.  It is read backwards: one search
+    per distinct target step, from the sources of the steps that f maps
+    onto it, against silent steps inside their preimage; an x of that
+    preimage it misses is a violation.  Keeping inside the preimage loses
+    nothing, since f is a branching simulation by then: a silent run that
+    leaves f(x)'s preimage and comes back to it is a stutter.  The witness
+    is the first failing x in state order, with its first failing step in
+    adjacency order."""
     violation = branching_simulation_violation(f, source, target)
     if violation is not None:
         return Verdict("branching-bisim-fn", False, violation)
     y = _unreached(f, source, target)
     if y is not None:
         return Verdict("branching-bisim-fn", False, ("not-surjective", y))
-    adjY = adjacency(target)
-    adjX = adjacency(source)
-    eps = eps_closure(source)
+    preimage = {}
     for x in source.states:
-        for (a, y) in adjY[f[x]]:
-            found = any(
-                f[x1] == f[x] and l == a and f[x2] == y
-                for x1 in eps[x]
-                for (l, x2) in adjX[x1]
-            )
-            if not found:
-                return Verdict("branching-bisim-fn", False,
-                               ("no-weak-reflection", (f[x], a, y)))
-    return Verdict("branching-bisim-fn", True)
+        preimage.setdefault(f[x], []).append(x)
+    inner, onto = {x: [] for x in source.states}, {}
+    for (x1, a, x2) in source.transitions:
+        onto.setdefault((f[x1], a, f[x2]), []).append(x1)
+        if a is TAU and f[x1] == f[x2]:
+            inner[x2].append(x1)
+    missed = {}
+    adjY = adjacency(target)
+    for (y, P) in preimage.items():
+        for (a, y2) in adjY[y]:
+            hit = reach(onto.get((y, a, y2), ()), inner.__getitem__)
+            for x in P:
+                if x not in hit:
+                    missed.setdefault(x, (y, a, y2))
+    x = next((x for x in source.states if x in missed), None)
+    if x is None:
+        return Verdict("branching-bisim-fn", True)
+    return Verdict("branching-bisim-fn", False, ("no-weak-reflection", missed[x]))
 
 
 def branching_bisimilarity(lts: Lts) -> PartitionRelation:

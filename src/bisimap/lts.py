@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .errors import ParseError, PreconditionError
@@ -20,12 +20,13 @@ from .words import EPSILON, TAU, LassoTrace, Word, label_key, label_str, minimal
 
 @dataclass(frozen=True)
 class Lts:
-    """A finite labelled transition system without initial states."""
+    """A finite labelled transition system without initial states;
+    ``has_tau`` is read off the transitions."""
 
     states: tuple
     alphabet: frozenset
     transitions: frozenset
-    has_tau: bool = False
+    has_tau: bool = field(init=False)
 
     def __post_init__(self):
         states = set(self.states)
@@ -41,18 +42,11 @@ class Lts:
                 uses_tau = True
             elif lab not in self.alphabet:
                 raise PreconditionError(f"unknown label {lab!r}")
-        if uses_tau != self.has_tau:
-            raise PreconditionError("has_tau flag inconsistent with transitions")
+        object.__setattr__(self, "has_tau", uses_tau)
 
     @staticmethod
     def make(states, alphabet, transitions) -> "Lts":
-        transitions = frozenset(transitions)
-        return Lts(
-            states=tuple(states),
-            alphabet=frozenset(alphabet),
-            transitions=transitions,
-            has_tau=any(lab is TAU for (_, lab, _) in transitions),
-        )
+        return Lts(tuple(states), frozenset(alphabet), frozenset(transitions))
 
     def has_transition(self, src, lab, tgt) -> bool:
         return (src, lab, tgt) in self.transitions
@@ -185,24 +179,20 @@ def executions_up_to(lts: Lts, depth: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Silent closure
+# Reachability
 
 
-def eps_closure(lts: Lts) -> dict:
-    """state -> states reachable by zero or more silent steps."""
-    adj = adjacency(lts)
-    closure = {}
-    for s in lts.states:
-        seen = {s}
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for (lab, v) in adj[u]:
-                if lab is TAU and v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        closure[s] = frozenset(seen)
-    return closure
+def reach(starts, steps) -> set:
+    """The nodes that ``steps`` (a node's successors) leads to from the
+    starts, starts included."""
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        for v in steps(stack.pop()):
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen
 
 
 # ---------------------------------------------------------------------------
@@ -345,11 +335,12 @@ class FairLts:
 
 
 def enumerate_graph_lassos(nodes, adj, stem_bound: int, cycle_bound: int):
-    """All canonical lassos of a labelled graph with raw stem length
-    <= stem_bound and raw cycle length <= cycle_bound, shorter stems first.
-    Each is emitted once, from its canonical (stem, cycle) pair: cycles of
-    minimal period, and no stem that folds into its cycle (``_folds``); a
-    pair that folds denotes the run of a pair with a shorter stem."""
+    """Yield all canonical lassos of a labelled graph with raw stem length
+    <= stem_bound and raw cycle length <= cycle_bound, shorter stems first,
+    so that a search can stop at its first witness.  Each is yielded once,
+    from its canonical (stem, cycle) pair: cycles of minimal period, and no
+    stem that folds into its cycle (``_folds``); a pair that folds denotes
+    the run of a pair with a shorter stem."""
     if cycle_bound < 1:
         raise PreconditionError("cycle bound must be >= 1")
     if stem_bound < 0:
@@ -394,18 +385,16 @@ def enumerate_graph_lassos(nodes, adj, stem_bound: int, cycle_bound: int):
         cycles_from[entry] = found
         return found
 
-    out = []
     stems = [Execution.empty(s) for s in nodes]
     for _ in range(stem_bound + 1):
         nxt = []
         for stem in stems:
-            out.extend(Lasso(stem, cyc) for cyc in cycles_at(stem.last)
-                       if not _folds(stem, cyc))
+            yield from (Lasso(stem, cyc) for cyc in cycles_at(stem.last)
+                        if not _folds(stem, cyc))
             for (lab, tgt) in adj[stem.last]:
                 if len(stem.trace) < stem_bound:
                     nxt.append(stem.extend(lab, tgt))
         stems = nxt
-    return out
 
 
 def fair_lassos(fl: FairLts, stem_bound: int, cycle_bound: int) -> frozenset:

@@ -34,6 +34,7 @@ from .lts import (
     fair_lassos,
     format_witness,
     is_simulation,
+    reach,
     restrict,
     transition_str,
 )
@@ -301,27 +302,15 @@ def branching_simulation_violation(f: dict, source: Lts, target: Lts):
     return None if stutter is None else ("stutter", stutter)
 
 
-def _reach(starts, steps) -> set:
-    """The states that ``steps`` leads to from the starts, starts included."""
-    seen = set(starts)
-    stack = list(seen)
-    while stack:
-        for v in steps[stack.pop()]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return seen
-
-
 def _first_stutter(f: dict, source: Lts):
     """The first (x1, x2, x3) in state order with silent runs from x1 to x2
     and from x2 to x3 and f(x1) = f(x3) != f(x2), or None.
 
-    One search per target state y: it starts at y's preimage P and follows
-    silent steps through states mapped elsewhere; a step back into P is a
-    violation.  Only then is the witness located, by reachability: x2 ranges
-    over the states outside P that reach P, x1 over the states of P that
-    reach such an x2, and each is the first in state order."""
+    Backward searches per target state y, over silent steps: the middles
+    are the states outside y's preimage P that reach P, and x1 ranges over
+    the states of P that reach a middle (none: y has no stutter).  x2 is the
+    first middle that x1 reaches, x3 the first state of P that x2 reaches,
+    each first in state order."""
     succ = {s: [] for s in source.states}
     pred = {s: [] for s in source.states}
     for (u, lab, v) in source.transitions:
@@ -334,24 +323,14 @@ def _first_stutter(f: dict, source: Lts):
     order = {s: i for i, s in enumerate(source.states)}
     first = None
     for P in preimage.values():
-        stack = [v for u in P for v in succ[u] if v not in P]
-        seen = set(stack)
-        returns = False
-        while stack and not returns:
-            for v in succ[stack.pop()]:
-                if v in P:
-                    returns = True
-                    break
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        if not returns:
+        middles = reach(P, pred.__getitem__) - P
+        starts = P & reach(middles, pred.__getitem__)
+        if not starts:
             continue
-        middles = _reach(P, pred) - P
-        x1 = min(P & _reach(middles, pred), key=order.__getitem__)
+        x1 = min(starts, key=order.__getitem__)
         if first is None or order[x1] < order[first[0]]:
-            x2 = min(_reach([x1], succ) & middles, key=order.__getitem__)
-            x3 = min(_reach([x2], succ) & P, key=order.__getitem__)
+            x2 = min(reach([x1], succ.__getitem__) & middles, key=order.__getitem__)
+            x3 = min(reach([x2], succ.__getitem__) & P, key=order.__getitem__)
             first = (x1, x2, x3)
     return first
 

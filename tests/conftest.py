@@ -5,7 +5,7 @@ import pytest
 from bisimap import Lts, load_corpus
 from bisimap.errors import PreconditionError
 from bisimap.equiv import PartitionRelation
-from bisimap.lts import Execution, Lasso, adjacency, eps_closure
+from bisimap.lts import Execution, Lasso, adjacency
 from bisimap.presheaf import (
     FinPoset,
     FinPresheaf,
@@ -17,7 +17,7 @@ from bisimap.presheaf import (
 )
 from bisimap.words import EPSILON, TAU, TAU_BAR, Word
 
-from oracles import empty_presheaf, inclusion, poset_from_leq, sub_presheaf
+from oracles import empty_presheaf, eps_closure, inclusion, poset_from_leq, sub_presheaf
 
 
 @pytest.fixture(scope="session")

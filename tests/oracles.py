@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from bisimap.equiv import PartitionRelation, branching_quotient
 from bisimap.errors import PreconditionError, UnsupportedError
-from bisimap.lts import Execution, Lts, eps_closure, executions_up_to, restrict
+from bisimap.lts import Execution, Lts, adjacency, executions_up_to, restrict
 from bisimap.presheaf import FinPoset, FinPresheaf, _stage_sorted, make_presheaf, nat_trans
 from bisimap.words import TAU, TAU_BAR, StretchPoint, Word, element_key
 
@@ -50,6 +50,22 @@ def identity_relation(universe) -> PartitionRelation:
 
 def symmetric_closure(R: PartitionRelation) -> PartitionRelation:
     return PartitionRelation(R.universe, R.pairs | {(b, a) for (a, b) in R.pairs})
+
+
+def equivalence_closure_fixpoint(R: PartitionRelation) -> PartitionRelation:
+    """The least equivalence containing R, by adding composed pairs until
+    none is new (the library takes the components of the links)."""
+    pairs = set(R.pairs) | {(b, a) for (a, b) in R.pairs}
+    pairs |= {(s, s) for s in R.universe}
+    changed = True
+    while changed:
+        changed = False
+        for (a, b) in list(pairs):
+            for (c, d) in list(pairs):
+                if b == c and (a, d) not in pairs:
+                    pairs.add((a, d))
+                    changed = True
+    return PartitionRelation(R.universe, frozenset(pairs))
 
 
 def extend_reduction(g: dict, source: Lts, mid: Lts):
@@ -296,8 +312,27 @@ def minimal_executions(lts: Lts, rho: Word, depth: int) -> frozenset:
 
 
 # ---------------------------------------------------------------------------
-# Stutter witnesses: the library searches once per target state
-# (``semantics._first_stutter``); this walks every triple
+# Silent closure: the library searches backwards once per target state for
+# stutter witnesses (``semantics._first_stutter``) and once per target step
+# for weak reflection (``equiv.check_branching_bisim_fn``); these walk the
+# closure of every state
+
+
+def eps_closure(lts: Lts) -> dict:
+    """state -> states reachable by zero or more silent steps."""
+    adj = adjacency(lts)
+    closure = {}
+    for s in lts.states:
+        seen = {s}
+        stack = [s]
+        while stack:
+            u = stack.pop()
+            for (lab, v) in adj[u]:
+                if lab is TAU and v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        closure[s] = frozenset(seen)
+    return closure
 
 
 def first_stutter(f: dict, source: Lts):
@@ -310,4 +345,18 @@ def first_stutter(f: dict, source: Lts):
             for x3 in reach[x2]:
                 if f[x1] == f[x3] and f[x1] != f[x2]:
                     return (x1, x2, x3)
+    return None
+
+
+def weak_reflection_violation(f: dict, source: Lts, target: Lts):
+    """The first target step (f(x), a, y), for x in state order and then the
+    steps of f(x) in adjacency order, that no x1 silently reachable from x
+    with f(x1) = f(x) matches by an a-step into y's preimage; or None."""
+    adjY, adjX = adjacency(target), adjacency(source)
+    eps = eps_closure(source)
+    for x in source.states:
+        for (a, y) in adjY[f[x]]:
+            if not any(f[x1] == f[x] and lab == a and f[x2] == y
+                       for x1 in eps[x] for (lab, x2) in adjX[x1]):
+                return (f[x], a, y)
     return None

@@ -22,10 +22,11 @@ from bisimap.equiv import (
     Verdict,
 )
 from bisimap.lts import (
-    AlwaysAfterSpec, FairLts, Lts, StreettSpec, adjacency, eps_closure, is_simulation,
+    AlwaysAfterSpec, FairLts, Lts, StreettSpec, adjacency, is_simulation,
 )
 from bisimap.presheaf import is_bisim_map_bounded
-from bisimap.semantics import strong_sem_map
+from bisimap.semantics import branching_simulation_violation, strong_sem_map
+from bisimap.words import TAU
 
 from conftest import (
     branching_bisimilarity_fixpoint,
@@ -36,7 +37,15 @@ from conftest import (
     random_total_map,
     stutter_fan,
 )
-from oracles import extend_reduction, first_stutter, identity_relation, symmetric_closure
+from oracles import (
+    eps_closure,
+    equivalence_closure_fixpoint,
+    extend_reduction,
+    first_stutter,
+    identity_relation,
+    symmetric_closure,
+    weak_reflection_violation,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -52,6 +61,23 @@ def test_partition_relation_kinds():
     eq = sym.equivalence_closure()
     assert eq.kind == "equivalence"
     assert eq.blocks() == (frozenset({"a", "b"}), frozenset({"c"}))
+
+
+def test_equivalence_closure_matches_the_pair_fixpoint():
+    rng = random.Random(5151)
+    for _ in range(300):
+        universe = tuple(f"s{i}" for i in range(rng.randint(1, 7)))
+        pairs = frozenset((rng.choice(universe), rng.choice(universe))
+                          for _ in range(rng.randint(0, 2 * len(universe))))
+        R = PartitionRelation(universe, pairs)
+        assert R.equivalence_closure() == equivalence_closure_fixpoint(R), R
+
+
+def test_equivalence_closure_of_a_long_chain():
+    # the pair fixpoint took 2 s on this chain
+    universe = tuple(f"s{i}" for i in range(80))
+    R = PartitionRelation(universe, frozenset(zip(universe, universe[1:])))
+    assert R.equivalence_closure().pairs == frozenset((a, b) for a in universe for b in universe)
 
 
 def test_partition_relation_composition_order():
@@ -474,6 +500,53 @@ def test_stutter_search_on_a_long_silent_cycle(images):
         assert v.witness == ("stutter", ("s0", f"s{n // 2}", "s0"))
 
 
+@pytest.mark.parametrize("labels", [("a",), ("a", "b")])
+def test_weak_reflection_on_a_long_silent_cycle(labels):
+    # the silent closure of every state took 5 s on this cycle
+    n = 4000
+    states = [f"s{i}" for i in range(n)]
+    X = lts_of([(states[i], "tau", states[(i + 1) % n]) for i in range(n)]
+               + [(states[0], "a", states[0])])
+    v = check_branching_bisim_fn(dict.fromkeys(states, "y0"), X, _complete(["y0"], labels))
+    if labels == ("a",):
+        assert v.holds
+    else:
+        assert v.witness == ("no-weak-reflection", ("y0", "b", "y0"))
+
+
+def _image_map(rng):
+    """A silent-step system in a shuffled state order, a map of it onto k
+    states, and a target holding the images of its steps plus a few random
+    steps: the map is a simulation, and the extra steps may go unreflected."""
+    X = random_lts(rng, 6, ("a", "b"), tau_prob=0.4, density=1.6)
+    X = Lts.make(rng.sample(X.states, len(X.states)), X.alphabet, X.transitions)
+    k = rng.randint(1, len(X.states))
+    f = {s: f"y{rng.randrange(k)}" for s in X.states}
+    ys = sorted(set(f.values()))
+    steps = {(f[u], a, f[v]) for (u, a, v) in X.transitions if a is not TAU or f[u] != f[v]}
+    for _ in range(rng.randint(0, 2)):
+        steps.add((rng.choice(ys), rng.choice(("a", "b", TAU)), rng.choice(ys)))
+    return X, Lts.make(ys, {"a", "b"}, steps), f
+
+
+def test_weak_reflection_matches_the_closure_oracle():
+    rng = random.Random(2121)
+    held = refused = 0
+    for _ in range(600):
+        X, Y, f = _image_map(rng)
+        if branching_simulation_violation(f, X, Y) is not None:
+            continue
+        v = check_branching_bisim_fn(f, X, Y)
+        w = weak_reflection_violation(f, X, Y)
+        assert v.holds == (w is None), (X, Y, f)
+        if w is None:
+            held += 1
+        else:
+            refused += 1
+            assert format_witness(v.witness) == format_witness(("no-weak-reflection", w))
+    assert held > 50 and refused > 50, (held, refused)
+
+
 def test_lift_preconditions_print_witnesses_as_verdicts_do():
     f, src, tgt = stutter_fan()
     with pytest.raises(PreconditionError) as exc:
@@ -664,8 +737,6 @@ def test_bisim_map_branching_acceptance_is_sound_on_random_systems():
     # square within the depth.  (The converse direction is corpus-pinned: a
     # padded anchor near the depth boundary can make the filler check refuse
     # conservatively even though the concrete checker accepts.)
-    from bisimap.semantics import branching_simulation_violation
-
     rng = random.Random(4242)
     sims = accepted = refused_concretely = 0
     for i in range(60):

@@ -18,7 +18,7 @@ from bisimap import (
     serialize_aut,
 )
 from bisimap.lts import (
-    FairLts, Lts, StreettSpec, adjacency, enumerate_graph_lassos, execution_tree,
+    FairLts, Lts, StreettSpec, adjacency, enumerate_graph_lassos, execution_tree, reach,
 )
 from bisimap.words import EPSILON, TAU, Word
 
@@ -68,6 +68,21 @@ def test_parse_tau_sets_flag():
     lts = parse_aut('des (0,1,2)\n(0,"tau",1)')
     assert lts.has_tau
     assert lts.alphabet == frozenset()
+
+
+def test_has_tau_is_read_off_the_transitions():
+    silent = Lts(("p", "q"), frozenset({"a"}), frozenset({("p", TAU, "q"), ("q", "a", "p")}))
+    assert silent.has_tau
+    assert not Lts(("p",), frozenset({"a"}), frozenset({("p", "a", "p")})).has_tau
+
+
+def test_reach_includes_the_starts_and_stops_on_cycles():
+    steps = {1: [2], 2: [3], 3: [1, 2], 4: [4], 5: []}.__getitem__
+    assert reach([1], steps) == {1, 2, 3}
+    assert reach([3], steps) == {1, 2, 3}
+    assert reach([4], steps) == {4}
+    assert reach([5, 4], steps) == {4, 5}
+    assert reach([], steps) == set()
 
 
 def test_roundtrip_on_corpus_files(corpus):
@@ -264,7 +279,7 @@ def test_graph_lassos_match_the_recursive_enumeration():
         lts = random_lts(rng, 4, ("a", "b"), density=rng.choice([1.0, 1.8, 2.5]))
         adj = adjacency(lts)
         stem_bound, cycle_bound = rng.randint(0, 3), rng.randint(1, 4)
-        assert enumerate_graph_lassos(lts.states, adj, stem_bound, cycle_bound) == \
+        assert list(enumerate_graph_lassos(lts.states, adj, stem_bound, cycle_bound)) == \
             enumerate_graph_lassos_recursive(lts.states, adj, stem_bound, cycle_bound), lts
 
 
@@ -281,7 +296,7 @@ def test_unrolled_rotated_and_powered_lassos_canonicalise_to_the_originals():
     rng = random.Random(343)
     for _ in range(200):
         lts = random_lts(rng, 4, ("a", "b"), density=rng.choice([1.0, 1.8, 2.5]))
-        for lasso in enumerate_graph_lassos(lts.states, adjacency(lts), 2, 3)[:6]:
+        for lasso in list(enumerate_graph_lassos(lts.states, adjacency(lts), 2, 3))[:6]:
             k = len(lasso.cycle)
             shift = rng.randint(0, 2 * k)
             stem = lasso.unroll(len(lasso.stem.trace) + shift)

@@ -105,7 +105,7 @@ def test_fair_component_found_only_inside_a_refined_component():
     nodes, adj = lts.states, adjacency(lts)
     avoid_q = StreettSpec(((frozenset({"q"}), frozenset()),))
     avoid_p = StreettSpec(((frozenset({"p"}), frozenset()),))
-    bounded = enumerate_graph_lassos(nodes, adj, 4, 6)
+    bounded = list(enumerate_graph_lassos(nodes, adj, 4, 6))
 
     fair = exists_fair_run(nodes, adj, avoid_q)
     assert str(fair) == "p (loop: -a-> p)"

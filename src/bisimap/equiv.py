@@ -10,7 +10,6 @@ enumeration otherwise or on request (such verdicts carry their bounds).
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
 
@@ -165,9 +164,13 @@ class PartitionRelation:
 # Graph machinery for exact fairness analysis
 
 
+# the fairness kinds that the end-component engine decides exactly
+_EXACT_KINDS = (StreettSpec, AlwaysAfterSpec)
+
+
 def _lift_fairness(spec, nodes, proj):
-    """Reinterpret a state-level fairness condition over graph nodes via a
-    projection; None when the kind is not supported exactly."""
+    """Reinterpret a state-level condition of an exact kind over graph nodes
+    via a projection."""
     if isinstance(spec, StreettSpec):
         return StreettSpec(tuple(
             (
@@ -176,13 +179,11 @@ def _lift_fairness(spec, nodes, proj):
             )
             for (L, U) in spec.pairs
         ))
-    if isinstance(spec, AlwaysAfterSpec):
-        return AlwaysAfterSpec(
-            spec.offset,
-            frozenset(n for n in nodes if proj(n) in spec.allowed),
-            tuple(spec.gate),
-        )
-    return None
+    return AlwaysAfterSpec(
+        spec.offset,
+        frozenset(n for n in nodes if proj(n) in spec.allowed),
+        tuple(spec.gate),
+    )
 
 
 def _aa_init(spec: AlwaysAfterSpec, node):
@@ -211,10 +212,10 @@ def _node_key(n):
     return (str(n), repr(n))
 
 
-def _sccs(nodes, adj):
+def _sccs(nodes, adj, rank):
     """Strongly connected components of the induced subgraph, Kosaraju-style,
-    in deterministic order."""
-    nodes = sorted(set(nodes), key=_node_key)
+    in the order of ``rank`` (node -> position)."""
+    nodes = sorted(set(nodes), key=rank.__getitem__)
     inside = set(nodes)
     order = []
     seen = set()
@@ -266,10 +267,10 @@ def _nontrivial(comp, adj):
     return any(v == n for (_, v) in adj.get(n, ()))
 
 
-def _find_streett_ec(span, adj, pairs, want):
+def _find_streett_ec(span, adj, rank, pairs, want):
     """A nontrivial sub-component inside span satisfying every Streett pair
-    and the extra predicate, or None."""
-    for comp in _sccs(span, adj):
+    and the extra predicate, or None; ``rank`` sets the search order."""
+    for comp in _sccs(span, adj, rank):
         if not _nontrivial(comp, adj):
             continue
         bad = [(L, U) for (L, U) in pairs if (comp & L) and not (comp & U)]
@@ -277,7 +278,7 @@ def _find_streett_ec(span, adj, pairs, want):
             removed = set()
             for (L, _) in bad:
                 removed |= L
-            found = _find_streett_ec(comp - removed, adj, pairs, want)
+            found = _find_streett_ec(comp - removed, adj, rank, pairs, want)
             if found is not None:
                 return found
         elif want(comp):
@@ -319,9 +320,10 @@ def _bfs_path(src, dst, adj, inside, require_step):
     return None
 
 
-def _closed_walk(comp, adj):
-    """A closed walk visiting every node of a nontrivial component."""
-    order = sorted(comp, key=_node_key)
+def _closed_walk(comp, adj, rank):
+    """A closed walk visiting every node of a nontrivial component, from its
+    first node in rank order."""
+    order = sorted(comp, key=rank.__getitem__)
     start = order[0]
     walk = []
     cur = start
@@ -374,67 +376,94 @@ def _product_with_automata(starts, adj, fair_a, unfair_b):
     return prod_adj, parents
 
 
-def _lift_pairs_to_product(spec, prod_nodes):
-    """A Streett condition's pairs over the product nodes; () for others."""
-    if not isinstance(spec, StreettSpec):
-        return ()
-    return _lift_fairness(spec, prod_nodes, lambda p: p[0]).pairs
+class _Product:
+    """A product graph (``_product_with_automata``) with what every search
+    on it reads: its nodes in visit order, their rank in ``_node_key`` order
+    from one sort, and each Streett condition's pairs over them, lifted once
+    per condition."""
+
+    def __init__(self, starts, adj, fair_a, unfair_b):
+        self.adj, self.parents = _product_with_automata(starts, adj, fair_a, unfair_b)
+        self.nodes = list(self.parents)
+        # a product node is a tuple, whose str is its repr: repr alone gives
+        # the _node_key order
+        self.rank = {p: i for (i, p) in enumerate(sorted(self.nodes, key=repr))}
+        self._pairs = {}
+
+    def pairs(self, spec):
+        """A node-level condition's Streett pairs over the product's nodes;
+        () for a positional condition, which the product runs instead."""
+        if not isinstance(spec, StreettSpec):
+            return ()
+        # keyed by identity, as a condition may hold plain sets, which have no
+        # hash; the entry keeps spec alive, so no other object takes its id
+        if id(spec) not in self._pairs:
+            self._pairs[id(spec)] = (spec, tuple(
+                (frozenset(p for p in self.nodes if p[0] in L),
+                 frozenset(p for p in self.nodes if p[0] in U))
+                for (L, U) in spec.pairs
+            ))
+        return self._pairs[id(spec)][1]
+
+    def lasso(self, comp, via=None, span=None) -> Lasso:
+        """The lasso of graph nodes under a product run: down the BFS tree to
+        the component's entry (or to ``via``, then on to the entry inside
+        ``span``), then round a closed walk of the component."""
+        entry, walk = _closed_walk(comp, self.adj, self.rank)
+        if via is None:
+            start, steps = _steps_to(entry, self.parents)
+        else:
+            start, steps = _steps_to(via, self.parents)
+            steps += _bfs_path(via, entry, self.adj, span, require_step=False)
+        stem = Execution(
+            Word(lab for (lab, _) in steps),
+            (start[0],) + tuple(p[0] for (_, p) in steps),
+        )
+        return Lasso(stem, tuple((lab, p[0]) for (lab, p) in walk)).canonical()
 
 
-def _product_lasso(comp, prod_adj, parents, via=None, span=None) -> Lasso:
-    """The lasso of graph nodes under a product run: down the BFS tree to the
-    component's entry (or to ``via``, then on to the entry inside ``span``),
-    then round a closed walk of the component."""
-    entry, walk = _closed_walk(comp, prod_adj)
-    if via is None:
-        start, steps = _steps_to(entry, parents)
-    else:
-        start, steps = _steps_to(via, parents)
-        steps += _bfs_path(via, entry, prod_adj, span, require_step=False)
-    stem = Execution(
-        Word(lab for (lab, _) in steps),
-        (start[0],) + tuple(p[0] for (_, p) in steps),
-    )
-    return Lasso(stem, tuple((lab, p[0]) for (lab, p) in walk)).canonical()
-
-
-def exists_violating_run(nodes, adj, fair_a, unfair_b):
-    """A lasso witnessing an infinite run that satisfies ``fair_a`` while
-    violating ``unfair_b`` (both node-level conditions), or None.
+def exists_violating_run(nodes, adj, fair_a, unfair_b, products=None):
+    """A lasso witnessing an infinite run, started at one of ``nodes``, that
+    satisfies ``fair_a`` while violating ``unfair_b`` (both node-level
+    conditions), or None.
 
     Exact for any mix of Streett and positional conditions: end-component
-    analysis over the graph extended with the positional automata.
+    analysis over the graph extended with the positional automata.  When
+    neither condition is positional, that product is the same whichever
+    condition is the fair one: a caller that asks again on the same graph
+    passes the same dict as ``products``, and the product is built once.
     """
-    prod_adj, parents = _product_with_automata(nodes, adj, fair_a, unfair_b)
-    prod_nodes = list(parents)
-    a_pairs = _lift_pairs_to_product(fair_a, prod_nodes)
+    if (products is None or isinstance(fair_a, AlwaysAfterSpec)
+            or isinstance(unfair_b, AlwaysAfterSpec)):
+        product = _Product(nodes, adj, fair_a, unfair_b)
+    else:
+        product = products.get("streett")
+        if product is None:
+            product = products["streett"] = _Product(nodes, adj, fair_a, unfair_b)
+    prod_adj, rank = product.adj, product.rank
+    a_pairs = product.pairs(fair_a)
     if isinstance(unfair_b, AlwaysAfterSpec):
-        targets = sorted((p for p in prod_nodes if p[2] == "fail"), key=_node_key)
+        targets = sorted((p for p in product.nodes if p[2] == "fail"), key=rank.__getitem__)
         for t in targets:
             span = reach([t], lambda u: [v for (_, v) in prod_adj[u]])
-            comp = _find_streett_ec(span, prod_adj, a_pairs, lambda D: True)
+            comp = _find_streett_ec(span, prod_adj, rank, a_pairs, lambda D: True)
             if comp is not None:
-                return _product_lasso(comp, prod_adj, parents, via=t, span=span)
+                return product.lasso(comp, via=t, span=span)
     else:
-        for (L, U) in _lift_pairs_to_product(unfair_b, prod_nodes):
-            span = set(prod_nodes) - U
-            comp = _find_streett_ec(span, prod_adj, a_pairs, lambda D: bool(D & L))
+        for (L, U) in product.pairs(unfair_b):
+            span = set(product.nodes) - U
+            comp = _find_streett_ec(span, prod_adj, rank, a_pairs, lambda D: bool(D & L))
             if comp is not None:
-                return _product_lasso(comp, prod_adj, parents)
+                return product.lasso(comp)
     return None
 
 
 def exists_fair_run(nodes, adj, spec, starts=None):
     """A lasso witnessing an infinite run satisfying the node-level condition,
-    started from ``starts`` (default: anywhere), or None."""
-    prod_adj, parents = _product_with_automata(
-        nodes if starts is None else starts, adj, spec, None
-    )
-    pairs = _lift_pairs_to_product(spec, list(parents))
-    comp = _find_streett_ec(list(parents), prod_adj, pairs, lambda D: True)
-    if comp is None:
-        return None
-    return _product_lasso(comp, prod_adj, parents)
+    started from ``starts`` (default: anywhere), or None: a run that violates
+    the Streett pair (every node, no node), as every infinite run does."""
+    every_run = StreettSpec(((frozenset(nodes), frozenset()),))
+    return exists_violating_run(nodes if starts is None else starts, adj, spec, every_run)
 
 
 # ---------------------------------------------------------------------------
@@ -457,10 +486,11 @@ def _synchronised(adj1, adj2, nodes) -> dict:
     }
 
 
-def _lifted_fair_run(source: FairLts, f: dict, lasso: Lasso, starts):
-    """A fair run of the source, started at one of ``starts``, that f maps
-    pointwise onto the lasso's run, or None.  Decided on the product of the
-    source with the lasso's positions: stem positions, then the cycle's."""
+def _lifted_fair_run(source: FairLts, adj, f: dict, lasso: Lasso, starts):
+    """A fair run of the source (successor lists ``adj``), started at one of
+    ``starts``, that f maps pointwise onto the lasso's run, or None.  Decided
+    on the product of the source with the lasso's positions: stem positions,
+    then the cycle's."""
     k, n = len(lasso.stem.trace), len(lasso.cycle)
     positions = [("s", i) for i in range(k + 1)] + [("c", j) for j in range(n)]
     state_of = dict(zip(positions, lasso.stem.states + tuple(st for (_, st) in lasso.cycle)))
@@ -473,12 +503,11 @@ def _lifted_fair_run(source: FairLts, f: dict, lasso: Lasso, starts):
         for pos in positions
         if f[x] == state_of[pos]
     ]
-    step = {pos: (s,) for (pos, s) in zip(positions, steps)}
-    adj = _synchronised(adjacency(source.lts), step, nodes)
-    spec = _lift_fairness(source.fairness, nodes, lambda node: node[0])
-    if spec is None:
+    if not isinstance(source.fairness, _EXACT_KINDS):
         raise UnsupportedError("source fairness kind unsupported for lifting runs")
-    return exists_fair_run(nodes, adj, spec, [(x, ("s", 0)) for x in starts])
+    step = {pos: (s,) for (pos, s) in zip(positions, steps)}
+    spec = _lift_fairness(source.fairness, nodes, lambda node: node[0])
+    return exists_fair_run(nodes, _synchronised(adj, step, nodes), spec, [(x, ("s", 0)) for x in starts])
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +535,7 @@ class ImageFairness:
     def is_fair(self, lasso: Lasso) -> bool:
         f = self.mapping
         starts = [x for x in self.source.lts.states if f[x] == lasso.stem.start]
-        return _lifted_fair_run(self.source, f, lasso, starts) is not None
+        return _lifted_fair_run(self.source, adjacency(self.source.lts), f, lasso, starts) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -519,19 +548,19 @@ def _unreached(f: dict, source: Lts, target: Lts):
     return next((y for y in target.states if y not in image), None)
 
 
-def _transfer_violation(f: dict, source: Lts, target: Lts):
+def _transfer_violation(f: dict, source: Lts, target: Lts, adjX):
     """A tagged witness against surjectivity, then against reflection of the
-    target's transitions along f; None if f has both."""
+    target's transitions along f; None if f has both.  ``adjX`` holds the
+    source's successor lists."""
     y = _unreached(f, source, target)
     if y is not None:
         return ("not-surjective", y)
-    w = _reflection_violation(f, source, target)
+    w = _reflection_violation(f, source, target, adjX)
     return None if w is None else ("no-reflection", w)
 
 
-def _reflection_violation(f: dict, source: Lts, target: Lts):
+def _reflection_violation(f: dict, source: Lts, target: Lts, adjX):
     adjY = adjacency(target)
-    adjX = adjacency(source)
     for x in source.states:
         for (a, y) in adjY[f[x]]:
             if not any(l == a and f[x2] == y for (l, x2) in adjX[x]):
@@ -544,7 +573,7 @@ def check_strong_bisim_fn(f: dict, source: Lts, target: Lts) -> Verdict:
     ok, witness = is_simulation(f, source, target)
     if not ok:
         raise PreconditionError(f"not a simulation: violates {transition_str(*witness)}")
-    w = _transfer_violation(f, source, target)
+    w = _transfer_violation(f, source, target, adjacency(source))
     return Verdict("strong-bisim-fn", w is None, w)
 
 
@@ -558,8 +587,9 @@ def check_fair_sim(f: dict, source: FairLts, target: FairLts,
     ok, w = is_simulation(f, source.lts, target.lts)
     if not ok:
         return Verdict("fair-sim", False, ("transition", w))
-    return _fair_transfer("fair-sim", f, source, target, "bounded", stem_bound, cycle_bound,
-                          lambda: fair_lassos(source, stem_bound, cycle_bound), preserve=True)
+    transfer = _fair_transfer("fair-sim", f, source, target, adjacency(source.lts),
+                              "bounded", stem_bound, cycle_bound)
+    return transfer(True)
 
 
 def check_fair_reflection(f: dict, source: FairLts, target: FairLts,
@@ -569,25 +599,26 @@ def check_fair_reflection(f: dict, source: FairLts, target: FairLts,
     (limits of increasing execution chains, by Kleene equality: both sides
     undefined counts as satisfied).  The precondition, that f is a fair
     simulation, is decided in the same mode."""
-    lassos = functools.cache(lambda: fair_lassos(source, stem_bound, cycle_bound))
-    transfer = functools.partial(_fair_transfer, "fair-reflection", f, source, target,
-                                 mode, stem_bound, cycle_bound, lassos)
+    transfer = _fair_transfer("fair-reflection", f, source, target, adjacency(source.lts),
+                              mode, stem_bound, cycle_bound)
     if not is_simulation(f, source.lts, target.lts)[0] or not transfer(True).holds:
         raise PreconditionError("reflection is only defined for fair simulations")
     return transfer(False)
 
 
-def _exact_then_bounded(check, mode, nodes, adj, fair_a, unfair_b, exact_witness,
+def _exact_then_bounded(check, mode, exact_kinds, exact, exact_witness,
                         bounded, stem_bound, cycle_bound) -> Verdict:
-    """Decide whether some run of the graph satisfies ``fair_a`` and violates
-    ``unfair_b``: exactly by ``exists_violating_run`` (the witness is
-    ``exact_witness`` of its lasso) when mode is ``exact_streett`` and both
-    lifted conditions exist, else by the first witness of ``bounded()``, an
-    iterator over the candidates within the bounds."""
+    """Decide whether some run of a graph satisfies one fairness condition
+    and violates another: exactly by ``exact()``, a call of
+    ``exists_violating_run`` whose lasso gives the witness
+    ``exact_witness(lasso)``, when mode is ``exact_streett`` and the
+    conditions are of exact kinds (``exact_kinds``), else by the first
+    witness of ``bounded()``, an iterator over the candidates within the
+    bounds."""
     notes = ()
     if mode == "exact_streett":
-        if fair_a is not None and unfair_b is not None:
-            w = exists_violating_run(nodes, adj, fair_a, unfair_b)
+        if exact_kinds:
+            w = exact()
             if w is None:
                 return Verdict(check, True)
             return Verdict(check, False, exact_witness(w))
@@ -601,23 +632,42 @@ def _exact_then_bounded(check, mode, nodes, adj, fair_a, unfair_b, exact_witness
     return Verdict(check, True, certified_bounds=bounds, notes=notes)
 
 
-def _fair_transfer(check, f, source, target, mode, stem_bound, cycle_bound,
-                   lassos, preserve) -> Verdict:
-    """Whether fairness transfers along f: no run of the source is fair with
-    an unfair image when ``preserve``, and none is unfair with a fair image
-    otherwise.  ``lassos()`` gives the source's tagged lassos, asked for only
-    by the bounded decision."""
-    tag = "unfair-image" if preserve else "chain-with-fair-image-but-no-fair-limit"
-    nodes = list(source.lts.states)
-    own = _lift_fairness(source.fairness, nodes, lambda x: x)
-    lifted = _lift_fairness(target.fairness, nodes, lambda x: f[x])
-    fair_a, unfair_b = (own, lifted) if preserve else (lifted, own)
-    return _exact_then_bounded(
-        check, mode, nodes, adjacency(source.lts), fair_a, unfair_b,
-        lambda w: (tag, (w, w.map_states(f).canonical())),
-        lambda: ((tag, m) for m in fair_mismatches(f, target, lassos(), preserve)),
-        stem_bound, cycle_bound,
-    )
+def _fair_transfer(check, f, source, target, adj, mode, stem_bound, cycle_bound):
+    """Whether fairness transfers along f, as a function of the direction:
+    with ``preserve`` no run of the source (successor lists ``adj``) may be
+    fair with an unfair image, without it none may be unfair with a fair
+    image.
+
+    The two directions share what they build, each part on first use: the
+    source's tagged lassos for the bounded decision; for the exact one the
+    target's condition lifted to source states and the product graph.  The
+    source's own condition needs no lift: it mentions only source states."""
+    nodes, own = source.lts.states, source.fairness
+    exact_kinds = isinstance(own, _EXACT_KINDS) and isinstance(target.fairness, _EXACT_KINDS)
+    built, products = {}, {}
+
+    def transfer(preserve):
+        tag = "unfair-image" if preserve else "chain-with-fair-image-but-no-fair-limit"
+
+        def exact():
+            if "image" not in built:
+                built["image"] = _lift_fairness(target.fairness, nodes, f.__getitem__)
+            image = built["image"]
+            fair_a, unfair_b = (own, image) if preserve else (image, own)
+            return exists_violating_run(nodes, adj, fair_a, unfair_b, products)
+
+        def bounded():
+            if "lassos" not in built:
+                built["lassos"] = fair_lassos(source, stem_bound, cycle_bound)
+            return ((tag, m) for m in fair_mismatches(f, target, built["lassos"], preserve))
+
+        return _exact_then_bounded(
+            check, mode, exact_kinds, exact,
+            lambda w: (tag, (w, w.map_states(f).canonical())),
+            bounded, stem_bound, cycle_bound,
+        )
+
+    return transfer
 
 
 def check_fair_bisim_fn(f: dict, source: FairLts, target: FairLts,
@@ -629,13 +679,12 @@ def check_fair_bisim_fn(f: dict, source: FairLts, target: FairLts,
     ok, w = is_simulation(f, source.lts, target.lts)
     if not ok:
         return Verdict("fair-bisim-fn", False, ("transition", w))
-    lassos = functools.cache(lambda: fair_lassos(source, stem_bound, cycle_bound))
-    transfer = functools.partial(_fair_transfer, "fair-bisim-fn", f, source, target,
-                                 mode, stem_bound, cycle_bound, lassos)
+    adj = adjacency(source.lts)
+    transfer = _fair_transfer("fair-bisim-fn", f, source, target, adj, mode, stem_bound, cycle_bound)
     kept = transfer(True)
     if not kept.holds:
         return kept
-    w = _transfer_violation(f, source.lts, target.lts)
+    w = _transfer_violation(f, source.lts, target.lts, adj)
     return Verdict("fair-bisim-fn", False, w) if w is not None else transfer(False)
 
 
@@ -645,7 +694,8 @@ def check_hildebrandt_open(f: dict, source: FairLts, target: FairLts,
     image state (finite runs exactly, infinite runs over lassos in bounds)."""
     if fair_simulation_violation(f, source, target, stem_bound, cycle_bound) is not None:
         raise PreconditionError("only fair simulations are checked for openness")
-    w = _reflection_violation(f, source.lts, target.lts)
+    adj = adjacency(source.lts)
+    w = _reflection_violation(f, source.lts, target.lts, adj)
     if w is not None:
         return Verdict("hildebrandt-open", False, ("no-reflection", w))
     bounds = {"stem_bound": stem_bound, "cycle_bound": cycle_bound}
@@ -655,7 +705,7 @@ def check_hildebrandt_open(f: dict, source: FairLts, target: FairLts,
     )
     for x in source.lts.states:
         for q in fair_targets:
-            if q.stem.start == f[x] and _lifted_fair_run(source, f, q, [x]) is None:
+            if q.stem.start == f[x] and _lifted_fair_run(source, adj, f, q, [x]) is None:
                 return Verdict("hildebrandt-open", False, ("unliftable-fair-run", (x, q)))
     return Verdict("hildebrandt-open", True, certified_bounds=bounds)
 
@@ -690,10 +740,12 @@ def check_forall_fair_bisim(R: PartitionRelation, system: FairLts,
             if system.fairness.is_fair(left) and not system.fairness.is_fair(right):
                 yield (tag, (left, right))
 
+    def exact():
+        return exists_violating_run(nodes, adj, _lift_fairness(system.fairness, nodes, lambda n: n[0]),
+                                    _lift_fairness(system.fairness, nodes, lambda n: n[1]))
+
     return _exact_then_bounded(
-        "forall-fair-bisim", mode, nodes, adj,
-        _lift_fairness(system.fairness, nodes, lambda n: n[0]),
-        _lift_fairness(system.fairness, nodes, lambda n: n[1]),
+        "forall-fair-bisim", mode, isinstance(system.fairness, _EXACT_KINDS), exact,
         lambda w: (tag, _split_pair_lasso(w)),
         bounded, stem_bound, cycle_bound,
     )

@@ -5,7 +5,7 @@ import pytest
 from bisimap import Lts, load_corpus
 from bisimap.errors import PreconditionError
 from bisimap.equiv import PartitionRelation
-from bisimap.lts import Execution, Lasso, adjacency
+from bisimap.lts import AlwaysAfterSpec, Execution, FairLts, Lasso, StreettSpec, adjacency
 from bisimap.presheaf import (
     FinPoset,
     FinPresheaf,
@@ -75,6 +75,23 @@ def random_lts(rng: random.Random, max_states: int, labels, tau_prob: float = 0.
             lab = rng.choice(labels)
         transitions.add((src, lab, tgt))
     return Lts.make(states, set(labels), transitions)
+
+
+def random_fairness(rng: random.Random, lts: Lts, labels):
+    """A random Streett condition (half the time) or positional one."""
+
+    def some():
+        return frozenset(s for s in lts.states if rng.random() < 0.5)
+
+    if rng.random() < 0.5:
+        return StreettSpec(tuple((some(), some()) for _ in range(rng.randint(0, 2))))
+    gate = tuple(rng.choice(labels) for _ in range(rng.randint(0, 1)))
+    return AlwaysAfterSpec(rng.randint(0, 1), some(), gate)
+
+
+def random_fair_system(rng: random.Random, labels) -> FairLts:
+    lts = random_lts(rng, 3, labels, density=1.8)
+    return FairLts(lts, random_fairness(rng, lts, labels))
 
 
 def random_total_map(rng: random.Random, source: Lts, target: Lts) -> dict:

@@ -5,17 +5,25 @@ transformations, the square stream and its generator decision.  What is
 here builds presheaves and relations the tests compare the engine with (the
 paper's left Kan extension along a hiding map, the category of elements,
 sub-presheaves and inclusions for full squares), or checks its outputs
-(``validate``).  Everything is built from public ``bisimap`` names.
+(``validate``), and slower forms of the library's searches to compare with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from bisimap.equiv import PartitionRelation, branching_quotient
+from bisimap.equiv import (
+    PartitionRelation, Verdict, _bfs_path, _lift_fairness, _node_key, _nontrivial,
+    _product_with_automata, _split_pair_lasso, _steps_to, _synchronised, _transfer_violation,
+    branching_quotient,
+)
 from bisimap.errors import PreconditionError, UnsupportedError
-from bisimap.lts import Execution, Lts, adjacency, executions_up_to, restrict
+from bisimap.lts import (
+    AlwaysAfterSpec, Execution, Lasso, Lts, StreettSpec, adjacency, enumerate_graph_lassos,
+    executions_up_to, fair_lassos, is_simulation, reach, restrict,
+)
 from bisimap.presheaf import FinPoset, FinPresheaf, _stage_sorted, make_presheaf, nat_trans
+from bisimap.semantics import fair_mismatches
 from bisimap.words import TAU, TAU_BAR, StretchPoint, Word, element_key
 
 # ---------------------------------------------------------------------------
@@ -360,3 +368,191 @@ def weak_reflection_violation(f: dict, source: Lts, target: Lts):
                        for x1 in eps[x] for (lab, x2) in adjX[x1]):
                 return (f[x], a, y)
     return None
+
+
+# ---------------------------------------------------------------------------
+# Exact fairness transfer, one direction at a time: the library builds one
+# product graph per check, ranks its nodes once and lifts each condition
+# once (``equiv.exists_violating_run``); this engine builds a fresh product
+# for each direction and sorts by ``_node_key`` in every component search
+
+
+def _sccs_by_key(nodes, adj):
+    """Strongly connected components of the induced subgraph, Kosaraju-style,
+    roots taken in ``_node_key`` order."""
+    nodes = sorted(set(nodes), key=_node_key)
+    inside = set(nodes)
+    order, seen = [], set()
+    for root in nodes:
+        if root in seen:
+            continue
+        stack = [(root, iter([v for (_, v) in adj.get(root, ()) if v in inside]))]
+        seen.add(root)
+        while stack:
+            u, it = stack[-1]
+            advanced = False
+            for v in it:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append((v, iter([w for (_, w) in adj.get(v, ()) if w in inside])))
+                    advanced = True
+                    break
+            if not advanced:
+                order.append(u)
+                stack.pop()
+    rev = {}
+    for u in nodes:
+        for (_, v) in adj.get(u, ()):
+            if v in inside:
+                rev.setdefault(v, []).append(u)
+    comps, assigned = [], set()
+    for root in reversed(order):
+        if root in assigned:
+            continue
+        comp, stack = {root}, [root]
+        assigned.add(root)
+        while stack:
+            for v in rev.get(stack.pop(), ()):
+                if v not in assigned:
+                    assigned.add(v)
+                    comp.add(v)
+                    stack.append(v)
+        comps.append(frozenset(comp))
+    return comps
+
+
+def _streett_ec_by_key(span, adj, pairs, want):
+    for comp in _sccs_by_key(span, adj):
+        if not _nontrivial(comp, adj):
+            continue
+        bad = [(L, U) for (L, U) in pairs if (comp & L) and not (comp & U)]
+        if bad:
+            removed = set()
+            for (L, _) in bad:
+                removed |= L
+            found = _streett_ec_by_key(comp - removed, adj, pairs, want)
+            if found is not None:
+                return found
+        elif want(comp):
+            return comp
+    return None
+
+
+def _pairs_on_product(spec, prod_nodes):
+    if not isinstance(spec, StreettSpec):
+        return ()
+    return tuple((frozenset(p for p in prod_nodes if p[0] in L),
+                  frozenset(p for p in prod_nodes if p[0] in U)) for (L, U) in spec.pairs)
+
+
+def _lasso_by_key(comp, prod_adj, parents, via=None, span=None) -> Lasso:
+    order = sorted(comp, key=_node_key)
+    walk, cur = [], order[0]
+    for tgt in order[1:] + [order[0]]:
+        walk.extend(_bfs_path(cur, tgt, prod_adj, comp, require_step=False))
+        cur = tgt
+    if not walk:
+        walk = _bfs_path(order[0], order[0], prod_adj, comp, require_step=True)
+    start, steps = _steps_to(order[0] if via is None else via, parents)
+    if via is not None:
+        steps += _bfs_path(via, order[0], prod_adj, span, require_step=False)
+    stem = Execution(Word(lab for (lab, _) in steps),
+                     (start[0],) + tuple(p[0] for (_, p) in steps))
+    return Lasso(stem, tuple((lab, p[0]) for (lab, p) in walk)).canonical()
+
+
+def violating_run_per_direction(nodes, adj, fair_a, unfair_b):
+    """``exists_violating_run`` with a fresh product and fresh lifts."""
+    prod_adj, parents = _product_with_automata(nodes, adj, fair_a, unfair_b)
+    prod_nodes = list(parents)
+    a_pairs = _pairs_on_product(fair_a, prod_nodes)
+    if isinstance(unfair_b, AlwaysAfterSpec):
+        for t in sorted((p for p in prod_nodes if p[2] == "fail"), key=_node_key):
+            span = reach([t], lambda u: [v for (_, v) in prod_adj[u]])
+            comp = _streett_ec_by_key(span, prod_adj, a_pairs, lambda D: True)
+            if comp is not None:
+                return _lasso_by_key(comp, prod_adj, parents, via=t, span=span)
+    else:
+        for (L, U) in _pairs_on_product(unfair_b, prod_nodes):
+            comp = _streett_ec_by_key(set(prod_nodes) - U, prod_adj, a_pairs, lambda D: bool(D & L))
+            if comp is not None:
+                return _lasso_by_key(comp, prod_adj, parents)
+    return None
+
+
+def _decide(check, mode, exact, exact_witness, bounded, stem_bound, cycle_bound) -> Verdict:
+    """Exact or bounded, for the Streett and positional conditions only."""
+    if mode == "exact_streett":
+        w = exact()
+        return Verdict(check, True) if w is None else Verdict(check, False, exact_witness(w))
+    w = next(bounded(), None)
+    if w is not None:
+        return Verdict(check, False, w)
+    return Verdict(check, True, certified_bounds={"stem_bound": stem_bound, "cycle_bound": cycle_bound})
+
+
+def _transfer_per_direction(check, f, source, target, mode, stem_bound, cycle_bound, preserve):
+    tag = "unfair-image" if preserve else "chain-with-fair-image-but-no-fair-limit"
+    nodes = list(source.lts.states)
+    own = _lift_fairness(source.fairness, nodes, lambda x: x)
+    image = _lift_fairness(target.fairness, nodes, lambda x: f[x])
+    fair_a, unfair_b = (own, image) if preserve else (image, own)
+    return _decide(
+        check, mode,
+        lambda: violating_run_per_direction(nodes, adjacency(source.lts), fair_a, unfair_b),
+        lambda w: (tag, (w, w.map_states(f).canonical())),
+        lambda: ((tag, m) for m in fair_mismatches(
+            f, target, fair_lassos(source, stem_bound, cycle_bound), preserve)),
+        stem_bound, cycle_bound,
+    )
+
+
+def fair_bisim_fn_per_direction(f, source, target, mode, stem_bound=4, cycle_bound=4) -> Verdict:
+    """``check_fair_bisim_fn`` by the per-direction engine."""
+    ok, w = is_simulation(f, source.lts, target.lts)
+    if not ok:
+        return Verdict("fair-bisim-fn", False, ("transition", w))
+    args = ("fair-bisim-fn", f, source, target, mode, stem_bound, cycle_bound)
+    kept = _transfer_per_direction(*args, True)
+    if not kept.holds:
+        return kept
+    w = _transfer_violation(f, source.lts, target.lts, adjacency(source.lts))
+    return Verdict("fair-bisim-fn", False, w) if w is not None else _transfer_per_direction(*args, False)
+
+
+def fair_reflection_per_direction(f, source, target, mode, stem_bound=4, cycle_bound=4) -> Verdict:
+    """``check_fair_reflection`` by the per-direction engine."""
+    args = ("fair-reflection", f, source, target, mode, stem_bound, cycle_bound)
+    if not is_simulation(f, source.lts, target.lts)[0] or not _transfer_per_direction(*args, True).holds:
+        raise PreconditionError("reflection is only defined for fair simulations")
+    return _transfer_per_direction(*args, False)
+
+
+def forall_fair_bisim_per_direction(R, system, mode, stem_bound=4, cycle_bound=4) -> Verdict:
+    """``check_forall_fair_bisim`` by the per-direction engine."""
+    kind = R.kind
+    if kind != "equivalence":
+        return Verdict("forall-fair-bisim", False, ("not-equivalence", kind))
+    adjX = adjacency(system.lts)
+    for (x, y) in sorted(R.pairs):
+        for (a, x2) in adjX[x]:
+            if not any(b == a and R.contains(x2, y2) for (b, y2) in adjX[y]):
+                return Verdict("forall-fair-bisim", False, ("no-transfer", ((x, y), (x, a, x2))))
+    nodes = sorted(R.pairs)
+    adj = _synchronised(adjX, adjX, nodes)
+    tag = "fairness-not-transferred"
+
+    def bounded():
+        for lasso in enumerate_graph_lassos(nodes, adj, stem_bound, cycle_bound):
+            left, right = _split_pair_lasso(lasso)
+            if system.fairness.is_fair(left) and not system.fairness.is_fair(right):
+                yield (tag, (left, right))
+
+    return _decide(
+        "forall-fair-bisim", mode,
+        lambda: violating_run_per_direction(
+            nodes, adj, _lift_fairness(system.fairness, nodes, lambda n: n[0]),
+            _lift_fairness(system.fairness, nodes, lambda n: n[1])),
+        lambda w: (tag, _split_pair_lasso(w)),
+        bounded, stem_bound, cycle_bound,
+    )

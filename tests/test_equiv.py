@@ -33,6 +33,7 @@ from conftest import (
     brute_force_largest,
     is_lasso_of,
     lts_of,
+    random_fair_system,
     random_lts,
     random_total_map,
     stutter_fan,
@@ -367,18 +368,6 @@ def _assert_fair_witness(f, X, Y, witness):
         assert tag in ("not-surjective", "no-reflection")
 
 
-def _random_fair_system(rng, labels):
-    lts = random_lts(rng, 3, labels, density=1.8)
-
-    def some():
-        return frozenset(s for s in lts.states if rng.random() < 0.5)
-
-    if rng.random() < 0.5:
-        return FairLts(lts, StreettSpec(tuple((some(), some()) for _ in range(rng.randint(0, 2)))))
-    gate = tuple(rng.choice(labels) for _ in range(rng.randint(0, 1)))
-    return FairLts(lts, AlwaysAfterSpec(rng.randint(0, 1), some(), gate))
-
-
 def test_exact_fair_checks_refute_whenever_bounded_ones_do():
     # a bounded witness is a genuine run, so the exact decision must refuse
     # too, in each direction; it may refuse more, with runs beyond the bounds
@@ -386,7 +375,7 @@ def test_exact_fair_checks_refute_whenever_bounded_ones_do():
     compared = refuted = 0
     for _ in range(400):
         labels = rng.choice([("a",), ("a", "b")])
-        X, Y = _random_fair_system(rng, labels), _random_fair_system(rng, labels)
+        X, Y = random_fair_system(rng, labels), random_fair_system(rng, labels)
         f = {x: rng.choice(Y.lts.states) for x in X.lts.states}
         exact = check_fair_bisim_fn(f, X, Y, "exact_streett")
         bounded = check_fair_bisim_fn(f, X, Y, "bounded", stem_bound=3, cycle_bound=3)

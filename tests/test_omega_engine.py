@@ -5,10 +5,19 @@ claims to witness."""
 
 import random
 
-from bisimap.equiv import check_fair_bisim_fn, exists_fair_run, exists_violating_run
-from bisimap.lts import AlwaysAfterSpec, FairLts, StreettSpec, adjacency, enumerate_graph_lassos
+from bisimap.equiv import (
+    PartitionRelation, check_fair_bisim_fn, check_fair_reflection, check_forall_fair_bisim,
+    exists_fair_run, exists_violating_run,
+)
+from bisimap.errors import PreconditionError
+from bisimap.lts import (
+    AlwaysAfterSpec, FairLts, Lts, StreettSpec, adjacency, enumerate_graph_lassos, format_witness,
+)
 
-from conftest import lts_of
+from conftest import lts_of, random_fair_system, random_fairness
+from oracles import (
+    fair_bisim_fn_per_direction, fair_reflection_per_direction, forall_fair_bisim_per_direction,
+)
 
 
 def lasso_satisfies(lasso, spec):
@@ -120,3 +129,55 @@ def test_fair_component_found_only_inside_a_refined_component():
     exact = check_fair_bisim_fn(ident, X, Y, "exact_streett")
     assert exact.witness == ("unfair-image", (fair, fair))
     assert check_fair_bisim_fn(ident, X, Y, "bounded").witness == exact.witness
+
+
+def _image_system(rng, X, labels):
+    """A system that a random map of X's states is a simulation onto (the
+    image of X's steps), with random fairness, and that map."""
+    k = rng.randint(1, len(X.lts.states))
+    f = {x: f"t{rng.randrange(k)}" for x in X.lts.states}
+    lts = Lts.make(sorted(set(f.values())), X.lts.alphabet,
+                   {(f[x], a, f[x2]) for (x, a, x2) in X.lts.transitions})
+    return FairLts(lts, random_fairness(rng, lts, labels)), f
+
+
+def _outcome(check, *args):
+    try:
+        verdict = check(*args)
+    except PreconditionError as exc:
+        return ("raised", str(exc))
+    return (verdict, None if verdict.witness is None else format_witness(verdict.witness))
+
+
+def test_one_product_per_check_matches_the_per_direction_engine():
+    # the library decides both transfer directions of a check on one product
+    # graph, ranked once; the oracle builds a fresh product per direction and
+    # sorts by _node_key in every component search: verdicts, witnesses and
+    # witness text must be equal, in both modes
+    rng = random.Random(2121)
+    tags = set()
+    for i in range(500):
+        labels = ("a",) if i % 2 else ("a", "b")
+        X = random_fair_system(rng, labels)
+        if rng.random() < 0.5:
+            Y, f = _image_system(rng, X, labels)
+        else:
+            Y = random_fair_system(rng, labels)
+            f = {x: rng.choice(Y.lts.states) for x in X.lts.states}
+        k = rng.randint(1, 2)
+        blocks = {x: rng.randrange(k) for x in X.lts.states}
+        R = PartitionRelation(X.lts.states, frozenset(
+            (x, y) for x in X.lts.states for y in X.lts.states if blocks[x] == blocks[y]))
+        for mode in ("exact_streett", "bounded"):
+            for (check, oracle, args) in (
+                (check_fair_bisim_fn, fair_bisim_fn_per_direction, (f, X, Y, mode, 2, 3)),
+                (check_fair_reflection, fair_reflection_per_direction, (f, X, Y, mode, 2, 3)),
+                (check_forall_fair_bisim, forall_fair_bisim_per_direction, (R, X, mode, 2, 3)),
+            ):
+                got = _outcome(check, *args)
+                assert got == _outcome(oracle, *args), (check.__name__, X, Y, f, mode)
+                if got[0] != "raised" and not got[0].holds:
+                    tags.add((mode, got[0].witness[0]))
+    assert {(mode, tag) for mode in ("exact_streett", "bounded") for tag in (
+        "unfair-image", "chain-with-fair-image-but-no-fair-limit", "fairness-not-transferred",
+    )} <= tags, tags

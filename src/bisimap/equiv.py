@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
 
 from .errors import PreconditionError, UnsupportedError
 from .lts import (
@@ -168,24 +170,6 @@ class PartitionRelation:
 _EXACT_KINDS = (StreettSpec, AlwaysAfterSpec)
 
 
-def _lift_fairness(spec, nodes, proj):
-    """Reinterpret a state-level condition of an exact kind over graph nodes
-    via a projection."""
-    if isinstance(spec, StreettSpec):
-        return StreettSpec(tuple(
-            (
-                frozenset(n for n in nodes if proj(n) in L),
-                frozenset(n for n in nodes if proj(n) in U),
-            )
-            for (L, U) in spec.pairs
-        ))
-    return AlwaysAfterSpec(
-        spec.offset,
-        frozenset(n for n in nodes if proj(n) in spec.allowed),
-        tuple(spec.gate),
-    )
-
-
 def _aa_init(spec: AlwaysAfterSpec, node):
     bad = spec.offset == 0 and node not in spec.allowed
     if max(len(spec.gate), spec.offset) == 0:
@@ -336,19 +320,22 @@ def _closed_walk(comp, adj, rank):
     return start, walk
 
 
-def _product_with_automata(starts, adj, fair_a, unfair_b):
-    """The part of the graph reachable from ``starts``, run in step with the
-    automata of the two conditions where they are positional: nodes are
-    (graph node, state of fair_a's automaton, state of unfair_b's), with
-    None for a condition without one, and steps that fail fair_a are cut.
-    Returns the product's steps and its BFS tree (node -> (parent, label)),
-    the tree in visit order."""
-    a_aa = isinstance(fair_a, AlwaysAfterSpec)
-    b_aa = isinstance(unfair_b, AlwaysAfterSpec)
+def _product_with_automata(starts, steps, fair_a, unfair_b):
+    """The part of the graph reachable from ``starts`` (``steps`` gives a
+    node's (label, successor) pairs), run in step with the automata of the
+    two conditions where they are positional: nodes are (graph node, state
+    of fair_a's automaton, state of unfair_b's), with None for a condition
+    without one, and steps that fail fair_a are cut.  A condition is a
+    (state-level spec, projection) pair, and its automaton reads each graph
+    node's projection.  Returns the product's steps and its BFS tree
+    (node -> (parent, label)), the tree in visit order."""
+    (spec_a, proj_a), (spec_b, proj_b) = fair_a, unfair_b
+    a_aa = isinstance(spec_a, AlwaysAfterSpec)
+    b_aa = isinstance(spec_b, AlwaysAfterSpec)
     inits = []
     for v in sorted(starts, key=_node_key):
-        sa = _aa_init(fair_a, v) if a_aa else None
-        sb = _aa_init(unfair_b, v) if b_aa else None
+        sa = _aa_init(spec_a, proj_a(v)) if a_aa else None
+        sb = _aa_init(spec_b, proj_b(v)) if b_aa else None
         if sa != "fail":
             inits.append((v, sa, sb))
     prod_adj = {}
@@ -361,49 +348,45 @@ def _product_with_automata(starts, adj, fair_a, unfair_b):
         u = queue[i]
         i += 1
         v, sa, sb = u
-        steps = []
-        for (lab, v2) in adj.get(v, ()):
-            sa2 = _aa_step(fair_a, sa, lab, v2) if a_aa else None
+        out = []
+        for (lab, v2) in steps(v):
+            sa2 = _aa_step(spec_a, sa, lab, proj_a(v2)) if a_aa else None
             if sa2 == "fail":
                 continue
-            sb2 = _aa_step(unfair_b, sb, lab, v2) if b_aa else None
+            sb2 = _aa_step(spec_b, sb, lab, proj_b(v2)) if b_aa else None
             nxt = (v2, sa2, sb2)
-            steps.append((lab, nxt))
+            out.append((lab, nxt))
             if nxt not in parents:
                 parents[nxt] = (u, lab)
                 queue.append(nxt)
-        prod_adj[u] = tuple(steps)
+        prod_adj[u] = tuple(out)
     return prod_adj, parents
 
 
 class _Product:
     """A product graph (``_product_with_automata``) with what every search
-    on it reads: its nodes in visit order, their rank in ``_node_key`` order
-    from one sort, and each Streett condition's pairs over them, lifted once
-    per condition."""
+    on it reads: its nodes in visit order and their rank in ``_node_key``
+    order from one sort."""
 
-    def __init__(self, starts, adj, fair_a, unfair_b):
-        self.adj, self.parents = _product_with_automata(starts, adj, fair_a, unfair_b)
+    def __init__(self, starts, steps, fair_a, unfair_b):
+        self.adj, self.parents = _product_with_automata(starts, steps, fair_a, unfair_b)
         self.nodes = list(self.parents)
         # a product node is a tuple, whose str is its repr: repr alone gives
         # the _node_key order
         self.rank = {p: i for (i, p) in enumerate(sorted(self.nodes, key=repr))}
-        self._pairs = {}
 
-    def pairs(self, spec):
-        """A node-level condition's Streett pairs over the product's nodes;
-        () for a positional condition, which the product runs instead."""
+    def pairs(self, cond):
+        """A condition's Streett pairs over the product's nodes, each read on
+        the projection of the node's graph node; () for a positional
+        condition, which the product runs instead."""
+        spec, proj = cond
         if not isinstance(spec, StreettSpec):
             return ()
-        # keyed by identity, as a condition may hold plain sets, which have no
-        # hash; the entry keeps spec alive, so no other object takes its id
-        if id(spec) not in self._pairs:
-            self._pairs[id(spec)] = (spec, tuple(
-                (frozenset(p for p in self.nodes if p[0] in L),
-                 frozenset(p for p in self.nodes if p[0] in U))
-                for (L, U) in spec.pairs
-            ))
-        return self._pairs[id(spec)][1]
+        seen = [(p, proj(p[0])) for p in self.nodes]
+        return tuple(
+            (frozenset(p for (p, s) in seen if s in L), frozenset(p for (p, s) in seen if s in U))
+            for (L, U) in spec.pairs
+        )
 
     def lasso(self, comp, via=None, span=None) -> Lasso:
         """The lasso of graph nodes under a product run: down the BFS tree to
@@ -422,10 +405,12 @@ class _Product:
         return Lasso(stem, tuple((lab, p[0]) for (lab, p) in walk)).canonical()
 
 
-def exists_violating_run(nodes, adj, fair_a, unfair_b, products=None):
-    """A lasso witnessing an infinite run, started at one of ``nodes``, that
-    satisfies ``fair_a`` while violating ``unfair_b`` (both node-level
-    conditions), or None.
+def exists_violating_run(starts, steps, fair_a, unfair_b, products=None):
+    """A lasso witnessing an infinite run of the graph that ``steps`` gives
+    (a node's (label, successor) pairs), started at one of ``starts``, that
+    satisfies ``fair_a`` while violating ``unfair_b``, or None.  Each
+    condition is a (spec, projection) pair: the state-level spec is read on
+    the projection of each graph node.
 
     Exact for any mix of Streett and positional conditions: end-component
     analysis over the graph extended with the positional automata.  When
@@ -433,16 +418,16 @@ def exists_violating_run(nodes, adj, fair_a, unfair_b, products=None):
     condition is the fair one: a caller that asks again on the same graph
     passes the same dict as ``products``, and the product is built once.
     """
-    if (products is None or isinstance(fair_a, AlwaysAfterSpec)
-            or isinstance(unfair_b, AlwaysAfterSpec)):
-        product = _Product(nodes, adj, fair_a, unfair_b)
+    positional = isinstance(fair_a[0], AlwaysAfterSpec) or isinstance(unfair_b[0], AlwaysAfterSpec)
+    if products is None or positional:
+        product = _Product(starts, steps, fair_a, unfair_b)
     else:
         product = products.get("streett")
         if product is None:
-            product = products["streett"] = _Product(nodes, adj, fair_a, unfair_b)
+            product = products["streett"] = _Product(starts, steps, fair_a, unfair_b)
     prod_adj, rank = product.adj, product.rank
     a_pairs = product.pairs(fair_a)
-    if isinstance(unfair_b, AlwaysAfterSpec):
+    if isinstance(unfair_b[0], AlwaysAfterSpec):
         targets = sorted((p for p in product.nodes if p[2] == "fail"), key=rank.__getitem__)
         for t in targets:
             span = reach([t], lambda u: [v for (_, v) in prod_adj[u]])
@@ -458,56 +443,43 @@ def exists_violating_run(nodes, adj, fair_a, unfair_b, products=None):
     return None
 
 
-def exists_fair_run(nodes, adj, spec, starts=None):
-    """A lasso witnessing an infinite run satisfying the node-level condition,
-    started from ``starts`` (default: anywhere), or None: a run that violates
-    the Streett pair (every node, no node), as every infinite run does."""
-    every_run = StreettSpec(((frozenset(nodes), frozenset()),))
-    return exists_violating_run(nodes if starts is None else starts, adj, spec, every_run)
+_EVERY_RUN = (StreettSpec(((frozenset({True}), frozenset()),)), lambda v: True)
+
+
+def exists_fair_run(starts, steps, fair):
+    """A lasso witnessing an infinite run from one of ``starts`` that
+    satisfies the condition ``fair``, or None, with graph and condition as in
+    ``exists_violating_run``: a run that violates a Streett pair whose L
+    holds every node and U none, as every infinite run does."""
+    return exists_violating_run(starts, steps, fair, _EVERY_RUN)
 
 
 # ---------------------------------------------------------------------------
 # Lifting lasso runs along a map
 
 
-def _synchronised(adj1, adj2, nodes) -> dict:
-    """The steps of the synchronous product of two labelled graphs on the
-    given node pairs: (u, v) -a-> (u2, v2) when both graphs take an a-step
-    and the pair is a node; steps in the order of adj1, then adj2."""
-    node_set = set(nodes)
-    return {
-        (u, v): tuple(
-            (a, (u2, v2))
-            for (a, u2) in adj1[u]
-            for (b, v2) in adj2[v]
-            if a == b and (u2, v2) in node_set
-        )
-        for (u, v) in nodes
-    }
-
-
 def _lifted_fair_run(source: FairLts, adj, f: dict, lasso: Lasso, starts):
     """A fair run of the source (successor lists ``adj``), started at one of
     ``starts``, that f maps pointwise onto the lasso's run, or None.  Decided
-    on the product of the source with the lasso's positions: stem positions,
-    then the cycle's."""
+    on the product of the source with the lasso's positions, stem positions
+    then the cycle's: (x, pos) -a-> (x2, pos2) when x -a-> x2, the lasso
+    steps from pos to pos2 by a, and f(x2) is the state at pos2."""
+    if not isinstance(source.fairness, _EXACT_KINDS):
+        raise UnsupportedError("source fairness kind unsupported for lifting runs")
     k, n = len(lasso.stem.trace), len(lasso.cycle)
     positions = [("s", i) for i in range(k + 1)] + [("c", j) for j in range(n)]
     state_of = dict(zip(positions, lasso.stem.states + tuple(st for (_, st) in lasso.cycle)))
-    steps = [(lab, ("s", i + 1)) for (i, lab) in enumerate(lasso.stem.trace)]
-    steps.append((lasso.cycle[0][0], ("c", 0)))
-    steps.extend((lasso.cycle[(j + 1) % n][0], ("c", (j + 1) % n)) for j in range(n))
-    nodes = [
-        (x, pos)
-        for x in source.lts.states
-        for pos in positions
-        if f[x] == state_of[pos]
-    ]
-    if not isinstance(source.fairness, _EXACT_KINDS):
-        raise UnsupportedError("source fairness kind unsupported for lifting runs")
-    step = {pos: (s,) for (pos, s) in zip(positions, steps)}
-    spec = _lift_fairness(source.fairness, nodes, lambda node: node[0])
-    return exists_fair_run(nodes, _synchronised(adj, step, nodes), spec, [(x, ("s", 0)) for x in starts])
+    moves = [(lab, ("s", i + 1)) for (i, lab) in enumerate(lasso.stem.trace)]
+    moves.append((lasso.cycle[0][0], ("c", 0)))
+    moves.extend((lasso.cycle[(j + 1) % n][0], ("c", (j + 1) % n)) for j in range(n))
+    move = dict(zip(positions, moves))
+
+    def steps(node):
+        x, pos = node
+        lab, pos2 = move[pos]
+        return [(a, (x2, pos2)) for (a, x2) in adj[x] if a == lab and f[x2] == state_of[pos2]]
+
+    return exists_fair_run([(x, ("s", 0)) for x in starts], steps, (source.fairness, itemgetter(0)))
 
 
 # ---------------------------------------------------------------------------
@@ -529,13 +501,20 @@ class ImageFairness:
     def mapping(self) -> dict:
         return dict(self.mapping_items)
 
+    @cached_property
+    def _lifting(self):  # built on first use, and not pickled
+        return self.mapping, adjacency(self.source.lts)
+
+    def __getstate__(self):
+        return {"source": self.source, "mapping_items": self.mapping_items}
+
     def states_mentioned(self):
         return set()
 
     def is_fair(self, lasso: Lasso) -> bool:
-        f = self.mapping
+        f, adj = self._lifting
         starts = [x for x in self.source.lts.states if f[x] == lasso.stem.start]
-        return _lifted_fair_run(self.source, adjacency(self.source.lts), f, lasso, starts) is not None
+        return _lifted_fair_run(self.source, adj, f, lasso, starts) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -584,12 +563,9 @@ def check_strong_bisim_fn(f: dict, source: Lts, target: Lts) -> Verdict:
 def check_fair_sim(f: dict, source: FairLts, target: FairLts,
                    stem_bound: int = 4, cycle_bound: int = 4) -> Verdict:
     """Transition preservation plus preservation of fair lassos in bounds."""
-    ok, w = is_simulation(f, source.lts, target.lts)
-    if not ok:
-        return Verdict("fair-sim", False, ("transition", w))
-    transfer = _fair_transfer("fair-sim", f, source, target, adjacency(source.lts),
-                              "bounded", stem_bound, cycle_bound)
-    return transfer(True)
+    w = fair_simulation_violation(f, source, target, stem_bound, cycle_bound)
+    bounds = {"stem_bound": stem_bound, "cycle_bound": cycle_bound} if w is None else None
+    return Verdict("fair-sim", w is None, w, certified_bounds=bounds)
 
 
 def check_fair_reflection(f: dict, source: FairLts, target: FairLts,
@@ -638,23 +614,20 @@ def _fair_transfer(check, f, source, target, adj, mode, stem_bound, cycle_bound)
     fair with an unfair image, without it none may be unfair with a fair
     image.
 
-    The two directions share what they build, each part on first use: the
-    source's tagged lassos for the bounded decision; for the exact one the
-    target's condition lifted to source states and the product graph.  The
-    source's own condition needs no lift: it mentions only source states."""
-    nodes, own = source.lts.states, source.fairness
-    exact_kinds = isinstance(own, _EXACT_KINDS) and isinstance(target.fairness, _EXACT_KINDS)
+    The exact decision reads the source's own condition on each state and
+    the target's on its image under f.  The two directions share what they
+    build, each part on first use: the source's tagged lassos for the
+    bounded decision, the product graph for the exact one."""
+    own, image = (source.fairness, lambda x: x), (target.fairness, f.__getitem__)
+    exact_kinds = isinstance(own[0], _EXACT_KINDS) and isinstance(image[0], _EXACT_KINDS)
     built, products = {}, {}
 
     def transfer(preserve):
         tag = "unfair-image" if preserve else "chain-with-fair-image-but-no-fair-limit"
 
         def exact():
-            if "image" not in built:
-                built["image"] = _lift_fairness(target.fairness, nodes, f.__getitem__)
-            image = built["image"]
             fair_a, unfair_b = (own, image) if preserve else (image, own)
-            return exists_violating_run(nodes, adj, fair_a, unfair_b, products)
+            return exists_violating_run(source.lts.states, adj.__getitem__, fair_a, unfair_b, products)
 
         def bounded():
             if "lassos" not in built:
@@ -731,18 +704,23 @@ def check_forall_fair_bisim(R: PartitionRelation, system: FairLts,
                 return Verdict("forall-fair-bisim", False,
                                ("no-transfer", ((x, y), (x, a, x2))))
     nodes = sorted(R.pairs)
-    adj = _synchronised(adjX, adjX, nodes)
+
+    def steps(pair):  # both sides step by one label into a related pair
+        return [(a, (x2, y2)) for (a, x2) in adjX[pair[0]] for (b, y2) in adjX[pair[1]]
+                if a == b and R.contains(x2, y2)]
+
     tag = "fairness-not-transferred"
 
     def bounded():
+        adj = {p: steps(p) for p in nodes}
         for lasso in enumerate_graph_lassos(nodes, adj, stem_bound, cycle_bound):
             left, right = _split_pair_lasso(lasso)
             if system.fairness.is_fair(left) and not system.fairness.is_fair(right):
                 yield (tag, (left, right))
 
     def exact():
-        return exists_violating_run(nodes, adj, _lift_fairness(system.fairness, nodes, lambda n: n[0]),
-                                    _lift_fairness(system.fairness, nodes, lambda n: n[1]))
+        return exists_violating_run(nodes, steps, (system.fairness, itemgetter(0)),
+                                    (system.fairness, itemgetter(1)))
 
     return _exact_then_bounded(
         "forall-fair-bisim", mode, isinstance(system.fairness, _EXACT_KINDS), exact,

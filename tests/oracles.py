@@ -13,17 +13,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from bisimap.equiv import (
-    PartitionRelation, Verdict, _bfs_path, _lift_fairness, _node_key, _nontrivial,
-    _product_with_automata, _split_pair_lasso, _steps_to, _synchronised, _transfer_violation,
+    _EXACT_KINDS, PartitionRelation, Verdict, _aa_init, _aa_step, _bfs_path, _node_key,
+    _nontrivial, _reflection_violation, _split_pair_lasso, _steps_to, _transfer_violation,
     branching_quotient,
 )
 from bisimap.errors import PreconditionError, UnsupportedError
 from bisimap.lts import (
-    AlwaysAfterSpec, Execution, Lasso, Lts, StreettSpec, adjacency, enumerate_graph_lassos,
+    AlwaysAfterSpec, Execution, FairLts, Lasso, Lts, StreettSpec, adjacency, enumerate_graph_lassos,
     executions_up_to, fair_lassos, is_simulation, reach, restrict,
 )
 from bisimap.presheaf import FinPoset, FinPresheaf, _stage_sorted, make_presheaf, nat_trans
-from bisimap.semantics import fair_mismatches
+from bisimap.semantics import fair_mismatches, fair_simulation_violation
 from bisimap.words import TAU, TAU_BAR, StretchPoint, Word, element_key
 
 # ---------------------------------------------------------------------------
@@ -372,9 +372,85 @@ def weak_reflection_violation(f: dict, source: Lts, target: Lts):
 
 # ---------------------------------------------------------------------------
 # Exact fairness transfer, one direction at a time: the library builds one
-# product graph per check, ranks its nodes once and lifts each condition
-# once (``equiv.exists_violating_run``); this engine builds a fresh product
-# for each direction and sorts by ``_node_key`` in every component search
+# product graph per check, ranks its nodes once and reads each condition on
+# the states its product nodes project to (``equiv.exists_violating_run``);
+# this engine lifts each condition to graph nodes first (``_lift_fairness``),
+# builds a fresh product over explicit successor lists for each direction
+# and sorts by ``_node_key`` in every component search
+
+
+def _lift_fairness(spec, nodes, proj):
+    """Reinterpret a state-level condition of an exact kind over graph nodes
+    via a projection."""
+    if isinstance(spec, StreettSpec):
+        return StreettSpec(tuple(
+            (
+                frozenset(n for n in nodes if proj(n) in L),
+                frozenset(n for n in nodes if proj(n) in U),
+            )
+            for (L, U) in spec.pairs
+        ))
+    return AlwaysAfterSpec(
+        spec.offset,
+        frozenset(n for n in nodes if proj(n) in spec.allowed),
+        tuple(spec.gate),
+    )
+
+
+def _product_with_automata(starts, adj, fair_a, unfair_b):
+    """The part of the graph reachable from ``starts``, run in step with the
+    automata of the two conditions where they are positional: nodes are
+    (graph node, state of fair_a's automaton, state of unfair_b's), with
+    None for a condition without one, and steps that fail fair_a are cut.
+    Returns the product's steps and its BFS tree (node -> (parent, label)),
+    the tree in visit order."""
+    a_aa = isinstance(fair_a, AlwaysAfterSpec)
+    b_aa = isinstance(unfair_b, AlwaysAfterSpec)
+    inits = []
+    for v in sorted(starts, key=_node_key):
+        sa = _aa_init(fair_a, v) if a_aa else None
+        sb = _aa_init(unfair_b, v) if b_aa else None
+        if sa != "fail":
+            inits.append((v, sa, sb))
+    prod_adj = {}
+    parents = {}
+    queue = list(inits)
+    for st in inits:
+        parents.setdefault(st, None)
+    i = 0
+    while i < len(queue):
+        u = queue[i]
+        i += 1
+        v, sa, sb = u
+        steps = []
+        for (lab, v2) in adj.get(v, ()):
+            sa2 = _aa_step(fair_a, sa, lab, v2) if a_aa else None
+            if sa2 == "fail":
+                continue
+            sb2 = _aa_step(unfair_b, sb, lab, v2) if b_aa else None
+            nxt = (v2, sa2, sb2)
+            steps.append((lab, nxt))
+            if nxt not in parents:
+                parents[nxt] = (u, lab)
+                queue.append(nxt)
+        prod_adj[u] = tuple(steps)
+    return prod_adj, parents
+
+
+def _synchronised(adj1, adj2, nodes) -> dict:
+    """The steps of the synchronous product of two labelled graphs on the
+    given node pairs: (u, v) -a-> (u2, v2) when both graphs take an a-step
+    and the pair is a node; steps in the order of adj1, then adj2."""
+    node_set = set(nodes)
+    return {
+        (u, v): tuple(
+            (a, (u2, v2))
+            for (a, u2) in adj1[u]
+            for (b, v2) in adj2[v]
+            if a == b and (u2, v2) in node_set
+        )
+        for (u, v) in nodes
+    }
 
 
 def _sccs_by_key(nodes, adj):
@@ -520,6 +596,15 @@ def fair_bisim_fn_per_direction(f, source, target, mode, stem_bound=4, cycle_bou
     return Verdict("fair-bisim-fn", False, w) if w is not None else _transfer_per_direction(*args, False)
 
 
+def fair_sim_per_direction(f, source, target, stem_bound=4, cycle_bound=4) -> Verdict:
+    """``check_fair_sim`` as the bounded preservation direction of the
+    per-direction engine."""
+    ok, w = is_simulation(f, source.lts, target.lts)
+    if not ok:
+        return Verdict("fair-sim", False, ("transition", w))
+    return _transfer_per_direction("fair-sim", f, source, target, "bounded", stem_bound, cycle_bound, True)
+
+
 def fair_reflection_per_direction(f, source, target, mode, stem_bound=4, cycle_bound=4) -> Verdict:
     """``check_fair_reflection`` by the per-direction engine."""
     args = ("fair-reflection", f, source, target, mode, stem_bound, cycle_bound)
@@ -556,3 +641,64 @@ def forall_fair_bisim_per_direction(R, system, mode, stem_bound=4, cycle_bound=4
         lambda w: (tag, _split_pair_lasso(w)),
         bounded, stem_bound, cycle_bound,
     )
+
+
+# ---------------------------------------------------------------------------
+# Lifting lasso runs along a map, over node-level conditions: the library
+# steps the source and the lasso's positions in one successor function and
+# reads the source's condition on each node's state
+
+
+def exists_fair_run(nodes, adj, spec, starts=None):
+    """A lasso witnessing an infinite run satisfying the node-level condition,
+    started from ``starts`` (default: anywhere), or None: a run that violates
+    the Streett pair (every node, no node), as every infinite run does."""
+    every_run = StreettSpec(((frozenset(nodes), frozenset()),))
+    return violating_run_per_direction(nodes if starts is None else starts, adj, spec, every_run)
+
+
+def _lifted_fair_run(source: FairLts, adj, f: dict, lasso: Lasso, starts):
+    """A fair run of the source (successor lists ``adj``), started at one of
+    ``starts``, that f maps pointwise onto the lasso's run, or None.  Decided
+    on the product of the source with the lasso's positions: stem positions,
+    then the cycle's."""
+    k, n = len(lasso.stem.trace), len(lasso.cycle)
+    positions = [("s", i) for i in range(k + 1)] + [("c", j) for j in range(n)]
+    state_of = dict(zip(positions, lasso.stem.states + tuple(st for (_, st) in lasso.cycle)))
+    steps = [(lab, ("s", i + 1)) for (i, lab) in enumerate(lasso.stem.trace)]
+    steps.append((lasso.cycle[0][0], ("c", 0)))
+    steps.extend((lasso.cycle[(j + 1) % n][0], ("c", (j + 1) % n)) for j in range(n))
+    nodes = [
+        (x, pos)
+        for x in source.lts.states
+        for pos in positions
+        if f[x] == state_of[pos]
+    ]
+    if not isinstance(source.fairness, _EXACT_KINDS):
+        raise UnsupportedError("source fairness kind unsupported for lifting runs")
+    step = {pos: (s,) for (pos, s) in zip(positions, steps)}
+    spec = _lift_fairness(source.fairness, nodes, lambda node: node[0])
+    return exists_fair_run(nodes, _synchronised(adj, step, nodes), spec, [(x, ("s", 0)) for x in starts])
+
+
+def image_is_fair(source, f, lasso) -> bool:
+    """``ImageFairness(source, f).is_fair(lasso)`` by ``_lifted_fair_run``."""
+    starts = [x for x in source.lts.states if f[x] == lasso.stem.start]
+    return _lifted_fair_run(source, adjacency(source.lts), f, lasso, starts) is not None
+
+
+def hildebrandt_open_by_node_lifts(f, source, target, stem_bound=4, cycle_bound=4) -> Verdict:
+    """``check_hildebrandt_open`` with ``_lifted_fair_run``."""
+    if fair_simulation_violation(f, source, target, stem_bound, cycle_bound) is not None:
+        raise PreconditionError("only fair simulations are checked for openness")
+    adj = adjacency(source.lts)
+    w = _reflection_violation(f, source.lts, target.lts, adj)
+    if w is not None:
+        return Verdict("hildebrandt-open", False, ("no-reflection", w))
+    fair_targets = sorted((l for (l, ok) in fair_lassos(target, stem_bound, cycle_bound) if ok), key=str)
+    for x in source.lts.states:
+        for q in fair_targets:
+            if q.stem.start == f[x] and _lifted_fair_run(source, adj, f, q, [x]) is None:
+                return Verdict("hildebrandt-open", False, ("unliftable-fair-run", (x, q)))
+    return Verdict("hildebrandt-open", True,
+                   certified_bounds={"stem_bound": stem_bound, "cycle_bound": cycle_bound})

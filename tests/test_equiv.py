@@ -400,6 +400,30 @@ def test_exact_fair_checks_refute_whenever_bounded_ones_do():
     assert compared > 40 and refuted > 5, (compared, refuted)
 
 
+def test_image_fairness_builds_the_source_successor_lists_once(corpus, monkeypatch):
+    # judging every bounded lasso of a quotient builds the source's successor
+    # lists once, not once per lasso
+    import pickle
+
+    import bisimap.equiv
+    from bisimap.lts import fair_lassos
+
+    sys = corpus.union_sys.system
+    r2 = corpus.union_sys.relations["R2"].reflexive_closure()
+    quotient, f = forall_fair_quotient(r2, sys)
+    fresh = pickle.dumps(quotient.fairness)
+    calls = []
+    counted = bisimap.equiv.adjacency
+    monkeypatch.setattr(bisimap.equiv, "adjacency", lambda lts: calls.append(lts) or counted(lts))
+    assert len(fair_lassos(quotient, 3, 3)) == 80
+    assert len(calls) == 1
+    # what is built on first use is not part of equality, hash or pickle
+    again = forall_fair_quotient(r2, sys)[0].fairness
+    assert quotient.fairness == again and hash(quotient.fairness) == hash(again)
+    assert pickle.dumps(quotient.fairness) == fresh
+    assert pickle.loads(fresh) == quotient.fairness
+
+
 def test_image_fairness_agrees_with_bounded_preimage_search(corpus):
     # whenever a bounded enumeration finds a fair source lasso mapping onto a
     # quotient lasso, the exact product analysis must call the lasso fair

@@ -6,8 +6,8 @@ claims to witness."""
 import random
 
 from bisimap.equiv import (
-    PartitionRelation, check_fair_bisim_fn, check_fair_reflection, check_forall_fair_bisim,
-    exists_fair_run, exists_violating_run,
+    ImageFairness, PartitionRelation, check_fair_bisim_fn, check_fair_reflection, check_fair_sim,
+    check_forall_fair_bisim, check_hildebrandt_open, exists_fair_run, exists_violating_run,
 )
 from bisimap.errors import PreconditionError
 from bisimap.lts import (
@@ -16,8 +16,13 @@ from bisimap.lts import (
 
 from conftest import lts_of, random_fair_system, random_fairness
 from oracles import (
-    fair_bisim_fn_per_direction, fair_reflection_per_direction, forall_fair_bisim_per_direction,
+    fair_bisim_fn_per_direction, fair_reflection_per_direction, fair_sim_per_direction,
+    forall_fair_bisim_per_direction, hildebrandt_open_by_node_lifts, image_is_fair,
 )
+
+
+def same(node):
+    return node
 
 
 def lasso_satisfies(lasso, spec):
@@ -70,7 +75,7 @@ def test_violating_run_engine_matches_lasso_oracle():
         nodes, labels, edges = random_graph(rng)
         A = random_spec(rng, nodes, labels)
         B = random_spec(rng, nodes, labels)
-        engine = exists_violating_run(nodes, edges, A, B)
+        engine = exists_violating_run(nodes, edges.__getitem__, (A, same), (B, same))
         oracle = next(
             (
                 l
@@ -91,7 +96,7 @@ def test_fair_run_engine_matches_lasso_oracle():
         nodes, labels, edges = random_graph(rng)
         spec = random_spec(rng, nodes, labels)
         starts = [x for x in nodes if rng.random() < 0.7]
-        engine = exists_fair_run(nodes, edges, spec, starts)
+        engine = exists_fair_run(starts, edges.__getitem__, (spec, same))
         oracle = next(
             (
                 l
@@ -116,10 +121,10 @@ def test_fair_component_found_only_inside_a_refined_component():
     avoid_p = StreettSpec(((frozenset({"p"}), frozenset()),))
     bounded = list(enumerate_graph_lassos(nodes, adj, 4, 6))
 
-    fair = exists_fair_run(nodes, adj, avoid_q)
+    fair = exists_fair_run(nodes, adj.__getitem__, (avoid_q, same))
     assert str(fair) == "p (loop: -a-> p)"
     assert fair == next(l for l in bounded if lasso_satisfies(l, avoid_q))
-    violating = exists_violating_run(nodes, adj, avoid_q, avoid_p)
+    violating = exists_violating_run(nodes, adj.__getitem__, (avoid_q, same), (avoid_p, same))
     assert violating == fair == next(
         l for l in bounded if lasso_satisfies(l, avoid_q) and not lasso_satisfies(l, avoid_p)
     )
@@ -181,3 +186,49 @@ def test_one_product_per_check_matches_the_per_direction_engine():
     assert {(mode, tag) for mode in ("exact_streett", "bounded") for tag in (
         "unfair-image", "chain-with-fair-image-but-no-fair-limit", "fairness-not-transferred",
     )} <= tags, tags
+
+
+def _random_map(rng, X, labels):
+    if rng.random() < 0.5:
+        return _image_system(rng, X, labels)
+    Y = random_fair_system(rng, labels)
+    return Y, {x: rng.choice(Y.lts.states) for x in X.lts.states}
+
+
+def test_lifted_runs_match_the_node_level_lift():
+    # the library steps the source and a lasso's positions in one successor
+    # function and reads the source's condition on each node's state; the
+    # oracle lifts the condition to the node pairs and builds the synchronous
+    # product's successor lists first: image fairness and openness verdicts,
+    # witnesses and witness text must be equal
+    rng = random.Random(2323)
+    answers, outcomes = set(), set()
+    for i in range(320):
+        labels = ("a",) if i % 2 else ("a", "b")
+        X = random_fair_system(rng, labels)
+        Y, f = _random_map(rng, X, labels)
+        fair = ImageFairness(X, tuple(sorted(f.items())))
+        for lasso in enumerate_graph_lassos(Y.lts.states, adjacency(Y.lts), 2, 3):
+            got = fair.is_fair(lasso)
+            assert got == image_is_fair(X, f, lasso), (X, Y, f, lasso)
+            answers.add((type(X.fairness).__name__, got))
+        got = _outcome(check_hildebrandt_open, f, X, Y, 2, 3)
+        assert got == _outcome(hildebrandt_open_by_node_lifts, f, X, Y, 2, 3), (X, Y, f)
+        outcomes.add("raised" if got[0] == "raised" else got[0].holds or got[0].witness[0])
+    assert {(kind, ok) for kind in ("StreettSpec", "AlwaysAfterSpec") for ok in (True, False)} <= answers
+    assert {"raised", True, "no-reflection", "unliftable-fair-run"} <= outcomes, outcomes
+
+
+def test_fair_sim_matches_the_bounded_preservation_direction():
+    # check_fair_sim reads fair_simulation_violation; the oracle decides the
+    # preservation direction of the per-direction engine in bounded mode
+    rng = random.Random(2424)
+    holding = 0
+    for i in range(300):
+        labels = ("a",) if i % 2 else ("a", "b")
+        X = random_fair_system(rng, labels)
+        Y, f = _random_map(rng, X, labels)
+        got = check_fair_sim(f, X, Y, 2, 3)
+        assert got == fair_sim_per_direction(f, X, Y, 2, 3), (X, Y, f)
+        holding += got.holds
+    assert 30 < holding < 270, holding

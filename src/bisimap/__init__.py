@@ -42,7 +42,6 @@ from .semantics import (
     branching_sem_map,
     fair_sem,
     fair_sem_map,
-    map_pf,
     strong_sem,
     strong_sem_map,
 )

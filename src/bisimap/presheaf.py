@@ -4,29 +4,32 @@ Every base built here is a forest: each element covers at most one element,
 its parent (a word covers its longest proper prefix, ``tau_bar`` the empty
 word, a stretch point the one before it, a lasso trace its longest prefix),
 so every down-set is a chain.  A poset stores only the parent links and
-computes its down-sets from them once.  Stage sets are finite and explicitly
-materialized.  Restriction tables are stored only along the parent links;
-every other restriction is their composite, as functoriality forces.  Monos
-are stage-wise injections, which is the standard characterization in a
-presheaf category.  Each natural transformation indexes its fibers, stage by
-stage.
+computes its down-sets from them once; the last branching target base built
+is shared by the lifts over its label set and depth.  Stage sets are finite
+and explicitly materialized.  Restriction tables are stored only along the
+parent links; every other restriction is their composite, as functoriality
+forces.  Monos are stage-wise injections, which is the standard
+characterization in a presheaf category.  Each natural transformation
+indexes its fibers, stage by stage.
 
 The squares that ``enumerate_mono_squares`` streams have a Q generated by one
 element, so by Yoneda a filler is fixed by its value at that generator; over
 a forest, a square with two generators is filled as soon as the stream's
 squares are.  ``is_bisim_map_bounded`` therefore decides every square from
-its generator and the fiber index (``StreamSquare.has_filler``) and builds
-no square at all: a refusal returns the failing ``StreamSquare``, whose text
-names its family and generators.  The generic diagonal-filler search,
-``find_filler``, is exhaustive over a fixed deterministic order and works for
-any square; it is the oracle the tests hold the generator decision to.
-Verdicts and witnesses are reproducible.
+its generator (``StreamSquare.has_filler``) and builds no square at all: the
+stream walks the preimages of each target element down its chain of
+restrictions once and hands every square the set at its own stage, so a
+decision is one look-up.  A refusal returns the failing ``StreamSquare``,
+whose text names its family and generators.  The generic diagonal-filler
+search, ``find_filler``, is exhaustive over a fixed deterministic order and
+works for any square; it is the oracle the tests hold the generator decision
+to.  Verdicts and witnesses are reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import itemgetter
 
 from .errors import InternalCheckError, PreconditionError
@@ -128,9 +131,22 @@ def barred_source_poset(labels, depth: int) -> FinPoset:
 
 def branching_target_poset(labels, depth: int) -> FinPoset:
     """Visible words up to the depth plus the stretchable observation, which
-    sits above exactly the empty word."""
-    if any(l is TAU for l in labels):
+    sits above exactly the empty word.
+
+    The base depends only on the set of labels and the depth, so the last
+    one built, down-sets included, serves every later call with the same
+    ones; nothing changes a poset once built."""
+    labels = frozenset(labels)
+    if TAU in labels:
         raise PreconditionError("target poset is over visible labels only")
+    return _branching_target_poset(labels, depth)
+
+
+# Only the last base is kept: in the measured uses every lift of a process is
+# over one label set and depth (the 192 lifts of the branching-maps workload
+# build one base; a ``bisimap`` command lifts once).
+@lru_cache(maxsize=1)
+def _branching_target_poset(labels: frozenset, depth: int) -> FinPoset:
     return _prefix_poset(labels, depth, [TAU_BAR], lambda e: EPSILON)
 
 
@@ -405,15 +421,19 @@ class StreamSquare:
     """A square of ``enumerate_mono_squares``, held as its generators.
 
     ``family`` and ``about`` fix the square over f; its text is
-    ``<family> square [<about items, comma-separated>]``.
+    ``<family> square [<about items, comma-separated>]``.  ``lifts`` holds
+    the candidates for the filler's value that the stream carries: for a
+    ``fiber`` square the preimages of w at e, otherwise their restrictions
+    to e2.
     """
 
-    __slots__ = ("f", "family", "about")
+    __slots__ = ("f", "family", "about", "lifts")
 
-    def __init__(self, f: NatTrans, family: str, about: tuple):
+    def __init__(self, f: NatTrans, family: str, about: tuple, lifts):
         self.f = f
         self.family = family
         self.about = about
+        self.lifts = lifts
 
     def __str__(self):
         return f"{self.family} square [{', '.join(str(a) for a in self.about)}]"
@@ -424,15 +444,12 @@ class StreamSquare:
         Q is generated by one element, so by Yoneda a filler is fixed by its
         value there: for ``fiber`` any preimage v of w at e will do; for
         ``extension`` and ``chain-limit`` a preimage that restricts to x at
-        e2.  The answer is the one ``find_filler`` gives on the full square.
+        e2, that is, x must be one of the carried restrictions.  The answer
+        is the one ``find_filler`` gives on the full square.
         """
-        f = self.f
         if self.family == "fiber":
-            e, w = self.about
-            return bool(f.fiber(e, w))
-        e, w, e2, x = self.about
-        F = f.source
-        return any(F.restrict(v, e, e2) == x for v in f.fiber(e, w))
+            return bool(self.lifts)
+        return self.about[3] in self.lifts
 
 
 def enumerate_mono_squares(f: NatTrans):
@@ -461,46 +478,59 @@ def enumerate_mono_squares(f: NatTrans):
     Extension squares whose shortest conceivable filler already overflows the
     base's word-length budget are dropped: they are unfillable for every map
     (the anchor's trace plus the missing visible letters exceeds the
-    truncation), so a failure there would reflect the depth, not f.
+    truncation), so a failure there would reflect the depth, not f.  For
+    word stages e and e2 that is one limit on the length of x's trace.
 
     The items are ``StreamSquare``s: the stream computes only their ``about``
-    data, from the base's down-sets and f's fiber index, and builds no presheaf.
+    data, from the base's down-sets and f's fiber index, and builds no
+    presheaf.  For each (e, w) it walks w and the preimages of w down the
+    chain below e once, one restriction table per step, and each square
+    carries the set of preimage restrictions at its own e2 (``lifts``).
     """
-    G = f.target
+    F, G = f.source, f.target
     base = G.base
     word_budget = max(
         (len(e) for e in base.elements if isinstance(e, Word)), default=0
     )
 
-    def beyond_budget(e, e2, x):
+    def trace_limit(e, e2):
+        """The longest trace of an x at e2 whose square under e stays within
+        the word budget, or None for no limit."""
         if not (isinstance(e, Word) and isinstance(e2, Word)):
-            return False
-        return len(x.trace) + (len(e) - len(e2)) > word_budget
+            return None
+        return word_budget - (len(e) - len(e2))
 
     for e in base.elements:
+        stage = G.stage(e)
+        if not stage:
+            continue
         chain = base.down(e)[::-1]
+        # the restriction tables of G and F down the chain, one per cover
+        tables = [(G.res[hi], F.res.get(hi, {})) for hi in chain[:-1]]
         top_family = "chain-limit" if isinstance(e, LassoTrace) else "extension"
-        for w in G.stage(e):
-            yield StreamSquare(f, "fiber", (e, w))
-            history = [w]
-            for hi, lo in zip(chain, chain[1:]):
-                history.append(G.restrict(history[-1], hi, lo))
-            for i in range(len(chain) - 1, 0, -1):
-                e2 = chain[i]
-                family = top_family if i == 1 else "extension"
+        levels = [(i, chain[i], top_family if i == 1 else "extension", trace_limit(e, chain[i]))
+                  for i in range(len(chain) - 1, 0, -1)]
+        for w in stage:
+            fiber = f.fiber(e, w)
+            yield StreamSquare(f, "fiber", (e, w), fiber)
+            history, lifts = [w], [fiber]
+            for (down_g, down_f) in tables:
+                history.append(down_g[history[-1]])
+                lifts.append(set(map(down_f.__getitem__, lifts[-1])))
+            for (i, e2, family, limit) in levels:
                 for x in f.fiber(e2, history[i]):
-                    if not beyond_budget(e, e2, x):
-                        yield StreamSquare(f, family, (e, w, e2, x))
+                    if limit is None or len(x.trace) <= limit:
+                        yield StreamSquare(f, family, (e, w, e2, x), lifts[i])
 
 
 def is_bisim_map_bounded(f: NatTrans):
     """Decide every square of the enumerated stream at its generator.
 
-    Each square is decided by ``StreamSquare.has_filler`` from its ``about``
-    data, f's fiber index and the parent links, and no square is built:
-    the first one without a filler is returned as the witness, a
-    ``StreamSquare``.  The generic ``find_filler`` agrees on every square
-    (the tests hold the two together).
+    Each square is decided by ``StreamSquare.has_filler``, a look-up in the
+    preimages or preimage restrictions the stream carries with it, and no
+    square is built: the first one without a filler is returned as the
+    witness, a ``StreamSquare``.  The generic ``find_filler`` agrees on
+    every square (the tests hold the two together).
 
     A ``False`` verdict is definitive for the truncated semantics: the witness
     square has no filler at this depth.  A ``True`` verdict certifies the

@@ -263,28 +263,6 @@ def branching_sem(lts: Lts, depth: int, with_stretch: bool = True) -> FinPreshea
     return _minimal_presheaf(base, lts, depth)
 
 
-def map_pf(f: dict, p: Execution, target: Lts = None) -> Execution:
-    """The image of an execution under a branching simulation: visible steps
-    map through, silent steps map through or collapse when the images agree.
-
-    With ``target`` given, every produced step is asserted to exist there; a
-    failure indicates a bug in the simulation checker, not bad input.
-    """
-    states = [f[p.states[0]]]
-    letters = []
-    for lab, nxt in zip(p.trace, p.states[1:]):
-        cur, img = states[-1], f[nxt]
-        if lab is TAU and cur == img:
-            continue
-        if target is not None and not target.has_transition(cur, lab, img):
-            raise InternalCheckError(
-                f"image step {cur} -{lab}-> {img} missing in target"
-            )
-        letters.append(lab)
-        states.append(img)
-    return Execution(Word(letters), tuple(states))
-
-
 def branching_simulation_violation(f: dict, source: Lts, target: Lts):
     """None if f is a branching simulation, else a tagged witness: visible
     steps must map to steps, silent steps must map to steps or collapse, and
@@ -338,14 +316,45 @@ def _first_stutter(f: dict, source: Lts):
 def branching_sem_map(f: dict, source: Lts, target: Lts, depth: int,
                       with_stretch: bool = True) -> NatTrans:
     """Lift a branching simulation to the minimal-execution presheaves, both
-    built over one base."""
+    built over one base.  Each source step is imaged once
+    (``_step_images``), and every execution's image is read step by step
+    from that table."""
     violation = branching_simulation_violation(f, source, target)
     if violation is not None:
         raise PreconditionError("not a branching simulation: " + format_witness(violation))
+    steps = _step_images(f, source, target)
+
+    def image(e, p):
+        trace, states = p
+        letters, images = [], [f[states[0]]]
+        for mapped in map(steps.__getitem__, zip(states, trace, states[1:])):
+            if mapped is not None:
+                letters.append(mapped[0])
+                images.append(mapped[1])
+        return Execution(Word(letters), tuple(images))
+
     base = _branching_base(_joint_alphabet(source, target), depth, with_stretch)
     FX = _minimal_presheaf(base, source, depth)
     FY = _minimal_presheaf(base, target, depth)
-    return nat_trans(FX, FY, lambda e, p: map_pf(f, p, target))
+    return nat_trans(FX, FY, image)
+
+
+def _step_images(f: dict, source: Lts, target: Lts) -> dict:
+    """Each source step's image under f: None for a silent step whose ends f
+    identifies (it collapses), else its label and f of its end, a target
+    step from f of its start.  A missing target step indicates a bug in the
+    simulation check, not bad input."""
+    steps = {}
+    for step in source.transitions:
+        src, lab, tgt = step
+        cur, img = f[src], f[tgt]
+        if lab is TAU and cur == img:
+            steps[step] = None
+        elif target.has_transition(cur, lab, img):
+            steps[step] = (lab, img)
+        else:
+            raise InternalCheckError(f"image step {cur} -{lab}-> {img} missing in target")
+    return steps
 
 
 __all__ = [
@@ -356,7 +365,6 @@ __all__ = [
     "fair_sem",
     "fair_sem_map",
     "fair_simulation_violation",
-    "map_pf",
     "strong_sem",
     "strong_sem_map",
 ]

@@ -17,7 +17,7 @@ from bisimap.equiv import (
     _nontrivial, _reflection_violation, _split_pair_lasso, _steps_to, _transfer_violation,
     branching_quotient,
 )
-from bisimap.errors import PreconditionError, UnsupportedError
+from bisimap.errors import InternalCheckError, PreconditionError, UnsupportedError
 from bisimap.lts import (
     AlwaysAfterSpec, Execution, FairLts, Lasso, Lts, StreettSpec, adjacency, enumerate_graph_lassos,
     executions_up_to, fair_lassos, is_simulation, reach, restrict,
@@ -317,6 +317,49 @@ def minimal_executions(lts: Lts, rho: Word, depth: int) -> frozenset:
     return frozenset(
         p for w, ps in execs.items() if minimal_trace_for(rho, w) for p in ps
     )
+
+
+# ---------------------------------------------------------------------------
+# Step by step: the library images each source step of a branching lift once
+# (``semantics._step_images``) and carries each target element's
+# preimage restrictions down the square stream (``StreamSquare.lifts``);
+# these image an execution's steps and compose a square's restrictions one at
+# a time
+
+
+def map_pf(f: dict, p: Execution, target: Lts = None) -> Execution:
+    """The image of an execution under a branching simulation: visible steps
+    map through, silent steps map through or collapse when the images agree.
+
+    With ``target`` given, every produced step is asserted to exist there; a
+    failure indicates a bug in the simulation checker, not bad input.
+    """
+    states = [f[p.states[0]]]
+    letters = []
+    for lab, nxt in zip(p.trace, p.states[1:]):
+        cur, img = states[-1], f[nxt]
+        if lab is TAU and cur == img:
+            continue
+        if target is not None and not target.has_transition(cur, lab, img):
+            raise InternalCheckError(
+                f"image step {cur} -{lab}-> {img} missing in target"
+            )
+        letters.append(lab)
+        states.append(img)
+    return Execution(Word(letters), tuple(states))
+
+
+def filler_by_restriction(square) -> bool:
+    """The generator decision of a stream square by composing restrictions:
+    a ``fiber`` square is filled when w has a preimage at e, any other when a
+    preimage of w at e restricts to x at e2."""
+    f = square.f
+    if square.family == "fiber":
+        e, w = square.about
+        return bool(f.fiber(e, w))
+    e, w, e2, x = square.about
+    F = f.source
+    return any(F.restrict(v, e, e2) == x for v in f.fiber(e, w))
 
 
 # ---------------------------------------------------------------------------

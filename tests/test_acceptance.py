@@ -22,11 +22,13 @@ from bisimap.equiv import (
 )
 from bisimap.lts import executions_up_to, is_simulation
 from bisimap.presheaf import branching_target_poset, word_poset
-from bisimap.semantics import base_presheaf, map_pf, strong_sem_map
+from bisimap.semantics import base_presheaf, strong_sem_map
 from bisimap.words import EPSILON, TAU, TAU_BAR
 
 from conftest import brute_force_largest, random_lts, random_total_map
-from oracles import hide, hiding_map, is_minimal_execution, left_kan, minimal_executions, mpast
+from oracles import (
+    hide, hiding_map, is_minimal_execution, left_kan, map_pf, minimal_executions, mpast,
+)
 
 SEED = 20250809
 DEPTH = 4

@@ -25,7 +25,9 @@ from bisimap.presheaf import (
     naturality_violations,
     word_poset,
 )
-from bisimap.semantics import base_presheaf, fair_sem, fair_sem_map, strong_sem, strong_sem_map
+from bisimap.semantics import (
+    base_presheaf, branching_sem_map, fair_sem, fair_sem_map, strong_sem, strong_sem_map,
+)
 from bisimap.words import EPSILON, TAU, TAU_BAR, LassoTrace, StretchPoint, Word, element_key
 
 from conftest import (
@@ -123,6 +125,36 @@ def test_prefix_built_posets_equal_pairwise_comparison(corpus):
         for a in elems:
             for b in elems:
                 assert built.leq(a, b) == leq(a, b), (a, b)
+
+
+def test_branching_target_base_is_reused_for_its_label_set_and_depth(corpus):
+    def fresh(labels, depth):
+        return presheaf_mod._prefix_poset(labels, depth, [TAU_BAR], lambda e: EPSILON)
+
+    base = branching_target_poset(("a", "b"), 3)
+    assert branching_target_poset(["a", "b"], 3) is base
+    assert branching_target_poset(["b", "a"], 3) is base
+    assert branching_target_poset(("b", "a", "a"), 3) is base
+    assert base == fresh(["a", "b"], 3)
+    assert branching_target_poset(("a", "b"), 2) is not base
+    assert branching_target_poset(("a",), 3) is not base
+    with pytest.raises(PreconditionError, match="visible labels only"):
+        branching_target_poset(["a", TAU], 3)
+    # the other bases are built on every call
+    assert word_poset(("a", "b"), 3) is not word_poset(("a", "b"), 3)
+    assert fair_target_poset(("a",), 2, ()) is not fair_target_poset(("a",), 2, ())
+
+    # lifts over the cached base leave it as a fresh build leaves it
+    branch = corpus.branch
+    labels = sorted(branch.source.alphabet | branch.target.alphabet)
+    for depth in (2, 4):
+        for _ in range(2):
+            lifted = branching_sem_map(branch.mapping, branch.source, branch.target, depth)
+            assert lifted.source.base is branching_target_poset(labels, depth)
+            is_bisim_map_bounded(lifted)
+        cached, built = branching_target_poset(labels, depth), fresh(labels, depth)
+        assert cached == built
+        assert [cached.down(e) for e in cached.elements] == [built.down(e) for e in built.elements]
 
 
 def _maximal_below_by_scan(P, e):

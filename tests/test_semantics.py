@@ -2,16 +2,16 @@ import random
 
 import pytest
 
-from bisimap import PreconditionError
+from bisimap import InternalCheckError, PreconditionError
 from bisimap.lts import Execution, FairLts, Lts, StreettSpec, executions_up_to, restrict
 from bisimap.presheaf import _stage_sorted, branching_target_poset, naturality_violations
 from bisimap.semantics import (
+    _step_images,
     base_presheaf,
     branching_sem,
     branching_sem_map,
     fair_sem,
     fair_sem_map,
-    map_pf,
     strong_sem,
     strong_sem_map,
 )
@@ -24,6 +24,7 @@ from oracles import (
     hiding_map,
     is_minimal_execution,
     left_kan,
+    map_pf,
     minimal_executions,
     mpast,
     validate,
@@ -307,6 +308,22 @@ def test_map_pf_preserves_minimality(corpus):
                 image = map_pf(entry.mapping, p, entry.target)
                 assert is_minimal_execution(image)
                 assert hide(image.trace) == hide(p.trace)
+
+
+def test_step_images_are_one_table_per_lift():
+    X = lts_of([("x", "tau", "xq"), ("xq", "a", "x")])
+    Y = lts_of([("y", "a", "y")], alphabet={"a"})
+    assert _step_images({"x": "y", "xq": "y"}, X, Y) == {
+        ("x", TAU, "xq"): None,
+        ("xq", "a", "x"): ("a", "y"),
+    }
+    # the map is no simulation (lifting it refuses it first); the table
+    # names the missing image step as the oracle does
+    Z = lts_of([("y", "a", "z")], alphabet={"a"})
+    with pytest.raises(InternalCheckError, match="image step y -a-> y missing in target"):
+        _step_images({"x": "y", "xq": "y"}, X, Z)
+    with pytest.raises(InternalCheckError, match="image step y -a-> y missing in target"):
+        map_pf({"x": "y", "xq": "y"}, exec_of((TAU, "a"), ("x", "xq", "x")), Z)
 
 
 def test_branching_sem_map_requires_branching_simulation(corpus):

@@ -4,7 +4,9 @@
 (``StreamSquare.has_filler``); the generic backtracking ``find_filler`` must
 agree on every square, and a loop of generic searches over the same stream
 must give the same verdict and witness.  The stream itself is compared with a
-direct enumeration of its ``about`` data.
+direct enumeration of its ``about`` data.  The preimage restrictions each
+square carries are held to composing the restrictions square by square, and
+the branching lift's components to imaging each execution step by step.
 
 The stream has no square whose Q has two generators: over the chain-shaped
 bases it runs on, such a square is filled once the stream's squares are.  The
@@ -19,7 +21,7 @@ import pytest
 
 from bisimap.equiv import PartitionRelation, branching_quotient, quotient_lts
 from bisimap.errors import PreconditionError
-from bisimap.lts import FairLts, StreettSpec, is_simulation
+from bisimap.lts import FairLts, Lts, StreettSpec, is_simulation
 from bisimap.presheaf import (
     MonoSquare,
     NatTrans,
@@ -35,10 +37,10 @@ from bisimap.semantics import (
     fair_simulation_violation,
     strong_sem_map,
 )
-from bisimap.words import LassoTrace, Word, element_key
+from bisimap.words import TAU, LassoTrace, Word, element_key
 
 from conftest import build_square, random_lts, random_total_map
-from oracles import empty_presheaf, inclusion, sub_presheaf
+from oracles import empty_presheaf, filler_by_restriction, inclusion, map_pf, sub_presheaf
 
 DEPTH = 3
 # (stage bound, support bound) settings of the pair-square oracle
@@ -50,7 +52,7 @@ def _random_partition_map(rng, X):
     return {s: f"b{rng.randrange(k)}" for s in X.states}
 
 
-def strong_maps(rng, count):
+def strong_maps(rng, count, depth=DEPTH):
     while count:
         X = random_lts(rng, 3, ("a", "b"), density=1.4)
         if rng.random() < 0.3:
@@ -65,17 +67,29 @@ def strong_maps(rng, count):
         for f in maps:
             if count and is_simulation(f, X, Y)[0]:
                 count -= 1
-                yield strong_sem_map(f, X, Y, DEPTH)
+                yield strong_sem_map(f, X, Y, depth)
 
 
-def branching_maps(rng, count):
-    while count:
+def _with_silent_loops(rng, X):
+    loops = frozenset((s, TAU, s) for s in X.states if rng.random() < 0.3)
+    return Lts(X.states, X.alphabet, X.transitions | loops)
+
+
+def branching_lifts(rng, count, depth=DEPTH, silent_loops=False):
+    """(f, target, lift) for random branching simulations; with
+    ``silent_loops`` the random systems gain silent self-loops."""
+
+    def draw():
         X = random_lts(rng, 3, ("a", "b"), tau_prob=0.35, density=1.5)
+        return _with_silent_loops(rng, X) if silent_loops else X
+
+    while count:
+        X = draw()
         if rng.random() < 0.4:
             Y, f = branching_quotient(X)
             maps = [f]
         else:
-            Y = random_lts(rng, 3, ("a", "b"), tau_prob=0.35, density=1.5)
+            Y = draw()
             maps = [random_total_map(rng, X, Y) for _ in range(4)]
         for f in maps:
             try:
@@ -85,7 +99,11 @@ def branching_maps(rng, count):
                 continue
             if count:
                 count -= 1
-                yield branching_sem_map(f, X, Y, DEPTH, with_stretch=rng.random() < 0.7)
+                yield f, Y, branching_sem_map(f, X, Y, depth, with_stretch=rng.random() < 0.7)
+
+
+def branching_maps(rng, count):
+    return (lifted for (_, _, lifted) in branching_lifts(rng, count))
 
 
 def _streett(rng, lts):
@@ -236,3 +254,51 @@ def test_generator_decision_matches_generic_search(mode):
     families = ("fiber", "extension") + (("chain-limit",) if mode == "fair" else ())
     for family in families:
         assert outcomes[family, True] and outcomes[family, False], (family, outcomes)
+
+
+# ---------------------------------------------------------------------------
+# The data the stream and the branching lift carry, against per-square and
+# per-execution oracles, on maps lifted at depth 4
+
+CARRIED_DEPTH = 4
+
+
+def _runs_a_silent_loop(lifted):
+    return any(lab is TAU and a == b
+               for stage in lifted.source.stages.values() for p in stage
+               for (a, lab, b) in zip(p.states, p.trace, p.states[1:]))
+
+
+@pytest.fixture(scope="module")
+def carried_samples():
+    """300 seeded random branching maps, between systems with silent
+    self-loops, as (f, target, lift), and 300 strong lifts."""
+    branching = list(branching_lifts(random.Random(2027), 300, CARRIED_DEPTH, silent_loops=True))
+    strong = list(strong_maps(random.Random(2028), 300, CARRIED_DEPTH))
+    return branching, strong
+
+
+def test_carried_restrictions_decide_as_composed_restrictions(carried_samples):
+    branching, strong = carried_samples
+    assert sum(map(_runs_a_silent_loop, (lifted for (_, _, lifted) in branching))) > 100
+    for mode, lifts in (("branching", [lifted for (_, _, lifted) in branching]),
+                        ("strong", strong)):
+        outcomes = Counter()
+        for lifted in lifts:
+            for square in enumerate_mono_squares(lifted):
+                decided = square.has_filler()
+                assert decided == filler_by_restriction(square), (mode, str(square))
+                outcomes[square.family, decided] += 1
+        for family in ("fiber", "extension"):
+            assert outcomes[family, True] and outcomes[family, False], (mode, outcomes)
+
+
+def test_lifted_components_are_the_step_by_step_images(carried_samples):
+    branching, _ = carried_samples
+    collapsing = 0
+    for (f, Y, lifted) in branching:
+        for e, table in lifted.comp.items():
+            for p, image in table.items():
+                assert image == map_pf(f, p, Y), (e, str(p))
+                collapsing += len(image.trace) < len(p.trace)
+    assert collapsing

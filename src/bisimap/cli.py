@@ -214,7 +214,7 @@ def cmd_dump(args) -> int:
 def cmd_corpus(args) -> int:
     failed = 0
     for exp in corpus_mod.expectations():
-        ok, detail = exp.evaluate()
+        ok, detail = exp.run()
         tag = "PASS" if ok else "FAIL"
         if not ok:
             failed += 1

@@ -68,7 +68,6 @@ def split_by_map(combined: Lts, mapping: dict):
 
 @dataclass(frozen=True)
 class MorphismEntry:
-    name: str
     combined: Lts
     source: object
     target: object
@@ -77,7 +76,6 @@ class MorphismEntry:
 
 @dataclass(frozen=True)
 class RelationEntry:
-    name: str
     system: FairLts
     relations: dict
 
@@ -118,13 +116,12 @@ def load_corpus() -> Corpus:
     branch_all = parse_aut(_read("sys_branch.aut"), parse_names(_read("sys_branch.names")))
     branch_map = parse_state_map(_read("sys_branch.map"), branch_all, branch_all, total=False)
     b_src, b_tgt = split_by_map(branch_all, branch_map)
-    branch = MorphismEntry("SYS_BRANCH", branch_all, b_src, b_tgt, branch_map)
+    branch = MorphismEntry(branch_all, b_src, b_tgt, branch_map)
 
     rem_all = parse_aut(_read("sys_fair_rem.aut"), parse_names(_read("sys_fair_rem.names")))
     rem_map = parse_state_map(_read("sys_fair_rem.map"), rem_all, rem_all, total=False)
     r_src, r_tgt = split_by_map(rem_all, rem_map)
     fair_rem = MorphismEntry(
-        "SYS_FAIR_REM",
         rem_all,
         FairLts(r_src, parse_fairness(_read("sys_fair_rem_src.fair.json"), r_src)),
         FairLts(r_tgt, parse_fairness(_read("sys_fair_rem_tgt.fair.json"), r_tgt)),
@@ -137,7 +134,7 @@ def load_corpus() -> Corpus:
         "R1": PartitionRelation(union_lts.states, parse_relation_pairs(_read("sys_union_r1.rel"), union_lts)),
         "R2": PartitionRelation(union_lts.states, parse_relation_pairs(_read("sys_union_r2.rel"), union_lts)),
     }
-    union_sys = RelationEntry("SYS_UNION", union_fair, union_rel)
+    union_sys = RelationEntry(union_fair, union_rel)
 
     comp_lts = parse_aut(_read("sys_comp.aut"), parse_names(_read("sys_comp.names")))
     comp_fair = FairLts(comp_lts, parse_fairness(_read("sys_comp.fair.json"), comp_lts))
@@ -145,7 +142,7 @@ def load_corpus() -> Corpus:
         "T": PartitionRelation(comp_lts.states, parse_relation_pairs(_read("sys_comp_t.rel"), comp_lts)),
         "TPRIME": PartitionRelation(comp_lts.states, parse_relation_pairs(_read("sys_comp_tprime.rel"), comp_lts)),
     }
-    comp = RelationEntry("SYS_COMP", comp_fair, comp_rel)
+    comp = RelationEntry(comp_fair, comp_rel)
 
     return Corpus(chain, branch, fair_rem, union_sys, comp)
 
@@ -159,9 +156,6 @@ class Expectation:
     name: str
     detail: str
     run: object  # () -> (bool, str)
-
-    def evaluate(self):
-        return self.run()
 
 
 def _verdict_is(verdict, holds, describe):

@@ -253,20 +253,22 @@ def _nontrivial(comp, adj):
 
 def _find_streett_ec(span, adj, rank, pairs, want):
     """A nontrivial sub-component inside span satisfying every Streett pair
-    and the extra predicate, or None; ``rank`` sets the search order."""
-    for comp in _sccs(span, adj, rank):
-        if not _nontrivial(comp, adj):
-            continue
-        bad = [(L, U) for (L, U) in pairs if (comp & L) and not (comp & U)]
-        if bad:
-            removed = set()
-            for (L, _) in bad:
-                removed |= L
-            found = _find_streett_ec(comp - removed, adj, rank, pairs, want)
-            if found is not None:
-                return found
-        elif want(comp):
-            return comp
+    and the extra predicate, or None; ``rank`` sets the search order.  A
+    component that breaks some pairs (meets L, misses U) is searched again
+    without those Ls, depth first: one loop over a stack of the components
+    still to visit at each depth, so the nesting of the pairs sets no
+    recursion depth."""
+    stack = [iter(_sccs(span, adj, rank))]
+    while stack:
+        comp = next(stack[-1], None)
+        if comp is None:
+            stack.pop()
+        elif _nontrivial(comp, adj):
+            bad = [L for (L, U) in pairs if (comp & L) and not (comp & U)]
+            if bad:
+                stack.append(iter(_sccs(comp.difference(*bad), adj, rank)))
+            elif want(comp):
+                return comp
     return None
 
 
@@ -320,57 +322,44 @@ def _closed_walk(comp, adj, rank):
     return start, walk
 
 
-def _product_with_automata(starts, steps, fair_a, unfair_b):
-    """The part of the graph reachable from ``starts`` (``steps`` gives a
+class _Product:
+    """The part of a graph reachable from ``starts`` (``steps`` gives a
     node's (label, successor) pairs), run in step with the automata of the
     two conditions where they are positional: nodes are (graph node, state
     of fair_a's automaton, state of unfair_b's), with None for a condition
     without one, and steps that fail fair_a are cut.  A condition is a
     (state-level spec, projection) pair, and its automaton reads each graph
-    node's projection.  Returns the product's steps and its BFS tree
-    (node -> (parent, label)), the tree in visit order."""
-    (spec_a, proj_a), (spec_b, proj_b) = fair_a, unfair_b
-    a_aa = isinstance(spec_a, AlwaysAfterSpec)
-    b_aa = isinstance(spec_b, AlwaysAfterSpec)
-    inits = []
-    for v in sorted(starts, key=_node_key):
-        sa = _aa_init(spec_a, proj_a(v)) if a_aa else None
-        sb = _aa_init(spec_b, proj_b(v)) if b_aa else None
-        if sa != "fail":
-            inits.append((v, sa, sb))
-    prod_adj = {}
-    parents = {}
-    queue = list(inits)
-    for st in inits:
-        parents.setdefault(st, None)
-    i = 0
-    while i < len(queue):
-        u = queue[i]
-        i += 1
-        v, sa, sb = u
-        out = []
-        for (lab, v2) in steps(v):
-            sa2 = _aa_step(spec_a, sa, lab, proj_a(v2)) if a_aa else None
-            if sa2 == "fail":
-                continue
-            sb2 = _aa_step(spec_b, sb, lab, proj_b(v2)) if b_aa else None
-            nxt = (v2, sa2, sb2)
-            out.append((lab, nxt))
-            if nxt not in parents:
-                parents[nxt] = (u, lab)
-                queue.append(nxt)
-        prod_adj[u] = tuple(out)
-    return prod_adj, parents
+    node's projection.
 
-
-class _Product:
-    """A product graph (``_product_with_automata``) with what every search
-    on it reads: its nodes in visit order and their rank in ``_node_key``
-    order from one sort."""
+    It keeps what every search on it reads: its steps ``adj``, its BFS tree
+    ``parents`` (node -> (parent, label), or None at a start), its nodes in
+    visit order and their rank in ``_node_key`` order from one sort."""
 
     def __init__(self, starts, steps, fair_a, unfair_b):
-        self.adj, self.parents = _product_with_automata(starts, steps, fair_a, unfair_b)
+        (spec_a, proj_a), (spec_b, proj_b) = fair_a, unfair_b
+        a_aa = isinstance(spec_a, AlwaysAfterSpec)
+        b_aa = isinstance(spec_b, AlwaysAfterSpec)
+        self.adj, self.parents = {}, {}
+        for v in sorted(starts, key=_node_key):
+            sa = _aa_init(spec_a, proj_a(v)) if a_aa else None
+            sb = _aa_init(spec_b, proj_b(v)) if b_aa else None
+            if sa != "fail":
+                self.parents.setdefault((v, sa, sb), None)
         self.nodes = list(self.parents)
+        for u in self.nodes:  # the visit order is the BFS queue: it grows as we go
+            v, sa, sb = u
+            out = []
+            for (lab, v2) in steps(v):
+                sa2 = _aa_step(spec_a, sa, lab, proj_a(v2)) if a_aa else None
+                if sa2 == "fail":
+                    continue
+                sb2 = _aa_step(spec_b, sb, lab, proj_b(v2)) if b_aa else None
+                nxt = (v2, sa2, sb2)
+                out.append((lab, nxt))
+                if nxt not in self.parents:
+                    self.parents[nxt] = (u, lab)
+                    self.nodes.append(nxt)
+            self.adj[u] = tuple(out)
         # a product node is a tuple, whose str is its repr: repr alone gives
         # the _node_key order
         self.rank = {p: i for (i, p) in enumerate(sorted(self.nodes, key=repr))}
@@ -461,25 +450,24 @@ def exists_fair_run(starts, steps, fair):
 def _lifted_fair_run(source: FairLts, adj, f: dict, lasso: Lasso, starts):
     """A fair run of the source (successor lists ``adj``), started at one of
     ``starts``, that f maps pointwise onto the lasso's run, or None.  Decided
-    on the product of the source with the lasso's positions, stem positions
-    then the cycle's: (x, pos) -a-> (x2, pos2) when x -a-> x2, the lasso
-    steps from pos to pos2 by a, and f(x2) is the state at pos2."""
+    on the product of the source with the lasso's positions 0 .. k + n (a
+    stem of k steps, a cycle of n): (x, i) -a-> (x2, j) when x -a-> x2, a is
+    the lasso's label at i, f(x2) is its state at j, and j is i + 1, or
+    k + 1 after the last position.  Callers read only whether a run exists,
+    which the order of the positions does not change."""
     if not isinstance(source.fairness, _EXACT_KINDS):
         raise UnsupportedError("source fairness kind unsupported for lifting runs")
-    k, n = len(lasso.stem.trace), len(lasso.cycle)
-    positions = [("s", i) for i in range(k + 1)] + [("c", j) for j in range(n)]
-    state_of = dict(zip(positions, lasso.stem.states + tuple(st for (_, st) in lasso.cycle)))
-    moves = [(lab, ("s", i + 1)) for (i, lab) in enumerate(lasso.stem.trace)]
-    moves.append((lasso.cycle[0][0], ("c", 0)))
-    moves.extend((lasso.cycle[(j + 1) % n][0], ("c", (j + 1) % n)) for j in range(n))
-    move = dict(zip(positions, moves))
+    k = len(lasso.stem.trace)
+    last = k + len(lasso.cycle)
 
     def steps(node):
-        x, pos = node
-        lab, pos2 = move[pos]
-        return [(a, (x2, pos2)) for (a, x2) in adj[x] if a == lab and f[x2] == state_of[pos2]]
+        x, i = node
+        lab = lasso.label_at(i)
+        j = i + 1 if i < last else k + 1
+        y = lasso.state_at(j)
+        return [(a, (x2, j)) for (a, x2) in adj[x] if a == lab and f[x2] == y]
 
-    return exists_fair_run([(x, ("s", 0)) for x in starts], steps, (source.fairness, itemgetter(0)))
+    return exists_fair_run([(x, 0) for x in starts], steps, (source.fairness, itemgetter(0)))
 
 
 # ---------------------------------------------------------------------------
@@ -495,15 +483,9 @@ class ImageFairness:
     source: FairLts
     mapping_items: tuple
 
-    kind = "image"
-
-    @property
-    def mapping(self) -> dict:
-        return dict(self.mapping_items)
-
     @cached_property
     def _lifting(self):  # built on first use, and not pickled
-        return self.mapping, adjacency(self.source.lts)
+        return dict(self.mapping_items), adjacency(self.source.lts)
 
     def __getstate__(self):
         return {"source": self.source, "mapping_items": self.mapping_items}

@@ -278,8 +278,6 @@ class StreettSpec:
 
     pairs: tuple
 
-    kind = "streett"
-
     def is_fair(self, lasso: Lasso) -> bool:
         cyc = lasso.cycle_states
         return all(not (cyc & L) or (cyc & U) for (L, U) in self.pairs)
@@ -300,8 +298,6 @@ class AlwaysAfterSpec:
     offset: int
     allowed: frozenset
     gate: tuple = ()
-
-    kind = "always_after"
 
     def is_fair(self, lasso: Lasso) -> bool:
         g = len(self.gate)

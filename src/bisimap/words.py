@@ -33,9 +33,6 @@ class _Tau:
     def __repr__(self):
         return "tau"
 
-    def __deepcopy__(self, memo):
-        return self
-
 
 TAU = _Tau()
 

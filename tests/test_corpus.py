@@ -4,7 +4,7 @@ from bisimap.corpus import expectations, load_corpus
 def test_every_expectation_passes(corpus):
     failures = []
     for exp in expectations(corpus):
-        ok, detail = exp.evaluate()
+        ok, detail = exp.run()
         if not ok:
             failures.append((exp.name, detail))
     assert not failures, failures

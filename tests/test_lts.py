@@ -174,6 +174,8 @@ def test_execution_survives_pickle_and_deepcopy():
     p = Execution(Word.of("a", TAU), ("x", "y", "z"))
     assert pickle.loads(pickle.dumps(p)) == p
     assert copy.deepcopy(p) == p
+    # the silent label stays one object, so words compare by it
+    assert copy.deepcopy(TAU) is TAU and pickle.loads(pickle.dumps(TAU)) is TAU
 
 
 def test_word_and_execution_reprs():

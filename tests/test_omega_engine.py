@@ -3,7 +3,9 @@ positional-automaton analysis must agree with brute-force lasso enumeration
 on small graphs, and every produced witness must satisfy the conditions it
 claims to witness."""
 
+import inspect
 import random
+import sys
 
 from bisimap.equiv import (
     ImageFairness, PartitionRelation, check_fair_bisim_fn, check_fair_reflection, check_fair_sim,
@@ -134,6 +136,30 @@ def test_fair_component_found_only_inside_a_refined_component():
     exact = check_fair_bisim_fn(ident, X, Y, "exact_streett")
     assert exact.witness == ("unfair-image", (fair, fair))
     assert check_fair_bisim_fn(ident, X, Y, "bounded").witness == exact.witness
+
+
+def test_deeply_nested_streett_pairs_need_no_recursion():
+    # a two-way a-chain s0 .. s299 whose source pairs nest 300 deep: s0 may
+    # not recur, and s_i recurs only with s_(i-1); each refined component
+    # breaks the next pair, so the search peels one state per level down to
+    # nothing: no fair run, so the identity onto "every run unfair" holds.
+    # Under a recursion limit 200 frames above the caller's, a search that
+    # recursed once per level would raise RecursionError
+    n = 300
+    states = [f"s{i}" for i in range(n)]
+    lts = lts_of([(states[i], "a", states[i + 1]) for i in range(n - 1)]
+                 + [(states[i + 1], "a", states[i]) for i in range(n - 1)])
+    nested = ((frozenset({"s0"}), frozenset()),) + tuple(
+        (frozenset({states[i]}), frozenset({states[i - 1]})) for i in range(1, n))
+    X = FairLts(lts, StreettSpec(nested))
+    Y = FairLts(lts, StreettSpec(((frozenset(states), frozenset()),)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 200)
+    try:
+        verdict = check_fair_bisim_fn({s: s for s in states}, X, Y)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert verdict.holds
 
 
 def _image_system(rng, X, labels):

@@ -84,12 +84,14 @@ def format_witness(w) -> str:
 
 class Execution(tuple):
     """A finite run: one state per prefix of its trace, held as the pair
-    ``(trace, states)``."""
+    ``(trace, states)``; ``Execution.trusted((trace, states))`` skips the
+    shape check, for the constructions where the shape holds by design."""
 
     __slots__ = ()
 
     trace = property(itemgetter(0))
     states = property(itemgetter(1))
+    trusted = classmethod(tuple.__new__)
 
     def __new__(cls, trace: Word, states: tuple):
         if len(states) != len(trace) + 1:
@@ -150,6 +152,7 @@ def execution_tree(lts: Lts, depth: int) -> list:
     adj = adjacency(lts)
     steps = {s: [(lab, t, _step_text(lab, t)) for (lab, t) in adj[s]] for s in lts.states}
     level = [(p, str(p.last), EPSILON, p) for p in map(Execution.empty, lts.states)]
+    trusted = Execution.trusted
     nodes = list(level)
     for _ in range(depth):
         grown = []
@@ -158,7 +161,7 @@ def execution_tree(lts: Lts, depth: int) -> list:
             if not trace or trace[-1] is not TAU:
                 anchor = p
             for (lab, t, step) in steps[states[-1]]:
-                grown.append((Execution(Word(trace + (lab,)), states + (t,)), text + step,
+                grown.append((trusted((Word(trace + (lab,)), states + (t,))), text + step,
                               visible if lab is TAU else Word(visible + (lab,)), anchor))
         nodes += grown
         level = grown

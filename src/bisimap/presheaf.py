@@ -5,12 +5,12 @@ its parent (a word covers its longest proper prefix, ``tau_bar`` the empty
 word, a stretch point the one before it, a lasso trace its longest prefix),
 so every down-set is a chain.  A poset stores only the parent links and
 computes its down-sets from them once; the last branching target base built
-is shared by the lifts over its label set and depth.  Stage sets are finite
-and explicitly materialized.  Restriction tables are stored only along the
-parent links; every other restriction is their composite, as functoriality
-forces.  Monos are stage-wise injections, which is the standard
-characterization in a presheaf category.  Each natural transformation
-indexes its fibers, stage by stage.
+is shared by the lifts over its label set and depth.  A presheaf stores only
+its nonempty stages, so its size is that of its elements, not of its base.
+Restriction tables are stored only along the parent links; every other
+restriction is their composite, as functoriality forces.  Monos are
+stage-wise injections, which is the standard characterization in a presheaf
+category.  Each natural transformation indexes its fibers, stage by stage.
 
 The squares that ``enumerate_mono_squares`` streams have a Q generated by one
 element, so by Yoneda a filler is fixed by its value at that generator; over
@@ -56,10 +56,18 @@ class FinPoset:
 
     Every down-set is the chain of parents from an element to its root.  The
     down-sets are computed from the parents once, on first use, and the
-    order and the strict down-sets are read off them."""
+    order and the strict down-sets are read off them.  Each element's position
+    and the longest word's length (``word_budget``) are set at construction."""
 
     elements: tuple
     parent: dict
+
+    def __post_init__(self):
+        # not cached properties: on Python 3.11 the first read of one takes a
+        # lock, which made a depth-1 strong map check about 2% slower
+        object.__setattr__(self, "_position", {e: i for i, e in enumerate(self.elements)})
+        object.__setattr__(self, "word_budget", max(
+            (len(e) for e in self.elements if isinstance(e, Word)), default=0))
 
     @cached_property
     def _down(self) -> dict:
@@ -189,8 +197,9 @@ def _stage_sorted(xs) -> tuple:
 class FinPresheaf:
     """Stage sets indexed by poset elements, with a restriction table
     ``res[hi]`` from hi to its parent for each non-root hi whose stage is
-    nonempty.  Every other restriction is the composite of tables down the
-    parent links (identities are implicit)."""
+    nonempty.  ``stages`` holds the nonempty stages only, in base order;
+    ``stage`` reads a missing one as empty.  Every other restriction is the
+    composite of tables down the parent links (identities are implicit)."""
 
     base: FinPoset
     stages: dict
@@ -223,7 +232,7 @@ def _cover_tables(base: FinPoset, stages: dict, rule) -> dict:
     lower = {}
     for hi, xs in stages.items():
         lo = base.parent[hi]
-        if not xs or lo is None:
+        if lo is None:
             continue
         lo_stage = lower.get(lo)
         if lo_stage is None:
@@ -240,14 +249,21 @@ def _cover_tables(base: FinPoset, stages: dict, rule) -> dict:
     return res
 
 
-def make_presheaf(base: FinPoset, stage_of, restrict_to) -> FinPresheaf:
-    """Materialize a presheaf from a stage function and a restriction rule
-    ``restrict_to(x, frm, to)``.  Each stage keeps the order ``stage_of``
-    gives it; the library's constructions give stage order (``_by_text``).
-    The rule is asked only along the cover edges (``to`` a cover of frm);
-    ``FinPresheaf.restrict`` composes the rest, so the rule is assumed to be
-    functorial."""
-    stages = {e: tuple(stage_of(e)) for e in base.elements}
+def make_presheaf(base: FinPoset, stages: dict, restrict_to) -> FinPresheaf:
+    """Materialize a presheaf from its stages, a dict from base elements to
+    stages, and a restriction rule ``restrict_to(x, frm, to)``.
+
+    Each stage keeps the order it is given in; the library's constructions
+    give stage order (``_by_text``).  Only the nonempty stages are stored, in
+    base order, and a key outside the base is refused.  The rule is asked
+    only along the cover edges (``to`` a cover of frm); ``FinPresheaf.restrict``
+    composes the rest, so the rule is assumed to be functorial."""
+    position = base._position
+    if not stages.keys() <= position.keys():
+        e = next(e for e in stages if e not in position)
+        raise PreconditionError(f"{e} is not an element of the base")
+    kept = sorted(filter(stages.get, stages), key=position.__getitem__)
+    stages = {e: tuple(stages[e]) for e in kept}
     return FinPresheaf(base, stages, _cover_tables(base, stages, restrict_to))
 
 
@@ -277,11 +293,7 @@ class NatTrans:
 
 
 def nat_trans(source: FinPresheaf, target: FinPresheaf, component) -> NatTrans:
-    comp = {
-        e: {x: component(e, x) for x in source.stage(e)}
-        for e in source.base.elements
-        if source.stage(e)
-    }
+    comp = {e: {x: component(e, x) for x in xs} for e, xs in source.stages.items()}
     return NatTrans(source, target, comp)
 
 
@@ -479,7 +491,8 @@ def enumerate_mono_squares(f: NatTrans):
     base's word-length budget are dropped: they are unfillable for every map
     (the anchor's trace plus the missing visible letters exceeds the
     truncation), so a failure there would reflect the depth, not f.  For
-    word stages e and e2 that is one limit on the length of x's trace.
+    word stages e and e2 that is one limit on the length of x's trace.  The
+    budget is the base's longest word, whatever words the stages reach.
 
     The items are ``StreamSquare``s: the stream computes only their ``about``
     data, from the base's down-sets and f's fiber index, and builds no
@@ -489,9 +502,7 @@ def enumerate_mono_squares(f: NatTrans):
     """
     F, G = f.source, f.target
     base = G.base
-    word_budget = max(
-        (len(e) for e in base.elements if isinstance(e, Word)), default=0
-    )
+    word_budget = base.word_budget
 
     def trace_limit(e, e2):
         """The longest trace of an x at e2 whose square under e stays within
@@ -500,10 +511,7 @@ def enumerate_mono_squares(f: NatTrans):
             return None
         return word_budget - (len(e) - len(e2))
 
-    for e in base.elements:
-        stage = G.stage(e)
-        if not stage:
-            continue
+    for e, stage in G.stages.items():
         chain = base.down(e)[::-1]
         # the restriction tables of G and F down the chain, one per cover
         tables = [(G.res[hi], F.res.get(hi, {})) for hi in chain[:-1]]

@@ -12,13 +12,14 @@ only shortens words, so truncation is closed):
   execution tree (``execution_tree``): a restriction is a node's anchor
   link, back to its last visible step but one, or to its root.
 
-Each construction lifts suitable state maps to natural transformations.
+Each construction lifts suitable state maps to natural transformations, and
+hands ``make_presheaf`` only the stages its executions reach.
 ``make_presheaf`` asks each restriction rule only along the cover edges of
 the base: from a word to the word one letter shorter, from a lasso trace to
 its longest prefix in the base, from a stretch point to the one below it or
 to the empty word, and from ``tau_bar`` to the empty word.  Every stage is
-handed over in stage order (``_stage_sorted``, or ``_by_text`` on the text
-each node carries).
+handed over in stage order (``_stage_sorted``, or for the branching stages
+one ``_by_text`` over every node kept, on the text each node carries).
 """
 
 from __future__ import annotations
@@ -75,12 +76,8 @@ def _map_execution(f: dict, p: Execution) -> Execution:
 def _execution_presheaf(base, lts: Lts, depth: int) -> FinPresheaf:
     """The executions of lts up to the depth over a base of words, each at
     its trace; restriction cuts an execution to a prefix."""
-    execs = executions_up_to(lts, depth)
-    return make_presheaf(
-        base,
-        lambda w: _stage_sorted(execs.get(w, ())),
-        lambda p, frm, to: restrict(p, to),
-    )
+    stages = {w: _stage_sorted(ps) for w, ps in executions_up_to(lts, depth).items()}
+    return make_presheaf(base, stages, lambda p, frm, to: restrict(p, to))
 
 
 def strong_sem(lts: Lts, depth: int) -> FinPresheaf:
@@ -120,19 +117,15 @@ def _fair_presheaf(base, fl: FairLts, depth: int, lassos) -> FinPresheaf:
     for (l, ok) in lassos:
         if ok:
             by_trace.setdefault(l.trace(), []).append(l)
-    execs = executions_up_to(fl.lts, depth)
-
-    def stage(e):
-        if isinstance(e, LassoTrace):
-            return _stage_sorted(by_trace.get(e, ()))
-        return _stage_sorted(execs.get(e, ()))
+    stages = {e: _stage_sorted(xs) for e, xs in executions_up_to(fl.lts, depth).items()}
+    stages.update((e, _stage_sorted(xs)) for e, xs in by_trace.items())
 
     def act(x, frm, to):
         if isinstance(frm, LassoTrace):
             return x.unroll(len(to))
         return restrict(x, to)
 
-    return make_presheaf(base, stage, act)
+    return make_presheaf(base, stages, act)
 
 
 def fair_sem(fl: FairLts, depth: int, stem_bound: int = 4, cycle_bound: int = 4) -> FinPresheaf:
@@ -201,12 +194,9 @@ def base_presheaf(lts: Lts, depth: int, barred: bool = False) -> FinPresheaf:
         return _execution_presheaf(word_poset(labels, depth), lts, depth)
     base = barred_source_poset(labels, depth)
     execs = executions_up_to(lts, depth)
+    stages = {w: _stage_sorted(ps) for w, ps in execs.items()}
     silent = _stage_sorted(p for w, ps in execs.items() if not w.visible() for p in ps)
-
-    def stage(e):
-        if isinstance(e, StretchPoint):
-            return silent
-        return _stage_sorted(execs.get(e, ()))
+    stages.update((StretchPoint(n), silent) for n in range(1, depth + 1))
 
     def act(x, frm, to):
         if isinstance(frm, StretchPoint):
@@ -215,7 +205,7 @@ def base_presheaf(lts: Lts, depth: int, barred: bool = False) -> FinPresheaf:
             return restrict(x, EPSILON)
         return restrict(x, to)
 
-    return make_presheaf(base, stage, act)
+    return make_presheaf(base, stages, act)
 
 
 # ---------------------------------------------------------------------------
@@ -230,25 +220,32 @@ def _branching_base(labels, depth: int, with_stretch: bool):
 
 def _minimal_presheaf(base, lts: Lts, depth: int) -> FinPresheaf:
     """The minimal executions of lts up to the depth over a branching base,
-    with the purely silent ones at the stretchable observation if present,
-    read off one walk of its execution tree.
+    with the purely silent ones at the stretchable observation if the base
+    has it, read off one walk of its execution tree.
 
     The stage at a visible word rho holds the nodes with visible word rho
     that end in a visible step, the stage at the empty word the roots, and
-    the stretch stage the nodes with no visible step.  Each restriction is
-    the anchor link: cutting a minimal execution back after its last visible
-    step but one, or a silent one back to its start."""
-    named, anchor = {TAU_BAR: []}, {}
+    the stretch stage the nodes with no visible step.  One ``_by_text`` over
+    the kept nodes orders every stage as its own would: a tie anywhere
+    breaks every stage by ``repr``, which keeps a tie-free stage's order.
+    Each restriction is the anchor link: cutting a minimal execution back
+    after its last visible step but one, or a silent one back to its start."""
+    stretch = TAU_BAR in base.parent
+    named, homes, anchor = [], {}, {}
     for (p, text, rho, up) in execution_tree(lts, depth):
         trace = p.trace
-        if not rho:
-            named[TAU_BAR].append((text, p))
-            anchor[p] = up
+        at = (TAU_BAR,) if stretch and not rho else ()
         if not trace or trace[-1] is not TAU:
-            named.setdefault(rho, []).append((text, p))
+            at += (rho,)
+        if at:
+            named.append((text, p))
+            homes[p] = at
             anchor[p] = up
-    return make_presheaf(base, lambda e: _by_text(named[e]) if e in named else (),
-                         lambda x, frm, to: anchor[x])
+    stages = {}
+    for p in _by_text(named):
+        for e in homes[p]:
+            stages.setdefault(e, []).append(p)
+    return make_presheaf(base, stages, lambda x, frm, to: anchor[x])
 
 
 def branching_sem(lts: Lts, depth: int, with_stretch: bool = True) -> FinPresheaf:
@@ -266,16 +263,18 @@ def branching_sem(lts: Lts, depth: int, with_stretch: bool = True) -> FinPreshea
 def branching_simulation_violation(f: dict, source: Lts, target: Lts):
     """None if f is a branching simulation, else a tagged witness: visible
     steps must map to steps, silent steps must map to steps or collapse, and
-    silent stuttering must be respected.  A stutter witness is the first
-    (x1, x2, x3) in state order with silent runs from x1 to x2 and from x2
-    to x3, and f(x1) = f(x3) != f(x2)."""
+    silent stuttering must be respected.  A step witness is the failing step
+    first in ``str`` order: the steps are scanned unsorted and ordered only
+    when one fails.  A stutter witness is the first (x1, x2, x3) in state
+    order with silent runs from x1 to x2 and from x2 to x3, and
+    f(x1) = f(x3) != f(x2)."""
     check_map_shape(f, source, target)
-    for (src, lab, tgt) in sorted(source.transitions, key=str):
-        if lab is TAU:
-            if f[src] != f[tgt] and not target.has_transition(f[src], TAU, f[tgt]):
-                return ("silent", (src, lab, tgt))
-        elif not target.has_transition(f[src], lab, f[tgt]):
-            return ("visible", (src, lab, tgt))
+    moves = target.transitions
+    bad = [(s, lab, t) for (s, lab, t) in source.transitions
+           if (f[s], lab, f[t]) not in moves and not (lab is TAU and f[s] == f[t])]
+    if bad:
+        step = min(bad, key=str)
+        return ("silent" if step[1] is TAU else "visible", step)
     stutter = _first_stutter(f, source)
     return None if stutter is None else ("stutter", stutter)
 
@@ -331,7 +330,7 @@ def branching_sem_map(f: dict, source: Lts, target: Lts, depth: int,
             if mapped is not None:
                 letters.append(mapped[0])
                 images.append(mapped[1])
-        return Execution(Word(letters), tuple(images))
+        return Execution.trusted((Word(letters), tuple(images)))
 
     base = _branching_base(_joint_alphabet(source, target), depth, with_stretch)
     FX = _minimal_presheaf(base, source, depth)

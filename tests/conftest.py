@@ -245,7 +245,7 @@ def word_length_presheaf(labels, depth: int) -> FinPresheaf:
         by_len[n] = [w.append(l) for w in by_len[n - 1] for l in labels]
     return make_presheaf(
         time_poset(depth),
-        lambda n: _stage_sorted(by_len[n]),
+        {n: _stage_sorted(ws) for n, ws in by_len.items()},
         lambda w, frm, to: Word(w[:to]),
     )
 
@@ -264,7 +264,7 @@ def stretch_word_presheaf(labels, depth: int) -> FinPresheaf:
             return EPSILON if to == 0 else TAU_BAR
         return Word(x[:to])
 
-    return make_presheaf(time_poset(depth), stage, act)
+    return make_presheaf(time_poset(depth), {n: stage(n) for n in range(depth + 1)}, act)
 
 
 # ---------------------------------------------------------------------------

@@ -150,7 +150,8 @@ def sub_presheaf(F: FinPresheaf, generators) -> FinPresheaf:
     for (e, x) in generators:
         for lo in F.base.down(e):
             stages.setdefault(lo, set()).add(F.restrict(x, e, lo))
-    return make_presheaf(F.base, lambda e: _stage_sorted(stages.get(e, ())), F.restrict)
+    return make_presheaf(F.base, {e: _stage_sorted(xs) for e, xs in stages.items()},
+                         F.restrict)
 
 
 def inclusion(sub: FinPresheaf, sup: FinPresheaf):
@@ -233,7 +234,7 @@ def left_kan(h: MonotoneMap, F: FinPresheaf) -> FinPresheaf:
         s = next(s for s in source.down(root) if h(s) == to)
         return (s, F.restrict(value, root, s))
 
-    return make_presheaf(h.target, stage, act)
+    return make_presheaf(h.target, {rho: stage(rho) for rho in h.target.elements}, act)
 
 
 # ---------------------------------------------------------------------------

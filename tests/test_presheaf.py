@@ -26,7 +26,8 @@ from bisimap.presheaf import (
     word_poset,
 )
 from bisimap.semantics import (
-    base_presheaf, branching_sem_map, fair_sem, fair_sem_map, strong_sem, strong_sem_map,
+    base_presheaf, branching_sem, branching_sem_map, fair_sem, fair_sem_map, strong_sem,
+    strong_sem_map,
 )
 from bisimap.words import EPSILON, TAU, TAU_BAR, LassoTrace, StretchPoint, Word, element_key
 
@@ -64,7 +65,7 @@ def test_stretch_observation_presheaf_is_valid():
 
 def test_one_stage_presheaf_is_valid():
     base = poset_from_leq([0], lambda a, b: a <= b)
-    F = make_presheaf(base, lambda e: ["u", "v"], lambda x, frm, to: x)
+    F = make_presheaf(base, dict.fromkeys(base.elements, ["u", "v"]), lambda x, frm, to: x)
     assert validate(F).ok
 
 
@@ -216,10 +217,33 @@ def test_stage_order_breaks_print_ties_by_repr():
     # the order is the same whatever order the elements come in
     for listed in (tied, tied[::-1]):
         assert presheaf_mod._stage_sorted(listed) == tied
-    # make_presheaf keeps each stage in the order its stage function gives
-    G = make_presheaf(F.base, lambda e: tied[::-1] if e == Word.of("a") else F.stage(e),
-                      F.restrict)
+    # make_presheaf keeps each stage in the order it is given in
+    G = make_presheaf(F.base, {**F.stages, Word.of("a"): tied[::-1]}, F.restrict)
     assert G.stage(Word.of("a")) == tied[::-1]
+    # behind silent steps the tie falls inside a visible stage and inside
+    # the stretch stage of the branching construction
+    hidden = Lts.make((0, "0", 1, "1"), {"a"},
+                      [(0, TAU, 1), ("0", TAU, "1"), (1, "a", 1), ("1", "a", "1")])
+    for with_stretch in (True, False):
+        B = branching_sem(hidden, 2, with_stretch)
+        ties = [e for e in B.stages
+                if any(str(x) == str(y) for x, y in zip(B.stage(e), B.stage(e)[1:]))]
+        assert ties == [EPSILON, Word.of("a"), Word.of("a", "a")] + [TAU_BAR] * with_stretch
+        for e in B.stages:
+            assert B.stage(e) == tuple(sorted(B.stage(e), key=lambda x: (str(x), repr(x))))
+    tied = B.stage(Word.of("a"))
+    assert str(tied[0]) == str(tied[1]) and repr(tied[0]) < repr(tied[1])
+
+
+def test_make_presheaf_stores_only_nonempty_stages_and_refuses_foreign_keys():
+    base = word_poset(("a", "b"), 2)
+    F = make_presheaf(base, {Word.of("b"): ["y"], EPSILON: ["x"], Word.of("a"): []},
+                      lambda x, frm, to: "x")
+    assert F.stages == {EPSILON: ("x",), Word.of("b"): ("y",)}
+    assert F.stage(Word.of("a")) == () and F.res == {Word.of("b"): {"y": "x"}}
+    for stages in ({Word.of("c"): ["x"]}, {EPSILON: ["x"], Word.of("c"): []}):
+        with pytest.raises(PreconditionError, match="c is not an element of the base"):
+            make_presheaf(base, stages, lambda x, frm, to: x)
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +263,8 @@ def test_identity_is_mono():
 
 def test_collapsing_component_is_not_mono():
     base = poset_from_leq([0], lambda a, b: True)
-    F = make_presheaf(base, lambda e: ["u", "v"], lambda x, frm, to: x)
-    G = make_presheaf(base, lambda e: ["w"], lambda x, frm, to: x)
+    F = make_presheaf(base, dict.fromkeys(base.elements, ["u", "v"]), lambda x, frm, to: x)
+    G = make_presheaf(base, dict.fromkeys(base.elements, ["w"]), lambda x, frm, to: x)
     assert not is_mono(nat_trans(F, G, lambda e, x: "w"))
 
 
@@ -388,7 +412,7 @@ def test_left_kan_rejects_non_hiding_maps():
     base = word_poset(("a", "b"), 1)
     swap = {EPSILON: EPSILON, Word.of("a"): Word.of("b"), Word.of("b"): Word.of("a")}
     h = MonotoneMap(base, base, swap)
-    F = make_presheaf(base, lambda e: ["x"], lambda x, frm, to: x)
+    F = make_presheaf(base, dict.fromkeys(base.elements, ["x"]), lambda x, frm, to: x)
     with pytest.raises(UnsupportedError):
         left_kan(h, F)
 
@@ -419,7 +443,7 @@ def test_elements_of_word_length_presheaf():
 
 def test_elements_of_constant_singleton_is_chain():
     base = time_poset(2)
-    F = make_presheaf(base, lambda e: ["*"], lambda x, frm, to: x)
+    F = make_presheaf(base, dict.fromkeys(base.elements, ["*"]), lambda x, frm, to: x)
     result = elements_poset(F)
     objs = result.raw.elements
     assert len(objs) == 3
@@ -491,7 +515,7 @@ def test_validate_catches_codomain_escape():
 
 def test_naturality_violations_detected():
     base = poset_from_leq([0, 1], lambda a, b: a <= b)
-    F = make_presheaf(base, lambda e: ["u", "v"], lambda x, frm, to: x)
+    F = make_presheaf(base, dict.fromkeys(base.elements, ["u", "v"]), lambda x, frm, to: x)
     broken = nat_trans(F, F, lambda e, x: ("v" if (e, x) == (1, "u") else x))
     assert any(v[0] == "naturality" for v in naturality_violations(broken))
 
@@ -516,7 +540,7 @@ def test_failed_fiber_square_witnesses_non_surjectivity(monkeypatch):
 
 def test_fiber_index_is_stored_only_once_complete():
     base = poset_from_leq([0, 1], lambda a, b: a <= b)
-    F = make_presheaf(base, lambda e: ["u", "v", "w"], lambda x, frm, to: x)
+    F = make_presheaf(base, dict.fromkeys(base.elements, ["u", "v", "w"]), lambda x, frm, to: x)
     nt = nat_trans(F, F, lambda e, x: "u" if x == "v" else x)
 
     class Watched(dict):

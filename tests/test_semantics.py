@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bisimap
 from bisimap import InternalCheckError, PreconditionError
 from bisimap.lts import Execution, FairLts, Lts, StreettSpec, executions_up_to, restrict
 from bisimap.presheaf import _stage_sorted, branching_target_poset, naturality_violations
@@ -451,3 +456,82 @@ def test_composed_cover_restrictions_equal_each_rule_on_random_systems():
         assert _composed_mismatches(F, rule) == []
         checked += sum(len(F.stage(e)) * len(F.base.strictly_below(e)) for e in F.base.elements)
     assert checked > 1000
+
+
+# ---------------------------------------------------------------------------
+# Sparse stages and stage order
+
+
+def test_no_construction_stores_an_empty_stage(corpus):
+    rng = random.Random(2718)
+    stateless = Lts.make((), {"a"}, ())
+    plain = [*corpus.plain_systems().values(), stateless]
+    plain += [random_lts(rng, 4, ("a", "b"), tau_prob=0.3, density=1.5) for _ in range(12)]
+    cases = _constructions(plain, corpus.fair_systems().values(), 3)
+    assert len(cases) > 60
+    for F, _ in cases:
+        assert all(F.stages.values())
+        assert list(F.stages) == [e for e in F.base.elements if e in F.stages]
+    assert strong_sem(stateless, 3).stages == {}
+
+
+def test_a_deep_silent_lift_stores_only_the_stages_its_executions_reach():
+    # a silent 2-cycle over {a, b, c} onto a one-state silent loop: at depth
+    # 8 the base has 9,842 elements, and the executions reach two of them
+    labels = {"a", "b", "c"}
+    X = Lts.make(("x0", "x1"), labels, [("x0", TAU, "x1"), ("x1", TAU, "x0")])
+    Y = Lts.make(("y",), labels, [("y", TAU, "y")])
+    lifted = branching_sem_map({"x0": "y", "x1": "y"}, X, Y, 8)
+    assert len(lifted.source.base.elements) == 9842
+    for F in (lifted.source, lifted.target):
+        assert list(F.stages) == [EPSILON, TAU_BAR]
+    assert lifted.comp.keys() == lifted.source.stages.keys()
+    assert [F.total_elements() for F in (lifted.source, lifted.target)] == [2 + 18, 1 + 9]
+
+
+def _with_twins(rng):
+    """A random silent system over {a}, a copy of it whose states print like
+    the first's (k and "k"), and a third part over {a, b}, whose b-stages
+    have no tie."""
+    X = random_lts(rng, 3, ("a",), tau_prob=0.5, density=1.5)
+    Z = random_lts(rng, 3, ("a", "b"), tau_prob=0.5, density=1.5)
+    parts = [(X, lambda s: int(s[1:])), (X, lambda s: s[1:]), (Z, lambda s: "z" + s[1:])]
+    return Lts.make([name(s) for lts, name in parts for s in lts.states], {"a", "b"},
+                    [(name(s), lab, name(t)) for lts, name in parts
+                     for (s, lab, t) in lts.transitions])
+
+
+def test_each_branching_stage_is_in_its_own_stage_order():
+    rng = random.Random(31)
+    tied = tie_free_beside_a_tie = 0
+    for i in range(40):
+        X = _with_twins(rng) if i % 2 else random_lts(rng, 4, ("a", "b"), 0.5, 1.5)
+        for with_stretch in (True, False):
+            B = branching_sem(X, i % 4 + 1, with_stretch)
+            ties = [any(str(x) == str(y) for x, y in zip(stage, stage[1:]))
+                    for stage in B.stages.values()]
+            tied += sum(ties)
+            tie_free_beside_a_tie += any(ties) * ties.count(False)
+            for stage in B.stages.values():
+                assert stage == _stage_sorted(stage)
+    assert tied > 50 and tie_free_beside_a_tie > 20
+
+
+def test_a_step_witness_is_the_first_failing_step_in_str_order_under_any_hash_seed():
+    # three steps fail, in an order of the frozenset that the hash seed moves
+    script = (
+        "from bisimap.lts import Lts, format_witness\n"
+        "from bisimap.semantics import branching_simulation_violation\n"
+        "from bisimap.words import TAU\n"
+        "X = Lts.make('pqr', {'a', 'b'}, [('q', 'a', 'r'), ('p', 'b', 'r'),\n"
+        "                                 ('r', TAU, 'p'), ('p', 'a', 'p')])\n"
+        "Y = Lts.make('uv', {'a', 'b'}, [('u', 'a', 'u')])\n"
+        "f = {'p': 'u', 'q': 'u', 'r': 'v'}\n"
+        "print(format_witness(branching_simulation_violation(f, X, Y)))\n"
+    )
+    src = str(Path(bisimap.__file__).resolve().parents[1])
+    outs = {subprocess.run([sys.executable, "-c", script], capture_output=True, check=True,
+                           env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src),
+                           timeout=300).stdout
+            for seed in ("0", "1", "2", "3", "4")}
+    assert outs == {b"visible: p -b-> r\n"}

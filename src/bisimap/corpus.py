@@ -88,27 +88,6 @@ class Corpus:
     union_sys: RelationEntry
     comp: RelationEntry
 
-    def plain_systems(self) -> dict:
-        """Every bundled plain transition system, by name."""
-        return {
-            "CHAIN": self.chain,
-            "SYS_BRANCH": self.branch.combined,
-            "SYS_BRANCH_SRC": self.branch.source,
-            "SYS_BRANCH_TGT": self.branch.target,
-            "SYS_FAIR_REM_SRC": self.fair_rem.source.lts,
-            "SYS_FAIR_REM_TGT": self.fair_rem.target.lts,
-            "SYS_UNION": self.union_sys.system.lts,
-            "SYS_COMP": self.comp.system.lts,
-        }
-
-    def fair_systems(self) -> dict:
-        return {
-            "SYS_FAIR_REM_SRC": self.fair_rem.source,
-            "SYS_FAIR_REM_TGT": self.fair_rem.target,
-            "SYS_UNION": self.union_sys.system,
-            "SYS_COMP": self.comp.system,
-        }
-
 
 def load_corpus() -> Corpus:
     chain = parse_aut(_read("chain.aut"), parse_names(_read("chain.names")))

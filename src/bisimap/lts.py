@@ -141,28 +141,29 @@ def execution_tree(lts: Lts, depth: int) -> list:
     """The executions of trace length <= depth as the nodes of one prefix
     tree, walked once, shortest first; the roots are the empty executions.
 
-    A node is ``(execution, text, visible, anchor)``.  The text is
+    A node is ``(execution, text, visible, anchor, parent)``.  The text is
     ``str(execution)``, the parent's text plus one ``" -a-> s"``; the
     visible word is the trace without its silent letters; the anchor is the
     last execution before it on its path that is a root or ends in a
-    visible step, and a root is its own anchor.
+    visible step, and a root is its own anchor.  The parent is the position
+    in the returned list of the node one step shorter, None for a root.
     """
     if depth < 0:
         raise PreconditionError("depth must be >= 0")
     adj = adjacency(lts)
     steps = {s: [(lab, t, _step_text(lab, t)) for (lab, t) in adj[s]] for s in lts.states}
-    level = [(p, str(p.last), EPSILON, p) for p in map(Execution.empty, lts.states)]
+    level = [(p, str(p.last), EPSILON, p, None) for p in map(Execution.empty, lts.states)]
     trusted = Execution.trusted
     nodes = list(level)
     for _ in range(depth):
         grown = []
-        for (p, text, visible, anchor) in level:
+        for i, (p, text, visible, anchor, _) in enumerate(level, len(nodes) - len(level)):
             trace, states = p
             if not trace or trace[-1] is not TAU:
                 anchor = p
             for (lab, t, step) in steps[states[-1]]:
                 grown.append((trusted((Word(trace + (lab,)), states + (t,))), text + step,
-                              visible if lab is TAU else Word(visible + (lab,)), anchor))
+                              visible if lab is TAU else Word(visible + (lab,)), anchor, i))
         nodes += grown
         level = grown
     return nodes
@@ -176,7 +177,7 @@ def executions_up_to(lts: Lts, depth: int) -> dict:
     stage holds one empty execution per state; a missing word has none.
     """
     stages = {EPSILON: []}
-    for (p, _, _, _) in execution_tree(lts, depth):
+    for (p, _, _, _, _) in execution_tree(lts, depth):
         stages.setdefault(p.trace, []).append(p)
     return {w: frozenset(ps) for w, ps in stages.items()}
 

@@ -86,9 +86,6 @@ class FinPoset:
         del down[None]
         return down
 
-    def leq(self, a, b) -> bool:
-        return a in self._down.get(b, ())
-
     def down(self, e) -> tuple:
         """The elements below e, from its root up to e itself."""
         return self._down.get(e, ())
@@ -176,13 +173,13 @@ def fair_target_poset(labels, depth: int, traces) -> FinPoset:
 # Presheaves and natural transformations
 
 
-def _by_text(named) -> tuple:
-    """The elements of ``(text, element)`` pairs in stage order, by
-    ``(text, repr)``: by text alone, unless two texts tie."""
+def _by_text(named) -> list:
+    """``(text, element, ...)`` tuples in the stage order of their elements,
+    by ``(text, repr(element))``: by text alone, unless two texts tie."""
     named = sorted(named, key=itemgetter(0))
     if any(a[0] == b[0] for a, b in zip(named, named[1:])):
         named.sort(key=lambda tx: (tx[0], repr(tx[1])))
-    return tuple(x for _, x in named)
+    return named
 
 
 def _stage_sorted(xs) -> tuple:
@@ -190,7 +187,7 @@ def _stage_sorted(xs) -> tuple:
     xs = tuple(xs)
     if len(xs) < 2:
         return xs
-    return _by_text(zip(map(str, xs), xs))
+    return tuple(x for _, x in _by_text(zip(map(str, xs), xs)))
 
 
 @dataclass(frozen=True)
@@ -281,13 +278,14 @@ class NatTrans:
         return {}
 
     def fiber(self, e, y) -> list:
-        """The elements of the source stage at e mapped to y, in stage order;
-        each stage is indexed once, on first use."""
+        """The elements of the source stage at e mapped to y, in stage order
+        (the order of ``comp[e]``); each stage is indexed once, on first use,
+        and a missing one reads as empty."""
         fib = self._fibers.get(e)
         if fib is None:
             fib = {}
-            for x in self.source.stage(e):
-                fib.setdefault(self.comp[e][x], []).append(x)
+            for x, image in self.comp.get(e, {}).items():
+                fib.setdefault(image, []).append(x)
             self._fibers[e] = fib
         return fib.get(y, [])
 
@@ -503,6 +501,7 @@ def enumerate_mono_squares(f: NatTrans):
     F, G = f.source, f.target
     base = G.base
     word_budget = base.word_budget
+    fiber = f.fiber
 
     def trace_limit(e, e2):
         """The longest trace of an x at e2 whose square under e stays within
@@ -519,14 +518,14 @@ def enumerate_mono_squares(f: NatTrans):
         levels = [(i, chain[i], top_family if i == 1 else "extension", trace_limit(e, chain[i]))
                   for i in range(len(chain) - 1, 0, -1)]
         for w in stage:
-            fiber = f.fiber(e, w)
-            yield StreamSquare(f, "fiber", (e, w), fiber)
-            history, lifts = [w], [fiber]
+            preimages = fiber(e, w)
+            yield StreamSquare(f, "fiber", (e, w), preimages)
+            history, lifts = [w], [preimages]
             for (down_g, down_f) in tables:
                 history.append(down_g[history[-1]])
                 lifts.append(set(map(down_f.__getitem__, lifts[-1])))
             for (i, e2, family, limit) in levels:
-                for x in f.fiber(e2, history[i]):
+                for x in fiber(e2, history[i]):
                     if limit is None or len(x.trace) <= limit:
                         yield StreamSquare(f, family, (e, w, e2, x), lifts[i])
 

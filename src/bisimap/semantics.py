@@ -10,7 +10,10 @@ only shortens words, so truncation is closed):
   silent steps), and an extra stage holds the purely silent executions,
   restricting to their start states.  Both are read off one walk of the
   execution tree (``execution_tree``): a restriction is a node's anchor
-  link, back to its last visible step but one, or to its root.
+  link, back to its last visible step but one, or to its root.  The
+  branching lift is a map of execution trees: a node's image is its
+  parent's image, extended by the image of its last step unless f collapses
+  that step.
 
 Each construction lifts suitable state maps to natural transformations, and
 hands ``make_presheaf`` only the stages its executions reach.
@@ -51,7 +54,7 @@ from .presheaf import (
     nat_trans,
     word_poset,
 )
-from .words import EPSILON, TAU, LassoTrace, StretchPoint, TAU_BAR, Word
+from .words import EPSILON, TAU, LassoTrace, StretchPoint, TAU_BAR
 
 
 def _joint_alphabet(*systems):
@@ -218,32 +221,32 @@ def _branching_base(labels, depth: int, with_stretch: bool):
     return word_poset(labels, depth)
 
 
-def _minimal_presheaf(base, lts: Lts, depth: int) -> FinPresheaf:
-    """The minimal executions of lts up to the depth over a branching base,
-    with the purely silent ones at the stretchable observation if the base
-    has it, read off one walk of its execution tree.
+def _minimal_presheaf(base, tree) -> FinPresheaf:
+    """The minimal executions among the nodes of an execution tree
+    (``execution_tree``) over a branching base, with the purely silent ones
+    at the stretchable observation if the base has it.
 
     The stage at a visible word rho holds the nodes with visible word rho
     that end in a visible step, the stage at the empty word the roots, and
-    the stretch stage the nodes with no visible step.  One ``_by_text`` over
-    the kept nodes orders every stage as its own would: a tie anywhere
-    breaks every stage by ``repr``, which keeps a tie-free stage's order.
-    Each restriction is the anchor link: cutting a minimal execution back
-    after its last visible step but one, or a silent one back to its start."""
+    the stretch stage the nodes with no visible step.  The kept nodes are
+    sorted once (``_by_text``) and dealt to their stages in one pass, which
+    orders every stage as its own sort would: a tie anywhere breaks every
+    stage by ``repr``, which keeps a tie-free stage's order.  Each
+    restriction is the anchor link: cutting a minimal execution back after
+    its last visible step but one, or a silent one back to its start."""
     stretch = TAU_BAR in base.parent
-    named, homes, anchor = [], {}, {}
-    for (p, text, rho, up) in execution_tree(lts, depth):
+    named = []
+    for (p, text, rho, up, _) in tree:
         trace = p.trace
         at = (TAU_BAR,) if stretch and not rho else ()
         if not trace or trace[-1] is not TAU:
             at += (rho,)
         if at:
-            named.append((text, p))
-            homes[p] = at
-            anchor[p] = up
-    stages = {}
-    for p in _by_text(named):
-        for e in homes[p]:
+            named.append((text, p, at, up))
+    stages, anchor = {}, {}
+    for (_, p, at, up) in _by_text(named):
+        anchor[p] = up
+        for e in at:
             stages.setdefault(e, []).append(p)
     return make_presheaf(base, stages, lambda x, frm, to: anchor[x])
 
@@ -257,7 +260,7 @@ def branching_sem(lts: Lts, depth: int, with_stretch: bool = True) -> FinPreshea
     silent steps entirely.
     """
     base = _branching_base(_visible_labels(lts), depth, with_stretch)
-    return _minimal_presheaf(base, lts, depth)
+    return _minimal_presheaf(base, execution_tree(lts, depth))
 
 
 def branching_simulation_violation(f: dict, source: Lts, target: Lts):
@@ -315,27 +318,43 @@ def _first_stutter(f: dict, source: Lts):
 def branching_sem_map(f: dict, source: Lts, target: Lts, depth: int,
                       with_stretch: bool = True) -> NatTrans:
     """Lift a branching simulation to the minimal-execution presheaves, both
-    built over one base.  Each source step is imaged once
-    (``_step_images``), and every execution's image is read step by step
-    from that table."""
+    built over one base, as a map of execution trees.
+
+    Each system's tree is walked once (``execution_tree``) and each source
+    step imaged once (``_step_images``).  A source node's image is a target
+    node: a root's is the root at f of its state; a step that collapses
+    keeps its parent's image; any other step goes to the child of its
+    parent's image that the mapped step reaches.  The components are the
+    target tree's own executions."""
     violation = branching_simulation_violation(f, source, target)
     if violation is not None:
         raise PreconditionError("not a branching simulation: " + format_witness(violation))
     steps = _step_images(f, source, target)
-
-    def image(e, p):
+    source_tree = execution_tree(source, depth)
+    target_tree = execution_tree(target, depth)
+    roots, children = {}, {}
+    for j, (q, _, _, _, up) in enumerate(target_tree):
+        trace, states = q
+        if up is None:
+            roots[states[0]] = j
+        else:
+            children[up, trace[-1], states[-1]] = j
+    at, image = [], {}
+    for (p, _, _, _, up) in source_tree:
         trace, states = p
-        letters, images = [], [f[states[0]]]
-        for mapped in map(steps.__getitem__, zip(states, trace, states[1:])):
-            if mapped is not None:
-                letters.append(mapped[0])
-                images.append(mapped[1])
-        return Execution.trusted((Word(letters), tuple(images)))
-
+        if up is None:
+            j = roots[f[states[0]]]
+        else:
+            mapped = steps[states[-2], trace[-1], states[-1]]
+            j = at[up] if mapped is None else children.get((at[up], *mapped))
+            if j is None:
+                raise InternalCheckError(f"image of {p} missing in the target tree")
+        at.append(j)
+        image[p] = target_tree[j][0]
     base = _branching_base(_joint_alphabet(source, target), depth, with_stretch)
-    FX = _minimal_presheaf(base, source, depth)
-    FY = _minimal_presheaf(base, target, depth)
-    return nat_trans(FX, FY, image)
+    FX = _minimal_presheaf(base, source_tree)
+    FY = _minimal_presheaf(base, target_tree)
+    return nat_trans(FX, FY, lambda e, p: image[p])
 
 
 def _step_images(f: dict, source: Lts, target: Lts) -> dict:

@@ -17,7 +17,7 @@ from bisimap.presheaf import (
 )
 from bisimap.words import EPSILON, TAU, TAU_BAR, Word
 
-from oracles import empty_presheaf, eps_closure, inclusion, poset_from_leq, sub_presheaf
+from oracles import empty_presheaf, eps_closure, inclusion, poset_from_leq, poset_leq, sub_presheaf
 
 
 @pytest.fixture(scope="session")
@@ -28,6 +28,30 @@ def corpus():
 @pytest.fixture(scope="session")
 def chain(corpus):
     return corpus.chain
+
+
+def plain_systems(corpus) -> dict:
+    """Every bundled plain transition system, by name."""
+    return {
+        "CHAIN": corpus.chain,
+        "SYS_BRANCH": corpus.branch.combined,
+        "SYS_BRANCH_SRC": corpus.branch.source,
+        "SYS_BRANCH_TGT": corpus.branch.target,
+        "SYS_FAIR_REM_SRC": corpus.fair_rem.source.lts,
+        "SYS_FAIR_REM_TGT": corpus.fair_rem.target.lts,
+        "SYS_UNION": corpus.union_sys.system.lts,
+        "SYS_COMP": corpus.comp.system.lts,
+    }
+
+
+def fair_systems(corpus) -> dict:
+    """Every bundled fair system, by name."""
+    return {
+        "SYS_FAIR_REM_SRC": corpus.fair_rem.source,
+        "SYS_FAIR_REM_TGT": corpus.fair_rem.target,
+        "SYS_UNION": corpus.union_sys.system,
+        "SYS_COMP": corpus.comp.system,
+    }
 
 
 def lts_of(triples, extra_states=(), alphabet=None):
@@ -227,7 +251,7 @@ def order_isomorphic(P: FinPoset, Q: FinPoset, mapping=None) -> bool:
     if len(set(fwd.values())) != len(fwd):
         return False
     return all(
-        P.leq(a, b) == Q.leq(fwd[a], fwd[b])
+        poset_leq(P, a, b) == poset_leq(Q, fwd[a], fwd[b])
         for a in P.elements
         for b in P.elements
     )

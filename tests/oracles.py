@@ -111,6 +111,11 @@ def poset_from_leq(elements, leq) -> FinPoset:
     return FinPoset(elements, parent)
 
 
+def poset_leq(P: FinPoset, a, b) -> bool:
+    """a <= b in the forest P: a lies on b's chain of parents."""
+    return a in P.down(b)
+
+
 def empty_presheaf(base: FinPoset) -> FinPresheaf:
     return FinPresheaf(base, {}, {})
 
@@ -174,7 +179,7 @@ class MonotoneMap:
             if self.mapping[a] not in targets:
                 raise PreconditionError("map leaves the target poset")
         for b, a in self.source.parent.items():
-            if a is not None and not self.target.leq(self.mapping[a], self.mapping[b]):
+            if a is not None and not poset_leq(self.target, self.mapping[a], self.mapping[b]):
                 raise PreconditionError(f"map not order-preserving at ({a}, {b})")
 
     def __call__(self, e):
@@ -224,7 +229,7 @@ def left_kan(h: MonotoneMap, F: FinPresheaf) -> FinPresheaf:
     source = h.source
 
     def stage(rho):
-        index = {s for s in source.elements if h.target.leq(rho, h(s))}
+        index = {s for s in source.elements if poset_leq(h.target, rho, h(s))}
         return _stage_sorted((m, x) for m in source.elements
                              if m in index and source.parent[m] not in index
                              for x in F.stage(m))
@@ -258,7 +263,7 @@ def elements_poset(F: FinPresheaf) -> ElementsPosetResult:
 
     def leq(a, b):
         (ea, xa), (eb, xb) = a, b
-        return F.base.leq(ea, eb) and F.restrict(xb, eb, ea) == xa
+        return poset_leq(F.base, ea, eb) and F.restrict(xb, eb, ea) == xa
 
     raw = poset_from_leq(objs, leq)
 

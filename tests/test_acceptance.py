@@ -25,7 +25,7 @@ from bisimap.presheaf import branching_target_poset, word_poset
 from bisimap.semantics import base_presheaf, strong_sem_map
 from bisimap.words import EPSILON, TAU, TAU_BAR
 
-from conftest import brute_force_largest, random_lts, random_total_map
+from conftest import brute_force_largest, fair_systems, plain_systems, random_lts, random_total_map
 from oracles import (
     hide, hiding_map, is_minimal_execution, left_kan, map_pf, minimal_executions, mpast,
 )
@@ -120,7 +120,7 @@ def test_criterion_02_accepted_maps_are_stage_surjective(strong_sample):
 
 def test_criterion_03_kan_extension_matches_minimal_executions(corpus):
     mismatches = []
-    for name, X in corpus.plain_systems().items():
+    for name, X in plain_systems(corpus).items():
         F = base_presheaf(X, DEPTH)
         tgt = word_poset(sorted(X.alphabet), DEPTH)
         K = left_kan(hiding_map(F.base, tgt), F)
@@ -145,7 +145,7 @@ def test_criterion_03_kan_extension_matches_minimal_executions(corpus):
 
 def test_criterion_04_barred_kan_extension_stretch_stage(corpus):
     mismatches = []
-    for name, X in corpus.plain_systems().items():
+    for name, X in plain_systems(corpus).items():
         F = base_presheaf(X, DEPTH, barred=True)
         tgt = branching_target_poset(sorted(X.alphabet), DEPTH)
         K = left_kan(hiding_map(F.base, tgt), F)
@@ -228,7 +228,7 @@ def test_criterion_07_quotient_round_trip(corpus):
         if not check_fair_bisim_fn(f, sys, quotient).holds:
             problems.append((name, "bisim-fn"))
     # converse: kernels of fair-bisimulation functions are valid relations
-    for system in corpus.fair_systems().values():
+    for system in fair_systems(corpus).values():
         ident = {s: s for s in system.lts.states}
         quotient_maps.append((system, system, ident))
     for (src, _, f) in quotient_maps:
@@ -304,7 +304,7 @@ def test_criterion_10_execution_images_stay_minimal(corpus):
     sims = [
         (corpus.branch.mapping, corpus.branch.source, corpus.branch.target),
     ]
-    for X in corpus.plain_systems().values():
+    for X in plain_systems(corpus).values():
         sims.append(({s: s for s in X.states}, X, X))
         quotient, f = branching_quotient(X)
         sims.append((f, X, quotient))
@@ -354,7 +354,7 @@ def test_criterion_11_exact_and_bounded_fairness_agree(corpus):
     morphisms = [
         (corpus.fair_rem.mapping, corpus.fair_rem.source, corpus.fair_rem.target),
     ]
-    for system in corpus.fair_systems().values():
+    for system in fair_systems(corpus).values():
         morphisms.append(({s: s for s in system.lts.states}, system, system))
     for (f, src, tgt) in morphisms:
         a = check_fair_reflection(f, src, tgt, "exact_streett", 4, 4)

@@ -31,8 +31,10 @@ from bisimap.words import TAU
 from conftest import (
     branching_bisimilarity_fixpoint,
     brute_force_largest,
+    fair_systems,
     is_lasso_of,
     lts_of,
+    plain_systems,
     random_fair_system,
     random_lts,
     random_total_map,
@@ -143,7 +145,7 @@ def test_strong_requires_simulation(chain):
 
 
 def test_fair_identity_holds_on_corpus(corpus):
-    for system in corpus.fair_systems().values():
+    for system in fair_systems(corpus).values():
         ident = {s: s for s in system.lts.states}
         assert check_fair_sim(ident, system, system).holds
         assert check_fair_reflection(ident, system, system).holds
@@ -261,7 +263,7 @@ def test_fair_reflection_exact_handles_mixed_kinds():
 
 
 def test_branching_identity_checks_hold(corpus):
-    for X in corpus.plain_systems().values():
+    for X in plain_systems(corpus).values():
         ident = {s: s for s in X.states}
         assert check_branching_sim(ident, X, X).holds
         assert check_branching_bisim_fn(ident, X, X).holds

@@ -22,7 +22,7 @@ from bisimap.lts import (
 )
 from bisimap.words import EPSILON, TAU, Word
 
-from conftest import enumerate_graph_lassos_recursive, lts_of, random_lts, weak_reach
+from conftest import enumerate_graph_lassos_recursive, lts_of, plain_systems, random_lts, weak_reach
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +86,7 @@ def test_reach_includes_the_starts_and_stops_on_cycles():
 
 
 def test_roundtrip_on_corpus_files(corpus):
-    for lts in corpus.plain_systems().values():
+    for lts in plain_systems(corpus).values():
         again = parse_aut(serialize_aut(lts))
         # states are renumbered, so compare shapes through a canonical pass
         assert serialize_aut(again) == serialize_aut(lts)
@@ -138,17 +138,23 @@ def test_execution_tree_nodes_carry_text_visible_word_and_anchor():
         lts = random_lts(rng, 4, ("a", "b"), tau_prob=0.4, density=1.5)
         depth = i % 5
         tree = execution_tree(lts, depth)
-        walked = [p for (p, _, _, _) in tree]
+        walked = [p for (p, _, _, _, _) in tree]
         assert len(set(walked)) == len(walked)
         assert set(walked) == {p for ps in executions_up_to(lts, depth).values() for p in ps}
         assert [len(p.trace) for p in walked] == sorted(len(p.trace) for p in walked)
-        for (p, text, visible, anchor) in tree:
+        for i, (p, text, visible, anchor, parent) in enumerate(tree):
             assert text == str(p)
             assert visible == p.trace.visible()
             # the longest proper prefix that is empty or ends in a visible step
             cut = max((n for n in range(len(p.trace))
                        if n == 0 or p.trace[n - 1] is not TAU), default=0)
             assert anchor == restrict(p, Word(p.trace[:cut]))
+            if not p.trace:
+                assert parent is None
+            else:
+                # an earlier node: the prefix one step shorter
+                assert parent is not None and 0 <= parent < i
+                assert walked[parent] == restrict(p, Word(p.trace[:-1]))
             nodes += 1
     assert nodes > 400
 

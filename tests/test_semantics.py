@@ -22,7 +22,7 @@ from bisimap.semantics import (
 )
 from bisimap.words import EPSILON, TAU, TAU_BAR, LassoTrace, StretchPoint, Word
 
-from conftest import compose_trans, identity_trans, lts_of, random_lts
+from conftest import compose_trans, fair_systems, identity_trans, lts_of, plain_systems, random_lts
 from oracles import (
     extend_reduction,
     hide,
@@ -439,7 +439,7 @@ def _composed_mismatches(F, rule):
 
 
 def test_composed_cover_restrictions_equal_each_rule_on_the_corpus(corpus):
-    cases = _constructions(corpus.plain_systems().values(), corpus.fair_systems().values(), 3)
+    cases = _constructions(plain_systems(corpus).values(), fair_systems(corpus).values(), 3)
     assert any(any(isinstance(e, LassoTrace) for e in F.base.elements) for F, _ in cases)
     for F, rule in cases:
         assert _composed_mismatches(F, rule) == []
@@ -465,9 +465,9 @@ def test_composed_cover_restrictions_equal_each_rule_on_random_systems():
 def test_no_construction_stores_an_empty_stage(corpus):
     rng = random.Random(2718)
     stateless = Lts.make((), {"a"}, ())
-    plain = [*corpus.plain_systems().values(), stateless]
+    plain = [*plain_systems(corpus).values(), stateless]
     plain += [random_lts(rng, 4, ("a", "b"), tau_prob=0.3, density=1.5) for _ in range(12)]
-    cases = _constructions(plain, corpus.fair_systems().values(), 3)
+    cases = _constructions(plain, fair_systems(corpus).values(), 3)
     assert len(cases) > 60
     for F, _ in cases:
         assert all(F.stages.values())

@@ -37,10 +37,17 @@ from bisimap.semantics import (
     fair_simulation_violation,
     strong_sem_map,
 )
-from bisimap.words import TAU, LassoTrace, Word, element_key
+from bisimap.words import TAU, TAU_BAR, LassoTrace, Word, element_key
 
 from conftest import build_square, random_lts, random_total_map
-from oracles import empty_presheaf, filler_by_restriction, inclusion, map_pf, sub_presheaf
+from oracles import (
+    empty_presheaf,
+    filler_by_restriction,
+    inclusion,
+    map_pf,
+    poset_leq,
+    sub_presheaf,
+)
 
 DEPTH = 3
 # (stage bound, support bound) settings of the pair-square oracle
@@ -76,7 +83,8 @@ def _with_silent_loops(rng, X):
 
 
 def branching_lifts(rng, count, depth=DEPTH, silent_loops=False):
-    """(f, target, lift) for random branching simulations; with
+    """(f, source, target, lift, quotient) for random branching simulations,
+    ``quotient`` telling a branching quotient map from a random one; with
     ``silent_loops`` the random systems gain silent self-loops."""
 
     def draw():
@@ -85,7 +93,8 @@ def branching_lifts(rng, count, depth=DEPTH, silent_loops=False):
 
     while count:
         X = draw()
-        if rng.random() < 0.4:
+        quotient = rng.random() < 0.4
+        if quotient:
             Y, f = branching_quotient(X)
             maps = [f]
         else:
@@ -99,11 +108,12 @@ def branching_lifts(rng, count, depth=DEPTH, silent_loops=False):
                 continue
             if count:
                 count -= 1
-                yield f, Y, branching_sem_map(f, X, Y, depth, with_stretch=rng.random() < 0.7)
+                lifted = branching_sem_map(f, X, Y, depth, with_stretch=rng.random() < 0.7)
+                yield f, X, Y, lifted, quotient
 
 
 def branching_maps(rng, count):
-    return (lifted for (_, _, lifted) in branching_lifts(rng, count))
+    return (lifted for (_, _, _, lifted, _) in branching_lifts(rng, count))
 
 
 def _streett(rng, lts):
@@ -180,13 +190,13 @@ def reference_pairs(f, stage_bound, support_bound):
     out = []
     for i, (e1, w1) in enumerate(gens):
         for (e2, w2) in gens[i + 1:]:
-            if base.leq(e1, e2) or base.leq(e2, e1):
+            if poset_leq(base, e1, e2) or poset_leq(base, e2, e1):
                 continue
             support = set(base.down(e1)) | set(base.down(e2))
             if len(support) > support_bound:
                 continue
             sizes = [
-                len({G.restrict(w, e, s) for (e, w) in ((e1, w1), (e2, w2)) if base.leq(s, e)})
+                len({G.restrict(w, e, s) for (e, w) in ((e1, w1), (e2, w2)) if poset_leq(base, s, e)})
                 for s in support
             ]
             if max(sizes) <= stage_bound:
@@ -272,7 +282,7 @@ def _runs_a_silent_loop(lifted):
 @pytest.fixture(scope="module")
 def carried_samples():
     """300 seeded random branching maps, between systems with silent
-    self-loops, as (f, target, lift), and 300 strong lifts."""
+    self-loops, as ``branching_lifts`` yields them, and 300 strong lifts."""
     branching = list(branching_lifts(random.Random(2027), 300, CARRIED_DEPTH, silent_loops=True))
     strong = list(strong_maps(random.Random(2028), 300, CARRIED_DEPTH))
     return branching, strong
@@ -280,8 +290,8 @@ def carried_samples():
 
 def test_carried_restrictions_decide_as_composed_restrictions(carried_samples):
     branching, strong = carried_samples
-    assert sum(map(_runs_a_silent_loop, (lifted for (_, _, lifted) in branching))) > 100
-    for mode, lifts in (("branching", [lifted for (_, _, lifted) in branching]),
+    assert sum(map(_runs_a_silent_loop, (lifted for (_, _, _, lifted, _) in branching))) > 100
+    for mode, lifts in (("branching", [lifted for (_, _, _, lifted, _) in branching]),
                         ("strong", strong)):
         outcomes = Counter()
         for lifted in lifts:
@@ -296,9 +306,30 @@ def test_carried_restrictions_decide_as_composed_restrictions(carried_samples):
 def test_lifted_components_are_the_step_by_step_images(carried_samples):
     branching, _ = carried_samples
     collapsing = 0
-    for (f, Y, lifted) in branching:
+    for (f, _, Y, lifted, _) in branching:
         for e, table in lifted.comp.items():
             for p, image in table.items():
                 assert image == map_pf(f, p, Y), (e, str(p))
                 collapsing += len(image.trace) < len(p.trace)
     assert collapsing
+    # the tree map at depths 0-5, with and without silent self-loops
+    seen = Counter()
+    rng = random.Random(2029)
+    for depth in range(6):
+        for silent_loops in (False, True):
+            for (f, X, Y, lifted, quotient) in branching_lifts(rng, 20, depth, silent_loops):
+                seen["quotient" if quotient else "random"] += 1
+                seen["stretch" if TAU_BAR in lifted.source.base.parent else "plain"] += 1
+                seen["depth", depth] += bool(lifted.comp)
+                seen["silent loop"] += any(lab is TAU and a == b for (a, lab, b) in X.transitions)
+                for e, table in lifted.comp.items():
+                    stage = set(lifted.target.stage(e))
+                    for p, image in table.items():
+                        assert image == map_pf(f, p, Y), (e, str(p))
+                        assert image in stage, (e, str(p))
+                        for (a, lab, b) in zip(p.states, p.trace, p.states[1:]):
+                            if lab is TAU:
+                                seen["collapsed" if f[a] == f[b] else "kept"] += 1
+    for key in ("quotient", "random", "stretch", "plain", "silent loop", "collapsed", "kept"):
+        assert seen[key], (key, seen)
+    assert all(seen["depth", depth] for depth in range(6)), seen

@@ -114,20 +114,26 @@ class PartitionRelation:
             self.universe, self.pairs | {(s, s) for s in self.universe}
         )
 
+    @staticmethod
+    def of_blocks(universe, blocks) -> "PartitionRelation":
+        """The equivalence over the universe whose classes are the blocks,
+        which partition it."""
+        pairs = frozenset((a, b) for block in blocks for a in block for b in block)
+        return PartitionRelation(tuple(universe), pairs)
+
     def equivalence_closure(self) -> "PartitionRelation":
-        """The least equivalence containing the pairs: all pairs inside each
-        component of the pairs read as undirected links."""
+        """The least equivalence containing the pairs: its classes are the
+        components of the pairs read as undirected links."""
         links = {s: [] for s in self.universe}
         for (a, b) in self.pairs:
             links[a].append(b)
             links[b].append(a)
-        pairs, done = set(), set()
+        comps, done = [], set()
         for s in self.universe:
             if s not in done:
-                comp = reach([s], links.__getitem__)
-                done |= comp
-                pairs.update((a, b) for a in comp for b in comp)
-        return PartitionRelation(self.universe, frozenset(pairs))
+                comps.append(reach([s], links.__getitem__))
+                done |= comps[-1]
+        return PartitionRelation.of_blocks(self.universe, comps)
 
     def after(self, other: "PartitionRelation") -> "PartitionRelation":
         """Relational composition self . other (other applies first)."""
@@ -156,10 +162,11 @@ class PartitionRelation:
 
     @staticmethod
     def kernel_of(f: dict, universe) -> "PartitionRelation":
-        pairs = frozenset(
-            (a, b) for a in universe for b in universe if f[a] == f[b]
-        )
-        return PartitionRelation(tuple(universe), pairs)
+        """The equivalence relating the states that f sends to one image."""
+        by_image = {}
+        for s in universe:
+            by_image.setdefault(f[s], []).append(s)
+        return PartitionRelation.of_blocks(universe, by_image.values())
 
 
 # ---------------------------------------------------------------------------
@@ -828,8 +835,7 @@ def branching_bisimilarity(lts: Lts) -> PartitionRelation:
             break
         count = len(groups)
         block = {s: i for (i, members) in enumerate(groups.values()) for s in members}
-    pairs = frozenset((x, y) for members in groups.values() for x in members for y in members)
-    return PartitionRelation(tuple(lts.states), pairs)
+    return PartitionRelation.of_blocks(lts.states, groups.values())
 
 
 def branching_quotient(lts: Lts):
@@ -843,6 +849,14 @@ def branching_quotient(lts: Lts):
 
 # ---------------------------------------------------------------------------
 # Abstract bisimulation-map check
+
+
+def _simulation_or_refuse(concrete: Verdict, kind: str, tags) -> Verdict:
+    """The concrete verdict, unless its witness, tagged by one of ``tags``,
+    shows that f is no simulation of the kind and so has no lift."""
+    if not concrete.holds and concrete.witness[0] in tags:
+        raise PreconditionError(f"not a {kind} simulation: " + format_witness(concrete.witness))
+    return concrete
 
 
 @dataclass(frozen=True)
@@ -886,9 +900,11 @@ def check_bisim_map(f: dict, source, target, mode: str,
     elements shortest first, and stages of length <= 1 do not depend on the
     depth, so the first failing square is the same at every depth >= 1.
 
-    In fair mode f must be a fair simulation, decided exactly for Streett
-    and positional fairness: a map that breaks a transition or sends a fair
-    run to an unfair one raises ``PreconditionError`` at any bounds."""
+    In fair and branching modes the concrete route first decides that f is
+    a simulation of the mode: a map it refuses for a broken transition or a
+    fair run with an unfair image (fair, exact for Streett and positional
+    fairness), or for a step without an image or a stutter (branching),
+    raises ``PreconditionError`` at any bounds."""
     bounds = {"depth": depth}
     if mode == "strong":
         if not isinstance(source, Lts) or not isinstance(target, Lts):
@@ -900,18 +916,18 @@ def check_bisim_map(f: dict, source, target, mode: str,
     elif mode == "fair":
         if not isinstance(source, FairLts) or not isinstance(target, FairLts):
             raise PreconditionError("fair mode takes fair systems")
-        concrete = check_fair_bisim_fn(f, source, target, "exact_streett",
-                                       stem_bound, cycle_bound)
-        if not concrete.holds and concrete.witness[0] in ("transition", "unfair-image"):
-            raise PreconditionError("not a fair simulation: " + format_witness(concrete.witness))
+        concrete = _simulation_or_refuse(
+            check_fair_bisim_fn(f, source, target, "exact_streett", stem_bound, cycle_bound),
+            "fair", ("transition", "unfair-image"))
         lifted = fair_sem_map(f, source, target, depth, stem_bound, cycle_bound)
         bounds.update({"stem_bound": stem_bound, "cycle_bound": cycle_bound})
     elif mode in ("branching", "branching_failed"):
         if isinstance(source, FairLts) or isinstance(target, FairLts):
             raise PreconditionError("branching modes take plain systems")
+        concrete = _simulation_or_refuse(check_branching_bisim_fn(f, source, target),
+                                         "branching", ("visible", "silent", "stutter"))
         lifted = branching_sem_map(f, source, target, depth,
                                    with_stretch=(mode == "branching"))
-        concrete = check_branching_bisim_fn(f, source, target)
     else:
         raise PreconditionError(f"unknown mode {mode!r}")
     ok, square = is_bisim_map_bounded(lifted)

@@ -15,6 +15,10 @@ only shortens words, so truncation is closed):
   parent's image, extended by the image of its last step unless f collapses
   that step.
 
+Each rule is written once: one builder (``_execution_presheaf``) with one
+restriction rule makes the strong and fair presheaves and the bases, and
+``_step_images`` alone states the step clauses of a branching simulation.
+
 Each construction lifts suitable state maps to natural transformations, and
 hands ``make_presheaf`` only the stages its executions reach.
 ``make_presheaf`` asks each restriction rule only along the cover edges of
@@ -68,19 +72,34 @@ def _visible_labels(lts: Lts) -> tuple:
     return tuple(sorted(lts.alphabet))
 
 
-def _map_execution(f: dict, p: Execution) -> Execution:
-    return Execution(p.trace, tuple(f[s] for s in p.states))
-
-
 # ---------------------------------------------------------------------------
-# Strong semantics
+# Execution presheaves: strong, fair, and the bases for silent-step systems
 
 
-def _execution_presheaf(base, lts: Lts, depth: int) -> FinPresheaf:
-    """The executions of lts up to the depth over a base of words, each at
-    its trace; restriction cuts an execution to a prefix."""
-    stages = {w: _stage_sorted(ps) for w, ps in executions_up_to(lts, depth).items()}
-    return make_presheaf(base, stages, lambda p, frm, to: restrict(p, to))
+def _execution_presheaf(base, execs: dict, more=()) -> FinPresheaf:
+    """The executions ``execs``, keyed by trace, over a base, plus the
+    ``(element, stage)`` pairs ``more`` at lasso traces or stretch points.
+    One restriction rule: a word cuts to a prefix, a lasso trace unrolls,
+    and a stretch point goes to itself, or to the start at the empty word."""
+    stages = {w: _stage_sorted(ps) for w, ps in execs.items()}
+    stages.update(more)
+
+    def act(x, frm, to):
+        if isinstance(frm, LassoTrace):
+            return x.unroll(len(to))
+        if isinstance(frm, StretchPoint):
+            return x if isinstance(to, StretchPoint) else restrict(x, EPSILON)
+        return restrict(x, to)
+
+    return make_presheaf(base, stages, act)
+
+
+def _pointwise(f: dict, e, x):
+    """The component of a lift by post-composition at e: f applied to every
+    state of an execution, or of a lasso, which is then made canonical."""
+    if isinstance(e, LassoTrace):
+        return x.map_states(f).canonical()
+    return Execution(x.trace, tuple(f[s] for s in x.states))
 
 
 def strong_sem(lts: Lts, depth: int) -> FinPresheaf:
@@ -88,7 +107,7 @@ def strong_sem(lts: Lts, depth: int) -> FinPresheaf:
     if lts.has_tau:
         raise PreconditionError("strong semantics is for systems without silent steps")
     base = word_poset(_visible_labels(lts), depth)
-    return _execution_presheaf(base, lts, depth)
+    return _execution_presheaf(base, executions_up_to(lts, depth))
 
 
 def strong_sem_map(f: dict, source: Lts, target: Lts, depth: int) -> NatTrans:
@@ -100,35 +119,19 @@ def strong_sem_map(f: dict, source: Lts, target: Lts, depth: int) -> NatTrans:
     if source.has_tau or target.has_tau:
         raise PreconditionError("strong semantics is for systems without silent steps")
     base = word_poset(_joint_alphabet(source, target), depth)
-    FX = _execution_presheaf(base, source, depth)
-    FY = _execution_presheaf(base, target, depth)
-    return nat_trans(FX, FY, lambda e, p: _map_execution(f, p))
+    FX = _execution_presheaf(base, executions_up_to(source, depth))
+    FY = _execution_presheaf(base, executions_up_to(target, depth))
+    return nat_trans(FX, FY, lambda e, x: _pointwise(f, e, x))
 
 
-# ---------------------------------------------------------------------------
-# Fair semantics
-
-
-def _fair_traces(lassos) -> set:
-    return {l.trace() for (l, ok) in lassos if ok}
-
-
-def _fair_presheaf(base, fl: FairLts, depth: int, lassos) -> FinPresheaf:
-    """The fair semantics of fl over a base holding every trace of its fair
-    lassos; ``lassos`` are fl's lassos tagged by fairness."""
+def _fair_stages(lassos) -> dict:
+    """The fair ones of the lassos tagged by fairness, in one stage per
+    trace, each in stage order."""
     by_trace = {}
     for (l, ok) in lassos:
         if ok:
             by_trace.setdefault(l.trace(), []).append(l)
-    stages = {e: _stage_sorted(xs) for e, xs in executions_up_to(fl.lts, depth).items()}
-    stages.update((e, _stage_sorted(xs)) for e, xs in by_trace.items())
-
-    def act(x, frm, to):
-        if isinstance(frm, LassoTrace):
-            return x.unroll(len(to))
-        return restrict(x, to)
-
-    return make_presheaf(base, stages, act)
+    return {e: _stage_sorted(xs) for e, xs in by_trace.items()}
 
 
 def fair_sem(fl: FairLts, depth: int, stem_bound: int = 4, cycle_bound: int = 4) -> FinPresheaf:
@@ -137,9 +140,9 @@ def fair_sem(fl: FairLts, depth: int, stem_bound: int = 4, cycle_bound: int = 4)
     An infinite stage holds the canonical fair lassos realizing its trace;
     restriction to a finite word unrolls the lasso.
     """
-    lassos = fair_lassos(fl, stem_bound, cycle_bound)
-    base = fair_target_poset(_visible_labels(fl.lts), depth, _fair_traces(lassos))
-    return _fair_presheaf(base, fl, depth, lassos)
+    more = _fair_stages(fair_lassos(fl, stem_bound, cycle_bound))
+    base = fair_target_poset(_visible_labels(fl.lts), depth, more.keys())
+    return _execution_presheaf(base, executions_up_to(fl.lts, depth), more.items())
 
 
 def fair_mismatches(f: dict, target: FairLts, lassos, preserve: bool):
@@ -169,23 +172,13 @@ def fair_sem_map(f: dict, source: FairLts, target: FairLts, depth: int,
                  stem_bound: int = 4, cycle_bound: int = 4) -> NatTrans:
     """Lift a fair simulation, which ``check_bisim_map`` decides exactly and
     this lift takes as given, to the fair-semantics presheaves over one base."""
-    source_lassos = fair_lassos(source, stem_bound, cycle_bound)
-    target_lassos = fair_lassos(target, stem_bound, cycle_bound)
-    traces = _fair_traces(source_lassos) | _fair_traces(target_lassos)
+    more_x = _fair_stages(fair_lassos(source, stem_bound, cycle_bound))
+    more_y = _fair_stages(fair_lassos(target, stem_bound, cycle_bound))
+    traces = more_x.keys() | more_y.keys()
     base = fair_target_poset(_joint_alphabet(source.lts, target.lts), depth, traces)
-    FX = _fair_presheaf(base, source, depth, source_lassos)
-    FY = _fair_presheaf(base, target, depth, target_lassos)
-
-    def component(e, x):
-        if isinstance(e, LassoTrace):
-            return x.map_states(f).canonical()
-        return _map_execution(f, x)
-
-    return nat_trans(FX, FY, component)
-
-
-# ---------------------------------------------------------------------------
-# Base presheaves for silent-step systems
+    FX = _execution_presheaf(base, executions_up_to(source.lts, depth), more_x.items())
+    FY = _execution_presheaf(base, executions_up_to(target.lts, depth), more_y.items())
+    return nat_trans(FX, FY, lambda e, x: _pointwise(f, e, x))
 
 
 def base_presheaf(lts: Lts, depth: int, barred: bool = False) -> FinPresheaf:
@@ -194,21 +187,12 @@ def base_presheaf(lts: Lts, depth: int, barred: bool = False) -> FinPresheaf:
     silent executions and restricts to the start state at the empty word."""
     labels = _visible_labels(lts) + (TAU,)
     if not barred:
-        return _execution_presheaf(word_poset(labels, depth), lts, depth)
+        return _execution_presheaf(word_poset(labels, depth), executions_up_to(lts, depth))
     base = barred_source_poset(labels, depth)
     execs = executions_up_to(lts, depth)
-    stages = {w: _stage_sorted(ps) for w, ps in execs.items()}
     silent = _stage_sorted(p for w, ps in execs.items() if not w.visible() for p in ps)
-    stages.update((StretchPoint(n), silent) for n in range(1, depth + 1))
-
-    def act(x, frm, to):
-        if isinstance(frm, StretchPoint):
-            if isinstance(to, StretchPoint):
-                return x
-            return restrict(x, EPSILON)
-        return restrict(x, to)
-
-    return make_presheaf(base, stages, act)
+    stretch = ((StretchPoint(n), silent) for n in range(1, depth + 1))
+    return _execution_presheaf(base, execs, stretch)
 
 
 # ---------------------------------------------------------------------------
@@ -266,18 +250,13 @@ def branching_sem(lts: Lts, depth: int, with_stretch: bool = True) -> FinPreshea
 def branching_simulation_violation(f: dict, source: Lts, target: Lts):
     """None if f is a branching simulation, else a tagged witness: visible
     steps must map to steps, silent steps must map to steps or collapse, and
-    silent stuttering must be respected.  A step witness is the failing step
-    first in ``str`` order: the steps are scanned unsorted and ordered only
-    when one fails.  A stutter witness is the first (x1, x2, x3) in state
+    silent stuttering must be respected.  A step witness is the one of
+    ``_step_images``; a stutter witness is the first (x1, x2, x3) in state
     order with silent runs from x1 to x2 and from x2 to x3, and
     f(x1) = f(x3) != f(x2)."""
-    check_map_shape(f, source, target)
-    moves = target.transitions
-    bad = [(s, lab, t) for (s, lab, t) in source.transitions
-           if (f[s], lab, f[t]) not in moves and not (lab is TAU and f[s] == f[t])]
-    if bad:
-        step = min(bad, key=str)
-        return ("silent" if step[1] is TAU else "visible", step)
+    _, missing = _step_images(f, source, target)
+    if missing is not None:
+        return missing
     stutter = _first_stutter(f, source)
     return None if stutter is None else ("stutter", stutter)
 
@@ -317,7 +296,8 @@ def _first_stutter(f: dict, source: Lts):
 
 def branching_sem_map(f: dict, source: Lts, target: Lts, depth: int,
                       with_stretch: bool = True) -> NatTrans:
-    """Lift a branching simulation to the minimal-execution presheaves, both
+    """Lift a map that keeps the step clauses of a branching simulation (it
+    needs no stutter clause) to the minimal-execution presheaves, both
     built over one base, as a map of execution trees.
 
     Each system's tree is walked once (``execution_tree``) and each source
@@ -326,10 +306,9 @@ def branching_sem_map(f: dict, source: Lts, target: Lts, depth: int,
     keeps its parent's image; any other step goes to the child of its
     parent's image that the mapped step reaches.  The components are the
     target tree's own executions."""
-    violation = branching_simulation_violation(f, source, target)
-    if violation is not None:
-        raise PreconditionError("not a branching simulation: " + format_witness(violation))
-    steps = _step_images(f, source, target)
+    steps, missing = _step_images(f, source, target)
+    if missing is not None:
+        raise PreconditionError("not a branching simulation: " + format_witness(missing))
     source_tree = execution_tree(source, depth)
     target_tree = execution_tree(target, depth)
     roots, children = {}, {}
@@ -357,22 +336,28 @@ def branching_sem_map(f: dict, source: Lts, target: Lts, depth: int,
     return nat_trans(FX, FY, lambda e, p: image[p])
 
 
-def _step_images(f: dict, source: Lts, target: Lts) -> dict:
-    """Each source step's image under f: None for a silent step whose ends f
-    identifies (it collapses), else its label and f of its end, a target
-    step from f of its start.  A missing target step indicates a bug in the
-    simulation check, not bad input."""
-    steps = {}
+def _step_images(f: dict, source: Lts, target: Lts):
+    """The step clauses of a branching simulation, stated only here: the
+    table of each source step's image under f, None for a silent step whose
+    ends f identifies (it collapses), else its label and f of its end; and
+    the first step without an image in ``str`` order, tagged ``visible`` or
+    ``silent``, or None."""
+    check_map_shape(f, source, target)
+    moves = target.transitions
+    steps, bad = {}, []
     for step in source.transitions:
         src, lab, tgt = step
         cur, img = f[src], f[tgt]
         if lab is TAU and cur == img:
             steps[step] = None
-        elif target.has_transition(cur, lab, img):
+        elif (cur, lab, img) in moves:
             steps[step] = (lab, img)
         else:
-            raise InternalCheckError(f"image step {cur} -{lab}-> {img} missing in target")
-    return steps
+            bad.append(step)
+    if not bad:
+        return steps, None
+    step = min(bad, key=str)
+    return steps, ("silent" if step[1] is TAU else "visible", step)
 
 
 __all__ = [

@@ -20,21 +20,24 @@ from dataclasses import dataclass
 from .errors import PreconditionError
 
 
-class _Tau:
-    """Singleton sentinel for the silent label."""
+class _Sentinel:
+    """A value equal only to itself, named by the module attribute that
+    holds it; copies and unpickles as that attribute."""
 
-    _instance = None
+    __slots__ = ("_name",)
 
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    def __init__(self, name: str):
+        self._name = name
 
     def __repr__(self):
-        return "tau"
+        return self._name.lower()
+
+    def __reduce__(self):
+        return self._name
 
 
-TAU = _Tau()
+# the silent label
+TAU = _Sentinel("TAU")
 
 
 def label_str(label) -> str:
@@ -96,21 +99,8 @@ class StretchPoint:
         return f"tau_bar@{self.tick}"
 
 
-class _TauBar:
-    """Singleton for the stretchable observation in the visible-word poset."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "tau_bar"
-
-
-TAU_BAR = _TauBar()
+# the stretchable observation in the visible-word poset
+TAU_BAR = _Sentinel("TAU_BAR")
 
 
 def minimal_period(cycle) -> list:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from bisimap import PreconditionError
+from bisimap import PreconditionError, semantics
 from bisimap.equiv import (
     PartitionRelation,
     branching_bisimilarity,
@@ -564,13 +564,34 @@ def test_weak_reflection_matches_the_closure_oracle():
 
 def test_lift_preconditions_print_witnesses_as_verdicts_do():
     f, src, tgt = stutter_fan()
-    with pytest.raises(PreconditionError) as exc:
-        check_bisim_map(f, src, tgt, "branching")
-    assert str(exc.value) == "not a branching simulation: stutter: silent run through p, q1, r"
+    for mode in ("branching", "branching_failed"):
+        with pytest.raises(PreconditionError) as exc:
+            check_bisim_map(f, src, tgt, mode)
+        assert str(exc.value) == "not a branching simulation: stutter: silent run through p, q1, r"
     X, Y = lts_of([("p", "a", "p")]), lts_of([("y", "b", "y")], alphabet={"a", "b"})
     with pytest.raises(PreconditionError) as exc:
         check_bisim_map({"p": "y"}, X, Y, "strong")
     assert str(exc.value) == "not a simulation: violates p -a-> p"
+
+
+def test_a_branching_map_check_searches_for_stutters_once(monkeypatch, corpus):
+    calls = []
+    search = semantics._first_stutter
+
+    def counted(f, source):
+        calls.append(f)
+        return search(f, source)
+
+    monkeypatch.setattr(semantics, "_first_stutter", counted)
+    accepted = (corpus.branch.mapping, corpus.branch.source, corpus.branch.target)
+    for (f, src, tgt) in (accepted, stutter_fan()):
+        for mode in ("branching", "branching_failed"):
+            calls.clear()
+            try:
+                check_bisim_map(f, src, tgt, mode, depth=2)
+            except PreconditionError:
+                pass
+            assert len(calls) == 1, mode
 
 
 def test_branching_bisimilarity_chain():

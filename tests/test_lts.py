@@ -20,7 +20,7 @@ from bisimap import (
 from bisimap.lts import (
     FairLts, Lts, StreettSpec, adjacency, enumerate_graph_lassos, execution_tree, reach,
 )
-from bisimap.words import EPSILON, TAU, Word
+from bisimap.words import EPSILON, TAU, TAU_BAR, Word
 
 from conftest import enumerate_graph_lassos_recursive, lts_of, plain_systems, random_lts, weak_reach
 
@@ -180,8 +180,10 @@ def test_execution_survives_pickle_and_deepcopy():
     p = Execution(Word.of("a", TAU), ("x", "y", "z"))
     assert pickle.loads(pickle.dumps(p)) == p
     assert copy.deepcopy(p) == p
-    # the silent label stays one object, so words compare by it
-    assert copy.deepcopy(TAU) is TAU and pickle.loads(pickle.dumps(TAU)) is TAU
+    # the sentinels stay one object each, so words and bases compare by them
+    for sentinel in (TAU, TAU_BAR):
+        assert copy.deepcopy(sentinel) is sentinel
+        assert pickle.loads(pickle.dumps(sentinel)) is sentinel
 
 
 def test_word_and_execution_reprs():

@@ -48,10 +48,6 @@ from .lts import (
 from .presheaf import dump_presheaf
 from .semantics import base_presheaf, branching_sem, fair_sem, strong_sem
 
-FAIR_KINDS = ("fair-sim", "fair-reflection", "fair-bisim-fn", "hildebrandt-open")
-PLAIN_KINDS = ("simulation", "strong-bisim-fn", "branching-sim", "branching-bisim-fn")
-
-
 def _read(path) -> str:
     """A file's text; a decoding error is a parse error naming the file."""
     try:
@@ -100,8 +96,39 @@ def _emit(verdict: Verdict, fmt: str):
         print(f"  note: {note}")
 
 
+def _map_models(args, want_fair: bool):
+    """The map of --map and the source and target models it goes between."""
+    if len(args.models) != 2:
+        raise PreconditionError(f"{args.kind} takes a source and a target model")
+    source = load_model(args.models[0], want_fair)
+    target = load_model(args.models[1], want_fair)
+    if not args.map:
+        raise PreconditionError(f"{args.kind} needs --map")
+    src_lts = source.lts if isinstance(source, FairLts) else source
+    tgt_lts = target.lts if isinstance(target, FairLts) else target
+    return parse_state_map(_read(args.map), src_lts, tgt_lts), source, target
+
+
+# check kind -> (whether it reads fair models, its verdict on the map, the
+# source, the target and the arguments); ``forall-fair-bisim`` and
+# ``bisim-map`` take their own routes in ``cmd_check``
+MAP_CHECKS = {
+    "simulation": (False, lambda f, x, y, args: Verdict("simulation", *is_simulation(f, x, y))),
+    "strong-bisim-fn": (False, lambda f, x, y, args: check_strong_bisim_fn(f, x, y)),
+    "branching-sim": (False, lambda f, x, y, args: check_branching_sim(f, x, y)),
+    "branching-bisim-fn": (False, lambda f, x, y, args: check_branching_bisim_fn(f, x, y)),
+    "fair-sim": (True, lambda f, x, y, args: check_fair_sim(
+        f, x, y, args.stem_bound, args.cycle_bound)),
+    "fair-reflection": (True, lambda f, x, y, args: check_fair_reflection(
+        f, x, y, args.mode_fair, args.stem_bound, args.cycle_bound)),
+    "fair-bisim-fn": (True, lambda f, x, y, args: check_fair_bisim_fn(
+        f, x, y, args.mode_fair, args.stem_bound, args.cycle_bound)),
+    "hildebrandt-open": (True, lambda f, x, y, args: check_hildebrandt_open(
+        f, x, y, args.stem_bound, args.cycle_bound)),
+}
+
+
 def cmd_check(args) -> int:
-    fmt = args.format
     kind = args.kind
     if kind == "forall-fair-bisim":
         if len(args.models) != 1:
@@ -112,54 +139,21 @@ def cmd_check(args) -> int:
             rel, system, mode=args.mode_fair,
             stem_bound=args.stem_bound, cycle_bound=args.cycle_bound,
         )
-        _emit(verdict, fmt)
-        return 0 if verdict.holds else 1
-
-    if len(args.models) != 2:
-        raise PreconditionError(f"{kind} takes a source and a target model")
-    want_fair = kind in FAIR_KINDS or (kind == "bisim-map" and args.mode == "fair")
-    source = load_model(args.models[0], want_fair)
-    target = load_model(args.models[1], want_fair)
-    if not args.map:
-        raise PreconditionError(f"{kind} needs --map")
-    src_lts = source.lts if isinstance(source, FairLts) else source
-    tgt_lts = target.lts if isinstance(target, FairLts) else target
-    f = parse_state_map(_read(args.map), src_lts, tgt_lts)
-
-    if kind == "simulation":
-        ok, witness = is_simulation(f, source, target)
-        verdict = Verdict("simulation", ok, None if ok else witness)
-    elif kind == "strong-bisim-fn":
-        verdict = check_strong_bisim_fn(f, source, target)
-    elif kind == "branching-sim":
-        verdict = check_branching_sim(f, source, target)
-    elif kind == "branching-bisim-fn":
-        verdict = check_branching_bisim_fn(f, source, target)
-    elif kind == "fair-sim":
-        verdict = check_fair_sim(f, source, target, args.stem_bound, args.cycle_bound)
-    elif kind == "fair-reflection":
-        verdict = check_fair_reflection(
-            f, source, target, args.mode_fair, args.stem_bound, args.cycle_bound
-        )
-    elif kind == "fair-bisim-fn":
-        verdict = check_fair_bisim_fn(
-            f, source, target, args.mode_fair, args.stem_bound, args.cycle_bound
-        )
-    elif kind == "hildebrandt-open":
-        verdict = check_hildebrandt_open(f, source, target, args.stem_bound, args.cycle_bound)
     elif kind == "bisim-map":
+        f, source, target = _map_models(args, args.mode == "fair")
         report = check_bisim_map(
             f, source, target, args.mode,
             depth=args.depth, stem_bound=args.stem_bound, cycle_bound=args.cycle_bound,
         )
-        _emit(report.presheaf_verdict, fmt)
-        _emit(report.concrete_verdict, fmt)
-        if fmt == "text":
+        _emit(report.presheaf_verdict, args.format)
+        _emit(report.concrete_verdict, args.format)
+        if args.format == "text":
             print(f"  agreement: {report.agreement}")
         return 0 if report.presheaf_verdict.holds else 1
     else:
-        raise PreconditionError(f"unknown check kind {kind!r}")
-    _emit(verdict, fmt)
+        want_fair, call = MAP_CHECKS[kind]
+        verdict = call(*_map_models(args, want_fair), args)
+    _emit(verdict, args.format)
     return 0 if verdict.holds else 1
 
 
@@ -168,7 +162,7 @@ def cmd_quotient(args) -> int:
     if args.kind == "branching":
         lts = load_model(args.models[0], want_fair=False)
         quotient, f = branching_quotient(lts)
-    elif args.kind == "forall-fair":
+    else:
         system = load_model(args.models[0], want_fair=True)
         rel = load_relation(args, system, "forall-fair quotient")
         fair_quotient, f = forall_fair_quotient(
@@ -176,8 +170,6 @@ def cmd_quotient(args) -> int:
             stem_bound=args.stem_bound, cycle_bound=args.cycle_bound,
         )
         quotient = fair_quotient.lts
-    else:
-        raise PreconditionError(f"unknown quotient kind {args.kind!r}")
     aut_path, names_path, map_path = (
         Path(f"{out}.quotient.{ext}") for ext in ("aut", "names", "map")
     )
@@ -188,26 +180,21 @@ def cmd_quotient(args) -> int:
     return 0
 
 
+# dump semantics -> (whether it reads a fair model, its presheaf of the
+# model and the arguments)
+DUMPS = {
+    "strong": (False, lambda m, args: strong_sem(m, args.depth)),
+    "fair": (True, lambda m, args: fair_sem(m, args.depth, args.stem_bound, args.cycle_bound)),
+    "branching": (False, lambda m, args: branching_sem(m, args.depth, with_stretch=True)),
+    "branching-failed": (False, lambda m, args: branching_sem(m, args.depth, with_stretch=False)),
+    "base": (False, lambda m, args: base_presheaf(m, args.depth, barred=False)),
+    "base-barred": (False, lambda m, args: base_presheaf(m, args.depth, barred=True)),
+}
+
+
 def cmd_dump(args) -> int:
-    which = args.semantics
-    if which == "fair":
-        system = load_model(args.models[0], want_fair=True)
-        F = fair_sem(system, args.depth, args.stem_bound, args.cycle_bound)
-    else:
-        lts = load_model(args.models[0], want_fair=False)
-        if which == "strong":
-            F = strong_sem(lts, args.depth)
-        elif which == "branching":
-            F = branching_sem(lts, args.depth, with_stretch=True)
-        elif which == "branching-failed":
-            F = branching_sem(lts, args.depth, with_stretch=False)
-        elif which == "base":
-            F = base_presheaf(lts, args.depth, barred=False)
-        elif which == "base-barred":
-            F = base_presheaf(lts, args.depth, barred=True)
-        else:
-            raise PreconditionError(f"unknown semantics {which!r}")
-    sys.stdout.write(dump_presheaf(F))
+    want_fair, build = DUMPS[args.semantics]
+    sys.stdout.write(dump_presheaf(build(load_model(args.models[0], want_fair), args)))
     return 0
 
 
@@ -251,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run a checker on one or two models")
     p_check.add_argument("--kind", required=True,
-                         choices=PLAIN_KINDS + FAIR_KINDS + ("forall-fair-bisim", "bisim-map"))
+                         choices=(*MAP_CHECKS, "forall-fair-bisim", "bisim-map"))
     p_check.add_argument("--map", help="state map file (source -> target lines)")
     p_check.add_argument("--relation", help="relation file (state ~ state lines)")
     p_check.add_argument("--close", choices=("none", "reflexive", "equivalence"), default="none")
@@ -269,9 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_quot.set_defaults(fn=cmd_quotient)
 
     p_dump = sub.add_parser("dump", help="print a semantic presheaf")
-    p_dump.add_argument("--semantics", required=True,
-                        choices=("strong", "fair", "branching", "branching-failed",
-                                 "base", "base-barred"))
+    p_dump.add_argument("--semantics", required=True, choices=tuple(DUMPS))
     common(p_dump, "models", "--depth", "--stem-bound", "--cycle-bound")
     p_dump.set_defaults(fn=cmd_dump)
 

@@ -497,9 +497,6 @@ class ImageFairness:
     def __getstate__(self):
         return {"source": self.source, "mapping_items": self.mapping_items}
 
-    def states_mentioned(self):
-        return set()
-
     def is_fair(self, lasso: Lasso) -> bool:
         f, adj = self._lifting
         starts = [x for x in self.source.lts.states if f[x] == lasso.stem.start]
@@ -571,22 +568,19 @@ def check_fair_reflection(f: dict, source: FairLts, target: FairLts,
     return transfer(False)
 
 
-def _exact_then_bounded(check, mode, exact_kinds, exact, exact_witness,
-                        bounded, stem_bound, cycle_bound) -> Verdict:
+def _exact_then_bounded(check, mode, exact_kinds, exact, bounded,
+                        stem_bound, cycle_bound) -> Verdict:
     """Decide whether some run of a graph satisfies one fairness condition
-    and violates another: exactly by ``exact()``, a call of
-    ``exists_violating_run`` whose lasso gives the witness
-    ``exact_witness(lasso)``, when mode is ``exact_streett`` and the
-    conditions are of exact kinds (``exact_kinds``), else by the first
-    witness of ``bounded()``, an iterator over the candidates within the
-    bounds."""
+    and violates another: exactly by ``exact()``, the tagged witness of an
+    ``exists_violating_run`` lasso or None, when mode is ``exact_streett``
+    and the conditions are of exact kinds (``exact_kinds``), else by the
+    first witness of ``bounded()``, an iterator over the candidates within
+    the bounds."""
     notes = ()
     if mode == "exact_streett":
         if exact_kinds:
             w = exact()
-            if w is None:
-                return Verdict(check, True)
-            return Verdict(check, False, exact_witness(w))
+            return Verdict(check, w is None, w)
         notes = ("fairness kind unsupported in exact mode; falling back to bounded",)
     elif mode != "bounded":
         raise PreconditionError(f"unknown mode {mode!r}")
@@ -616,18 +610,16 @@ def _fair_transfer(check, f, source, target, adj, mode, stem_bound, cycle_bound)
 
         def exact():
             fair_a, unfair_b = (own, image) if preserve else (image, own)
-            return exists_violating_run(source.lts.states, adj.__getitem__, fair_a, unfair_b, products)
+            w = exists_violating_run(source.lts.states, adj.__getitem__, fair_a, unfair_b, products)
+            return None if w is None else (tag, (w, w.map_states(f).canonical()))
 
         def bounded():
             if "lassos" not in built:
                 built["lassos"] = fair_lassos(source, stem_bound, cycle_bound)
             return ((tag, m) for m in fair_mismatches(f, target, built["lassos"], preserve))
 
-        return _exact_then_bounded(
-            check, mode, exact_kinds, exact,
-            lambda w: (tag, (w, w.map_states(f).canonical())),
-            bounded, stem_bound, cycle_bound,
-        )
+        return _exact_then_bounded(check, mode, exact_kinds, exact, bounded,
+                                   stem_bound, cycle_bound)
 
     return transfer
 
@@ -661,10 +653,7 @@ def check_hildebrandt_open(f: dict, source: FairLts, target: FairLts,
     if w is not None:
         return Verdict("hildebrandt-open", False, ("no-reflection", w))
     bounds = {"stem_bound": stem_bound, "cycle_bound": cycle_bound}
-    fair_targets = sorted(
-        (l for (l, ok) in fair_lassos(target, stem_bound, cycle_bound) if ok),
-        key=str,
-    )
+    fair_targets = [l for (l, ok) in fair_lassos(target, stem_bound, cycle_bound) if ok]
     for x in source.lts.states:
         for q in fair_targets:
             if q.stem.start == f[x] and _lifted_fair_run(source, adj, f, q, [x]) is None:
@@ -708,14 +697,12 @@ def check_forall_fair_bisim(R: PartitionRelation, system: FairLts,
                 yield (tag, (left, right))
 
     def exact():
-        return exists_violating_run(nodes, steps, (system.fairness, itemgetter(0)),
-                                    (system.fairness, itemgetter(1)))
+        w = exists_violating_run(nodes, steps, (system.fairness, itemgetter(0)),
+                                 (system.fairness, itemgetter(1)))
+        return None if w is None else (tag, _split_pair_lasso(w))
 
-    return _exact_then_bounded(
-        "forall-fair-bisim", mode, isinstance(system.fairness, _EXACT_KINDS), exact,
-        lambda w: (tag, _split_pair_lasso(w)),
-        bounded, stem_bound, cycle_bound,
-    )
+    return _exact_then_bounded("forall-fair-bisim", mode, isinstance(system.fairness, _EXACT_KINDS),
+                               exact, bounded, stem_bound, cycle_bound)
 
 
 def _split_pair_lasso(lasso: Lasso):

@@ -397,12 +397,13 @@ def enumerate_graph_lassos(nodes, adj, stem_bound: int, cycle_bound: int):
         stems = nxt
 
 
-def fair_lassos(fl: FairLts, stem_bound: int, cycle_bound: int) -> frozenset:
-    """All canonical lassos within the bounds, each tagged by its fairness
-    verdict under the system's fairness condition."""
+def fair_lassos(fl: FairLts, stem_bound: int, cycle_bound: int) -> tuple:
+    """All canonical lassos within the bounds in ``str`` order, ties in the
+    order of enumeration, each tagged by its fairness verdict under the
+    system's fairness condition."""
     adj = adjacency(fl.lts)
-    lassos = enumerate_graph_lassos(fl.lts.states, adj, stem_bound, cycle_bound)
-    return frozenset((l, fl.fairness.is_fair(l)) for l in lassos)
+    lassos = sorted(enumerate_graph_lassos(fl.lts.states, adj, stem_bound, cycle_bound), key=str)
+    return tuple((l, fl.fairness.is_fair(l)) for l in lassos)
 
 
 # ---------------------------------------------------------------------------

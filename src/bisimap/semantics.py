@@ -61,15 +61,8 @@ from .presheaf import (
 from .words import EPSILON, TAU, LassoTrace, StretchPoint, TAU_BAR
 
 
-def _joint_alphabet(*systems):
-    labs = set()
-    for s in systems:
-        labs |= set(s.alphabet)
-    return tuple(sorted(labs))
-
-
-def _visible_labels(lts: Lts) -> tuple:
-    return tuple(sorted(lts.alphabet))
+def _joint_alphabet(*systems) -> tuple:
+    return tuple(sorted(set().union(*(s.alphabet for s in systems))))
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +99,7 @@ def strong_sem(lts: Lts, depth: int) -> FinPresheaf:
     """The presheaf of executions over visible words up to the depth."""
     if lts.has_tau:
         raise PreconditionError("strong semantics is for systems without silent steps")
-    base = word_poset(_visible_labels(lts), depth)
+    base = word_poset(_joint_alphabet(lts), depth)
     return _execution_presheaf(base, executions_up_to(lts, depth))
 
 
@@ -141,15 +134,16 @@ def fair_sem(fl: FairLts, depth: int, stem_bound: int = 4, cycle_bound: int = 4)
     restriction to a finite word unrolls the lasso.
     """
     more = _fair_stages(fair_lassos(fl, stem_bound, cycle_bound))
-    base = fair_target_poset(_visible_labels(fl.lts), depth, more.keys())
+    base = fair_target_poset(_joint_alphabet(fl.lts), depth, more.keys())
     return _execution_presheaf(base, executions_up_to(fl.lts, depth), more.items())
 
 
 def fair_mismatches(f: dict, target: FairLts, lassos, preserve: bool):
-    """The (lasso, canonical image) pairs, in ``str`` order of the source's
-    tagged lassos, whose fairness f does not transfer: fair lassos with
-    unfair images when ``preserve``, else unfair lassos with fair images."""
-    for (lasso, fair) in sorted(lassos, key=lambda lw: str(lw[0])):
+    """The (lasso, canonical image) pairs, in the order of the source's
+    tagged lassos (``fair_lassos``), whose fairness f does not transfer:
+    fair lassos with unfair images when ``preserve``, else unfair lassos
+    with fair images."""
+    for (lasso, fair) in lassos:
         if fair == preserve:
             image = lasso.map_states(f).canonical()
             if target.fairness.is_fair(image) != preserve:
@@ -185,7 +179,7 @@ def base_presheaf(lts: Lts, depth: int, barred: bool = False) -> FinPresheaf:
     """The execution presheaf over words with silent letters; in barred mode
     the base gains the stretch points, whose common stage collects all purely
     silent executions and restricts to the start state at the empty word."""
-    labels = _visible_labels(lts) + (TAU,)
+    labels = _joint_alphabet(lts) + (TAU,)
     if not barred:
         return _execution_presheaf(word_poset(labels, depth), executions_up_to(lts, depth))
     base = barred_source_poset(labels, depth)
@@ -243,7 +237,7 @@ def branching_sem(lts: Lts, depth: int, with_stretch: bool = True) -> FinPreshea
     silent executions; without it one obtains the coarser variant that forgets
     silent steps entirely.
     """
-    base = _branching_base(_visible_labels(lts), depth, with_stretch)
+    base = _branching_base(_joint_alphabet(lts), depth, with_stretch)
     return _minimal_presheaf(base, execution_tree(lts, depth))
 
 

@@ -4,17 +4,30 @@ routes: the filler check on the lifted presheaves and the concrete check.
 Checked here: the identity is accepted in strong and fair modes, and for a
 system without silent steps the map onto its ``branching_quotient`` is
 accepted in strong mode, and so is its composite with the quotient map of
-that quotient.  In the branching modes the identity falls into one of three
-counted patterns: accepted on both routes; refused by ``check_bisim_map``'s
-precondition with a ``stutter`` witness, since the concrete route's stutter
-clause refuses the identity on silent cycles (ROADMAP item 12); or refused
-by the filler route at a ``fiber`` square of a system with a silent
-self-loop while the concrete route accepts (item 3)."""
+that quotient.  In the branching modes (``branching`` and
+``branching_failed``), on silent systems of at most 4 states, each outcome
+falls into a counted pattern:
+
+* the identity is accepted on both routes; or refused by
+  ``check_bisim_map``'s precondition with a ``stutter`` witness, since the
+  concrete route's stutter clause refuses the identity on silent cycles
+  (ROADMAP item 12); or refused by the filler route at a ``fiber`` square of
+  a system with a silent self-loop while the concrete route accepts (item 3);
+* the composite g∘f of two maps accepted on both routes is accepted;
+* the map onto ``branching_quotient`` is accepted on both routes, or
+  refused by the filler route at an ``extension`` or a ``fiber`` square,
+  while the concrete route accepts, where the map collapses a silent step:
+  the lift cuts executions at their raw length, silent steps included, so
+  the execution a square asks for can lie beyond the depth (item 3);
+* a map accepted by the concrete route relates each x to f(x) in
+  ``branching_bisimilarity`` on the disjoint union of source and target."""
 
 import random
 from collections import Counter
 
 from bisimap import PreconditionError, branching_quotient, check_bisim_map
+from bisimap.equiv import branching_bisimilarity
+from bisimap.lts import Lts
 from bisimap.words import TAU
 
 from conftest import random_fair_system, random_lts
@@ -48,26 +61,102 @@ def test_quotient_maps_and_their_composite_are_strong_maps():
     assert merged > 30
 
 
-def _identity_pattern(X, mode, depth) -> str:
+BRANCHING_MODES = ("branching", "branching_failed")
+
+
+def _random_silent_system(rng):
+    return random_lts(rng, 4, ("a", "b"), tau_prob=0.35, density=1.5)
+
+
+def _block_quotient(rng, X, prefix):
+    """X quotiented by random blocks named ``<prefix><i>``, with induced
+    steps and no silent step inside a block; returns (quotient, map)."""
+    k = rng.randint(1, len(X.states))
+    name = {s: f"{prefix}{rng.randrange(k)}" for s in X.states}
+    steps = {(name[x], a, name[y]) for (x, a, y) in X.transitions
+             if not (a is TAU and name[x] == name[y])}
+    return Lts.make(sorted(set(name.values())), X.alphabet, steps), name
+
+
+def _map_pattern(f, X, Y, mode, depth) -> str:
+    """The outcome of ``check_bisim_map`` on f, named by its pattern.  The
+    identity collapses exactly the silent self-loops."""
     try:
-        report = check_bisim_map({s: s for s in X.states}, X, X, mode, depth)
+        report = check_bisim_map(f, X, Y, mode, depth)
     except PreconditionError as exc:
         return "stutter" if ": stutter: " in str(exc) else f"refused: {exc}"
     if _accepted(report):
         return "accepted"
-    loop = any(lab is TAU and s == t for (s, lab, t) in X.transitions)
-    square = report.presheaf_verdict.witness
-    if report.concrete_verdict.holds and square.family == "fiber" and loop:
-        return "fiber at a silent self-loop"
+    collapses = any(a is TAU and f[x] == f[y] for (x, a, y) in X.transitions)
+    if report.concrete_verdict.holds and collapses:
+        return f"{report.presheaf_verdict.witness.family} where f collapses a silent step"
     return f"unexpected: {report}"
 
 
 def test_the_identity_in_both_branching_modes_falls_into_three_patterns():
     rng = random.Random(1214)
-    tally = {mode: Counter() for mode in ("branching", "branching_failed")}
+    tally = {mode: Counter() for mode in BRANCHING_MODES}
     for i in range(400):
-        X = random_lts(rng, 4, ("a", "b"), tau_prob=0.35, density=1.5)
+        X = _random_silent_system(rng)
         for mode, counts in tally.items():
-            counts[_identity_pattern(X, mode, i % 4)] += 1
+            counts[_map_pattern({s: s for s in X.states}, X, X, mode, i % 4)] += 1
     for mode, counts in tally.items():
-        assert set(counts) == {"accepted", "stutter", "fiber at a silent self-loop"}, (mode, counts)
+        assert set(counts) == {"accepted", "stutter",
+                               "fiber where f collapses a silent step"}, (mode, counts)
+
+
+def test_composites_of_accepted_branching_maps_are_accepted():
+    rng = random.Random(1215)
+    tally = {mode: Counter() for mode in BRANCHING_MODES}
+    for i in range(400):
+        X = _random_silent_system(rng)
+        Y, f = _block_quotient(rng, X, "y")
+        Z, g = _block_quotient(rng, Y, "z")
+        gf, depth = {x: g[f[x]] for x in X.states}, i % 4
+        for mode, counts in tally.items():
+            if _map_pattern(f, X, Y, mode, depth) == _map_pattern(g, Y, Z, mode, depth) == "accepted":
+                counts[_map_pattern(gf, X, Z, mode, depth)] += 1
+    for mode, counts in tally.items():
+        assert set(counts) == {"accepted"} and counts["accepted"] > 100, (mode, counts)
+
+
+def test_the_map_onto_the_branching_quotient_falls_into_three_patterns():
+    rng = random.Random(1216)
+    tally = {mode: Counter() for mode in BRANCHING_MODES}
+    for i in range(400):
+        X = _random_silent_system(rng)
+        Q, q = branching_quotient(X)
+        for mode, counts in tally.items():
+            counts[_map_pattern(q, X, Q, mode, i % 4)] += 1
+    for mode, counts in tally.items():
+        assert set(counts) == {"accepted", "extension where f collapses a silent step",
+                               "fiber where f collapses a silent step"}, (mode, counts)
+
+
+def _disjoint_union(X, Y):
+    """X and Y side by side, their states tagged ``x:`` and ``y:``."""
+    states = [f"x:{s}" for s in X.states] + [f"y:{s}" for s in Y.states]
+    steps = {(f"x:{s}", a, f"x:{t}") for (s, a, t) in X.transitions}
+    steps |= {(f"y:{s}", a, f"y:{t}") for (s, a, t) in Y.transitions}
+    return Lts.make(states, X.alphabet | Y.alphabet, steps)
+
+
+def test_concretely_accepted_branching_maps_relate_bisimilar_states():
+    rng = random.Random(1217)
+    tally = {mode: Counter() for mode in BRANCHING_MODES}
+    for i in range(400):
+        X = _random_silent_system(rng)
+        Y, f = _block_quotient(rng, X, "y")
+        bisimilar = branching_bisimilarity(_disjoint_union(X, Y))
+        related = all(bisimilar.contains(f"x:{x}", f"y:{f[x]}") for x in X.states)
+        for mode, counts in tally.items():
+            try:
+                holds = check_bisim_map(f, X, Y, mode, i % 4).concrete_verdict.holds
+            except PreconditionError:
+                holds = False
+            if not holds:
+                counts["refused concretely"] += 1
+            else:
+                counts["bisimilar" if related else "false accept"] += 1
+    for mode, counts in tally.items():
+        assert set(counts) == {"bisimilar", "refused concretely"}, (mode, counts)

@@ -18,6 +18,8 @@ from bisimap.lts import parse_aut, parse_names, parse_state_map, serialize_aut
 
 from conftest import stutter_fan
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
 
 @pytest.fixture()
 def branch_files(tmp_path, corpus):
@@ -80,9 +82,8 @@ def test_quotient_branching_writes_two_state_system(chain_file, tmp_path, capsys
 
 
 def test_fair_check_with_a_cycle_bound_past_the_recursion_limit(capsys):
-    golden = Path(__file__).parent / "golden"
-    code = run(["check", "--kind", "fair-sim", "--map", str(golden / "loop.map"),
-                "--cycle-bound", "2000", str(golden / "loop_aa.aut"), str(golden / "loop_tgt.aut")])
+    code = run(["check", "--kind", "fair-sim", "--map", str(GOLDEN / "loop.map"),
+                "--cycle-bound", "2000", str(GOLDEN / "loop_aa.aut"), str(GOLDEN / "loop_tgt.aut")])
     out = capsys.readouterr().out
     assert code in (0, 1)
     assert out.startswith(f"fair-sim: {'holds' if code == 0 else 'fails'}\n")
@@ -412,21 +413,32 @@ def test_verb_rejects_an_option_it_does_not_read(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_branching_refusal_prints_the_same_bytes_under_any_hash_seed(branch_files):
+@pytest.mark.parametrize("case", ["bisim-map-branching", "fair-reflection-bounded"])
+def test_refusals_print_the_same_bytes_under_any_hash_seed(case, branch_files):
     src, tgt, mp = branch_files
+    argv, witness = {
+        "bisim-map-branching": (
+            ["--kind", "bisim-map", "--mode", "branching", "--depth", "2", "--map", mp, src, tgt],
+            b"witness: fiber square [tau_bar, y1 -tau-> y3]"),
+        # the first mismatching lasso in the order fair_lassos hands out
+        "fair-reflection-bounded": (
+            ["--kind", "fair-reflection", "--mode-fair", "bounded",
+             "--map", str(GOLDEN / "rem.map"), str(GOLDEN / "rem_src.aut"),
+             str(GOLDEN / "loop_tgt.aut")],
+            b"witness: chain-with-fair-image-but-no-fair-limit: x (loop: -a-> x); y (loop: -a-> y)"),
+    }[case]
     outs = set()
     for seed in ("1", "2"):
         env = dict(os.environ, PYTHONHASHSEED=seed,
                    PYTHONPATH=str(Path(bisimap.__file__).resolve().parents[1]))
         proc = subprocess.run(
-            [sys.executable, "-m", "bisimap.cli", "check", "--kind", "bisim-map",
-             "--mode", "branching", "--depth", "2", "--map", mp, src, tgt],
+            [sys.executable, "-m", "bisimap.cli", "check", *argv],
             capture_output=True, env=env, timeout=300, check=False,
         )
         assert proc.returncode == 1
         outs.add(proc.stdout)
     assert len(outs) == 1
-    assert b"witness: fiber square [tau_bar, y1 -tau-> y3]" in outs.pop()
+    assert witness in outs.pop()
 
 
 @pytest.fixture()

@@ -40,6 +40,8 @@ def _check(kind, *models, map_file=None, machine=False, extra=()):
     return argv + list(models)
 
 
+EXT = (_golden("ext_src.aut"), _golden("ext_tgt.aut"))
+BRANCH = (_golden("branch_src.aut"), _golden("branch_tgt.aut"))
 REM = (_golden("rem_src.aut"), _golden("loop_tgt.aut"))
 LOOP_STREETT = (_golden("loop_streett.aut"), _golden("loop_tgt.aut"))
 LOOP_ALWAYS_AFTER = (_golden("loop_aa.aut"), _golden("loop_tgt.aut"))
@@ -66,6 +68,8 @@ CASES = {
                                    _corpus("sys_branch.aut")], 0),
     "dump_branching_sys_comp": (["dump", "--semantics", "branching", "--depth", "3",
                                  _corpus("sys_comp.aut")], 0),
+    "dump_branching_failed_sys_branch": (["dump", "--semantics", "branching-failed",
+                                          "--depth", "3", _corpus("sys_branch.aut")], 0),
     "corpus_machine": (["corpus", "--format", "machine"], 0),
     # x3 maps onto p but has no a-step: the first failing square is an
     # extension square, so the witness exercises both sub-presheaves
@@ -81,6 +85,14 @@ CASES = {
                                 _corpus("chain.aut")], 0),
     "dump_base_barred_sys_branch": (["dump", "--semantics", "base-barred", "--depth", "3",
                                      _corpus("sys_branch.aut")], 0),
+    # x1 maps onto p, whose b-step no source step reflects
+    "check_simulation_text": (_check("simulation", *EXT, map_file="ext.map"), 0),
+    "check_strong_bisim_fn_text": (_check("strong-bisim-fn", *EXT, map_file="ext.map"), 1),
+    "check_strong_bisim_fn_machine": (
+        _check("strong-bisim-fn", *EXT, map_file="ext.map", machine=True), 1),
+    "check_branching_sim_text": (_check("branching-sim", *BRANCH, map_file="branch.map"), 0),
+    "check_branching_bisim_fn_text": (
+        _check("branching-bisim-fn", *BRANCH, map_file="branch.map"), 1),
     # the fair-remainder pair: the x self-loop is unfair but has a fair image
     "check_fair_reflection_text": (_check("fair-reflection", *REM, map_file="rem.map"), 1),
     "check_fair_reflection_machine": (

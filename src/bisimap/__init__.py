@@ -27,14 +27,11 @@ from .lts import (
 from .presheaf import (
     FinPoset,
     FinPresheaf,
-    MonoSquare,
     NatTrans,
     StreamSquare,
     dump_presheaf,
     enumerate_mono_squares,
-    find_filler,
     is_bisim_map_bounded,
-    is_mono,
 )
 from .semantics import (
     base_presheaf,

@@ -29,6 +29,7 @@ from .lts import (
     format_witness,
     is_simulation,
     reach,
+    state_key,
     transition_str,
 )
 from .presheaf import is_bisim_map_bounded
@@ -158,7 +159,7 @@ class PartitionRelation:
             block = frozenset(t for t in self.universe if (s, t) in self.pairs)
             seen |= block
             out.append(block)
-        return tuple(sorted(out, key=lambda b: sorted(b)))
+        return tuple(sorted(out, key=lambda b: sorted(map(state_key, b))))
 
     @staticmethod
     def kernel_of(f: dict, universe) -> "PartitionRelation":
@@ -676,12 +677,12 @@ def check_forall_fair_bisim(R: PartitionRelation, system: FairLts,
     if kind != "equivalence":
         return Verdict("forall-fair-bisim", False, ("not-equivalence", kind))
     adjX = adjacency(system.lts)
-    for (x, y) in sorted(R.pairs):
+    nodes = sorted(R.pairs, key=lambda xy: (state_key(xy[0]), state_key(xy[1])))
+    for (x, y) in nodes:
         for (a, x2) in adjX[x]:
             if not any(b == a and R.contains(x2, y2) for (b, y2) in adjX[y]):
                 return Verdict("forall-fair-bisim", False,
                                ("no-transfer", ((x, y), (x, a, x2))))
-    nodes = sorted(R.pairs)
 
     def steps(pair):  # both sides step by one label into a related pair
         return [(a, (x2, y2)) for (a, x2) in adjX[pair[0]] for (b, y2) in adjX[pair[1]]
@@ -721,15 +722,15 @@ def forall_fair_quotient(R: PartitionRelation, system: FairLts,
     if not verdict.holds:
         raise PreconditionError(f"not a fairness-respecting equivalence: {verdict.witness}")
     quotient, f = quotient_lts(system.lts, R)
-    fair = ImageFairness(system, tuple(sorted(f.items())))
+    fair = ImageFairness(system, tuple(sorted(f.items(), key=lambda item: state_key(item[0]))))
     return FairLts(quotient, fair), f
 
 
 def quotient_lts(lts: Lts, R: PartitionRelation):
     """Quotient by an equivalence with induced transitions (no silent-step
     special casing): one state per block, named by its members joined with
-    ``+``, bracketed until the name is no state's and no earlier block's.
-    Returns (quotient, map)."""
+    ``+``, bracketed until the name is no state's and no earlier block's, so
+    the states must be strings.  Returns (quotient, map)."""
     blocks = R.blocks()
     taken = set(lts.states)
     names = []

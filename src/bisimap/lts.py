@@ -52,12 +52,21 @@ class Lts:
         return (src, lab, tgt) in self.transitions
 
 
+def state_key(s):
+    """The sort key of a state: states of one type compare as themselves,
+    and states of different types never compare, grouped by type name."""
+    return (type(s).__name__, s)
+
+
 def adjacency(lts: Lts) -> dict:
-    """state -> tuple of (label, target), deterministically ordered."""
+    """state -> tuple of (label, target), by label, then by target in
+    ``state_key`` order."""
     adj = {s: [] for s in lts.states}
     for (src, lab, tgt) in lts.transitions:
         adj[src].append((lab, tgt))
-    return {s: tuple(sorted(steps, key=lambda lt: (label_key(lt[0]), lt[1]))) for s, steps in adj.items()}
+    # state_key inline: a call per step is measurable on the strong path
+    return {s: tuple(sorted(steps, key=lambda lt: (label_key(lt[0]), type(lt[1]).__name__, lt[1])))
+            for s, steps in adj.items()}
 
 
 def transition_str(src, lab, tgt) -> str:
@@ -331,7 +340,7 @@ class FairLts:
         mentioned = getattr(self.fairness, "states_mentioned", lambda: set())()
         unknown = set(mentioned) - set(self.lts.states)
         if unknown:
-            raise PreconditionError(f"fairness mentions unknown states: {sorted(unknown)}")
+            raise PreconditionError(f"fairness mentions unknown states: {sorted(unknown, key=state_key)}")
 
 
 def enumerate_graph_lassos(nodes, adj, stem_bound: int, cycle_bound: int):
@@ -353,35 +362,24 @@ def enumerate_graph_lassos(nodes, adj, stem_bound: int, cycle_bound: int):
             return cycles_from[entry]
         # depth-first over one open path, each cycle recorded when its last
         # step is taken; the stack holds the untried steps at each state of
-        # the path.  A proper power of a shorter cycle is not of minimal
-        # period, so it is dropped: border[i] is the longest proper border of
-        # path[:i + 1] (Knuth, Morris & Pratt), and path[:n] is a proper
-        # power exactly when its shortest period n - border[n - 1] is
-        # shorter than n and divides n.
+        # the path.  A cycle is kept when it is its own minimal period, the
+        # rule of ``Lasso.canonical``: a power of a shorter cycle is dropped.
         found = []
-        path, border = [], []
+        path = []
         stack = [iter(adj[entry])]
         while stack:
             for step in stack[-1]:
-                k = border[-1] if path else 0
-                while k and path[k] != step:
-                    k = border[k - 1]
-                b = k + 1 if path and path[k] == step else 0
                 path.append(step)
-                border.append(b)
-                n = len(path)
-                if step[1] == entry and (b == 0 or n % (n - b)):
+                if step[1] == entry and len(minimal_period(path)) == len(path):
                     found.append(tuple(path))
-                if n < cycle_bound:
+                if len(path) < cycle_bound:
                     stack.append(iter(adj[step[1]]))
                     break
                 path.pop()
-                border.pop()
             else:
                 stack.pop()
                 if path:
                     path.pop()
-                    border.pop()
         cycles_from[entry] = found
         return found
 
@@ -415,10 +413,10 @@ def check_map_shape(f: dict, source: Lts, target: Lts):
     source's alphabet lies inside the target's."""
     missing = set(source.states) - set(f)
     if missing:
-        raise PreconditionError(f"map not total: missing {sorted(missing)}")
+        raise PreconditionError(f"map not total: missing {sorted(missing, key=state_key)}")
     bad_imgs = {f[s] for s in source.states} - set(target.states)
     if bad_imgs:
-        raise PreconditionError(f"map image outside target states: {sorted(bad_imgs)}")
+        raise PreconditionError(f"map image outside target states: {sorted(bad_imgs, key=state_key)}")
     if not source.alphabet <= target.alphabet:
         raise PreconditionError("alphabets incompatible")
 
@@ -426,17 +424,29 @@ def check_map_shape(f: dict, source: Lts, target: Lts):
 def is_simulation(f: dict, source: Lts, target: Lts):
     """Check that the state map carries every transition to a transition.
 
-    Returns (True, None) or (False, violating transition).
+    Returns (True, None) or (False, violating transition), the least by
+    label, then source and target in ``state_key`` order.
     """
     check_map_shape(f, source, target)
-    for (src, lab, tgt) in sorted(source.transitions, key=lambda t: (label_key(t[1]), t[0], t[2])):
-        if not target.has_transition(f[src], lab, f[tgt]):
-            return False, (src, lab, tgt)
-    return True, None
+    moves = target.transitions
+    bad = [(src, lab, tgt) for (src, lab, tgt) in source.transitions
+           if (f[src], lab, f[tgt]) not in moves]
+    if not bad:
+        return True, None
+    # state_key inline, as in adjacency: a call per failing step is
+    # measurable where many candidate maps are screened
+    return False, min(bad, key=lambda t: (label_key(t[1]), type(t[0]).__name__, t[0],
+                                          type(t[2]).__name__, t[2]))
 
 
 # ---------------------------------------------------------------------------
 # File formats
+
+
+def _rows(text: str) -> list:
+    """The lines of a text file, stripped, without blank and ``#`` lines."""
+    return [ln for ln in (raw.strip() for raw in text.splitlines()) if ln and not ln.startswith("#")]
+
 
 _HEADER_RE = re.compile(r"^\s*des\s*\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)\s*$")
 _EDGE_RE = re.compile(r'^\s*\(\s*(\d+)\s*,\s*(?:"([^"]*)"|([^,"]+?))\s*,\s*(\d+)\s*\)\s*$')
@@ -450,7 +460,7 @@ def parse_aut(text: str, names=None) -> Lts:
     The literal label ``tau`` is the silent action.  Duplicate transitions are
     dropped with a warning.  With ``names``, state i is renamed names[i].
     """
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln and not ln.startswith("#")]
+    lines = _rows(text)
     if not lines:
         raise ParseError("empty model file")
     m = _HEADER_RE.match(lines[0])
@@ -508,7 +518,7 @@ def serialize_aut(lts: Lts) -> str:
 
 
 def parse_names(text: str) -> tuple:
-    return tuple(ln for ln in (raw.strip() for raw in text.splitlines()) if ln and not ln.startswith("#"))
+    return tuple(_rows(text))
 
 
 def parse_fairness(text: str, lts: Lts):
@@ -563,9 +573,7 @@ def parse_state_map(text: str, source: Lts, target: Lts, total: bool = True) -> 
     """Parse ``a -> b`` lines into a state map (total over source by default)."""
     f = {}
     sources, targets = set(source.states), set(target.states)
-    for ln in (raw.strip() for raw in text.splitlines()):
-        if not ln or ln.startswith("#"):
-            continue
+    for ln in _rows(text):
         if "->" not in ln:
             raise ParseError(f"malformed map line: {ln!r}")
         left, right = (part.strip() for part in ln.split("->", 1))
@@ -587,9 +595,7 @@ def parse_relation_pairs(text: str, lts: Lts) -> frozenset:
     """Parse ``a ~ b`` lines into a set of ordered state pairs."""
     pairs = set()
     known = set(lts.states)
-    for ln in (raw.strip() for raw in text.splitlines()):
-        if not ln or ln.startswith("#"):
-            continue
+    for ln in _rows(text):
         if "~" not in ln:
             raise ParseError(f"malformed relation line: {ln!r}")
         left, right = (part.strip() for part in ln.split("~", 1))

@@ -1,16 +1,17 @@
-"""Finite presheaves over finite forests.
+"""Finite presheaves over finite forests, and the decision of a bisimulation
+map by diagonal fillers.
 
 Every base built here is a forest: each element covers at most one element,
 its parent (a word covers its longest proper prefix, ``tau_bar`` the empty
 word, a stretch point the one before it, a lasso trace its longest prefix),
 so every down-set is a chain.  A poset stores only the parent links and
-computes its down-sets from them once; the last branching target base built
-is shared by the lifts over its label set and depth.  A presheaf stores only
-its nonempty stages, so its size is that of its elements, not of its base.
-Restriction tables are stored only along the parent links; every other
-restriction is their composite, as functoriality forces.  Monos are
-stage-wise injections, which is the standard characterization in a presheaf
-category.  Each natural transformation indexes its fibers, stage by stage.
+computes its down-sets from them at construction; the last branching target
+base built is shared by the lifts over its label set and depth.  A presheaf
+stores only its nonempty stages, so its size is that of its elements, not of
+its base.  Restriction tables are stored only along the parent links; every
+other restriction is their composite, as functoriality forces.  Each natural
+transformation indexes its fibers, stage by stage, at construction.  Nothing
+is filled in later, so a built object can be shared between threads.
 
 The squares that ``enumerate_mono_squares`` streams have a Q generated by one
 element, so by Yoneda a filler is fixed by its value at that generator; over
@@ -20,19 +21,23 @@ its generator (``StreamSquare.has_filler``) and builds no square at all: the
 stream walks the preimages of each target element down its chain of
 restrictions once and hands every square the set at its own stage, so a
 decision is one look-up.  A refusal returns the failing ``StreamSquare``,
-whose text names its family and generators.  The generic diagonal-filler
-search, ``find_filler``, is exhaustive over a fixed deterministic order and
-works for any square; it is the oracle the tests hold the generator decision
-to.  Verdicts and witnesses are reproducible.
+whose text names its family and generators.  Verdicts and witnesses are
+reproducible.
+
+``find_filler`` is the generic diagonal-filler search, exhaustive over a
+fixed deterministic order, for any square.  The library does not call it: the
+tests hold the generator decision to it, and build and check the full mono
+squares it searches (``tests/oracles.py``).  It stays in this module because
+the traced benchmark patches it under this name (``benchmark/tracing.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import itemgetter
 
-from .errors import InternalCheckError, PreconditionError
+from .errors import PreconditionError
 from .words import (
     EPSILON,
     TAU,
@@ -55,22 +60,17 @@ class FinPoset:
     ``element_key`` order wherever that key applies.
 
     Every down-set is the chain of parents from an element to its root.  The
-    down-sets are computed from the parents once, on first use, and the
-    order and the strict down-sets are read off them.  Each element's position
-    and the longest word's length (``word_budget``) are set at construction."""
+    down-sets, each element's position and the longest word's length
+    (``word_budget``) are computed at construction, so parent links that form
+    a cycle are refused there; the strict down-sets are read off the
+    down-sets."""
 
     elements: tuple
     parent: dict
 
     def __post_init__(self):
-        # not cached properties: on Python 3.11 the first read of one takes a
-        # lock, which made a depth-1 strong map check about 2% slower
-        object.__setattr__(self, "_position", {e: i for i, e in enumerate(self.elements)})
-        object.__setattr__(self, "word_budget", max(
-            (len(e) for e in self.elements if isinstance(e, Word)), default=0))
-
-    @cached_property
-    def _down(self) -> dict:
+        # set here, not in cached properties: on Python 3.11 the first read of
+        # one takes a lock, which made a depth-1 strong map check about 2% slower
         down = {None: ()}
         for e in self.elements:
             # climb to an element already done, then fill the path back down
@@ -84,7 +84,10 @@ class FinPoset:
                 down[x] = down[e] + (x,)
                 e = x
         del down[None]
-        return down
+        object.__setattr__(self, "_down", down)
+        object.__setattr__(self, "_position", {e: i for i, e in enumerate(self.elements)})
+        object.__setattr__(self, "word_budget", max(
+            (len(e) for e in self.elements if isinstance(e, Word)), default=0))
 
     def down(self, e) -> tuple:
         """The elements below e, from its root up to e itself."""
@@ -266,28 +269,30 @@ def make_presheaf(base: FinPoset, stages: dict, restrict_to) -> FinPresheaf:
 
 @dataclass(frozen=True)
 class NatTrans:
+    """Components ``comp[e][x]`` from the source stage at e to the target
+    stage at e, one table per nonempty source stage, with the fibers of each
+    table indexed at construction."""
+
     source: FinPresheaf
     target: FinPresheaf
     comp: dict
 
+    def __post_init__(self):
+        fibers = {}
+        for e, table in self.comp.items():
+            fib = fibers[e] = {}
+            for x, image in table.items():
+                fib.setdefault(image, []).append(x)
+        object.__setattr__(self, "_fibers", fibers)
+
     def at(self, e, x):
         return self.comp[e][x]
 
-    @cached_property
-    def _fibers(self) -> dict:
-        return {}
-
     def fiber(self, e, y) -> list:
         """The elements of the source stage at e mapped to y, in stage order
-        (the order of ``comp[e]``); each stage is indexed once, on first use,
-        and a missing one reads as empty."""
+        (the order of ``comp[e]``); a missing stage reads as empty."""
         fib = self._fibers.get(e)
-        if fib is None:
-            fib = {}
-            for x, image in self.comp.get(e, {}).items():
-                fib.setdefault(image, []).append(x)
-            self._fibers[e] = fib
-        return fib.get(y, [])
+        return [] if fib is None else fib.get(y, [])
 
 
 def nat_trans(source: FinPresheaf, target: FinPresheaf, component) -> NatTrans:
@@ -295,106 +300,37 @@ def nat_trans(source: FinPresheaf, target: FinPresheaf, component) -> NatTrans:
     return NatTrans(source, target, comp)
 
 
-def naturality_violations(nt: NatTrans) -> list:
-    bad = []
-    base = nt.source.base
-    for e, table in nt.comp.items():
-        tgt_stage = set(nt.target.stage(e))
-        for x, y in table.items():
-            if y not in tgt_stage:
-                bad.append(("codomain", e, x))
-    for hi, table in nt.comp.items():
-        if not table:
-            continue
-        for lo in base.strictly_below(hi):
-            for x in table:
-                left = nt.at(lo, nt.source.restrict(x, hi, lo))
-                right = nt.target.restrict(table[x], hi, lo)
-                if left != right:
-                    bad.append(("naturality", lo, hi, x))
-    return bad
-
-
-def is_mono(g: NatTrans) -> bool:
-    """Stage-wise injectivity."""
-    for e, table in g.comp.items():
-        if len(set(table.values())) != len(table):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
-# Squares and the diagonal-filler search
+# Squares: the generic filler search, the stream and its decision
 
 
-@dataclass(frozen=True)
-class MonoSquare:
-    """A commuting square over f: the mono g: P -> Q, with m: P -> F and
-    n: Q -> G satisfying f.m = n.g."""
-
-    g: NatTrans
-    m: NatTrans
-    n: NatTrans
-    f: NatTrans
-    family: str = "adhoc"
-    about: tuple = ()
-
-
-def _check_square(square: MonoSquare):
-    g, m, n, f = square.g, square.m, square.n, square.f
-    if g.source is not m.source and g.source != m.source:
-        raise PreconditionError("square legs disagree on P")
-    if g.target is not n.source and g.target != n.source:
-        raise PreconditionError("square legs disagree on Q")
-    if not is_mono(g):
-        raise PreconditionError("g is not a mono")
-    for e in g.source.base.elements:
-        for p in g.source.stage(e):
-            if f.at(e, m.at(e, p)) != n.at(e, g.at(e, p)):
-                raise PreconditionError(f"square does not commute at {e}")
-
-
-def find_filler(square: MonoSquare):
-    """Search for k: Q -> F with k.g = m and f.k = n.
+def find_filler(square):
+    """Search for k: Q -> F with k.g = m and f.k = n in a square given by its
+    legs g: P -> Q, m: P -> F, n: Q -> G and f: F -> G.
 
     The search is exhaustive backtracking over stage functions, constrained by
     naturality and the two triangle identities, visiting stages and elements in
     a fixed deterministic order; it returns the first filler found or None.
-    It works for any square; ``StreamSquare.has_filler`` decides the squares
-    of the stream at their generators, and the tests hold it to this search.
+    It checks neither the square nor the filler: ``tests/oracles.py`` wraps it
+    with both checks and holds ``StreamSquare.has_filler`` to it.
     """
-    _check_square(square)
     g, m, n, f = square.g, square.m, square.n, square.f
     Q, F = g.target, f.source
     base = Q.base
 
-    forced = {}
-    for e in base.elements:
-        if not g.source.stage(e):
-            continue
-        table = {}
-        for p in g.source.stage(e):
-            table[g.at(e, p)] = m.at(e, p)
-        forced[e] = table
+    forced = {e: {g.at(e, p): m.at(e, p) for p in ps} for e, ps in g.source.stages.items()}
 
-    slots = [(e, q) for e in base.elements for q in Q.stage(e)]
+    slots = [(e, q) for e, qs in Q.stages.items() for q in qs]
     assign = {}
 
     def candidates(e, q):
-        if e in forced and q in forced[e]:
+        if q in forced.get(e, ()):
             opts = [forced[e][q]]
         else:
             opts = f.fiber(e, n.at(e, q))
-        out = []
-        for v in opts:
-            ok = True
-            for lo in base.strictly_below(e):
-                if assign[(lo, Q.restrict(q, e, lo))] != F.restrict(v, e, lo):
-                    ok = False
-                    break
-            if ok:
-                out.append(v)
-        return out
+        return [v for v in opts
+                if all(assign[(lo, Q.restrict(q, e, lo))] == F.restrict(v, e, lo)
+                       for lo in base.strictly_below(e))]
 
     def search(i):
         if i == len(slots):
@@ -409,22 +345,7 @@ def find_filler(square: MonoSquare):
 
     if not search(0):
         return None
-    comp = {
-        e: {q: assign[(e, q)] for q in Q.stage(e)}
-        for e in base.elements
-        if Q.stage(e)
-    }
-    k = NatTrans(Q, F, comp)
-    if naturality_violations(k):
-        raise InternalCheckError("filler search produced a non-natural map")
-    for e in base.elements:
-        for p in g.source.stage(e):
-            if k.at(e, g.at(e, p)) != m.at(e, p):
-                raise InternalCheckError("filler breaks the lower triangle")
-        for q in Q.stage(e):
-            if f.at(e, k.at(e, q)) != n.at(e, q):
-                raise InternalCheckError("filler breaks the upper triangle")
-    return k
+    return NatTrans(Q, F, {e: {q: assign[(e, q)] for q in Q.stage(e)} for e in Q.stages})
 
 
 class StreamSquare:

@@ -106,8 +106,10 @@ TAU_BAR = _Sentinel("TAU_BAR")
 def minimal_period(cycle) -> list:
     """The shortest prefix of a nonempty sequence that repeats to the whole."""
     cycle = list(cycle)
-    for p in range(1, len(cycle) + 1):
-        if len(cycle) % p == 0 and all(cycle[i] == cycle[i % p] for i in range(len(cycle))):
+    n = len(cycle)
+    for p in range(1, n + 1):
+        # p divides n and the sequence shifted by p is itself
+        if n % p == 0 and cycle[p:] == cycle[:n - p]:
             return cycle[:p]
 
 

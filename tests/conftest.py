@@ -9,7 +9,6 @@ from bisimap.lts import AlwaysAfterSpec, Execution, FairLts, Lasso, StreettSpec,
 from bisimap.presheaf import (
     FinPoset,
     FinPresheaf,
-    MonoSquare,
     NatTrans,
     _stage_sorted,
     make_presheaf,
@@ -17,7 +16,9 @@ from bisimap.presheaf import (
 )
 from bisimap.words import EPSILON, TAU, TAU_BAR, Word
 
-from oracles import empty_presheaf, eps_closure, inclusion, poset_from_leq, poset_leq, sub_presheaf
+from oracles import (
+    MonoSquare, empty_presheaf, eps_closure, inclusion, poset_from_leq, poset_leq, sub_presheaf,
+)
 
 
 @pytest.fixture(scope="session")

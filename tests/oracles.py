@@ -4,8 +4,11 @@ The library keeps the decision engine: bases, presheaves, natural
 transformations, the square stream and its generator decision.  What is
 here builds presheaves and relations the tests compare the engine with (the
 paper's left Kan extension along a hiding map, the category of elements,
-sub-presheaves and inclusions for full squares), or checks its outputs
-(``validate``), and slower forms of the library's searches to compare with.
+sub-presheaves and inclusions for full squares), checks its outputs
+(``validate``, ``naturality_violations``), holds full mono squares
+(``MonoSquare``) with the checks around the library's generic filler search
+(``find_filler``), and gives slower forms of the library's searches to
+compare with.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from bisimap.lts import (
     AlwaysAfterSpec, Execution, FairLts, Lasso, Lts, StreettSpec, adjacency, enumerate_graph_lassos,
     executions_up_to, fair_lassos, is_simulation, reach, restrict,
 )
-from bisimap.presheaf import FinPoset, FinPresheaf, _stage_sorted, make_presheaf, nat_trans
+from bisimap import presheaf
+from bisimap.presheaf import FinPoset, FinPresheaf, NatTrans, _stage_sorted, make_presheaf, nat_trans
 from bisimap.semantics import fair_mismatches, fair_simulation_violation
 from bisimap.words import TAU, TAU_BAR, StretchPoint, Word, element_key
 
@@ -161,6 +165,89 @@ def sub_presheaf(F: FinPresheaf, generators) -> FinPresheaf:
 
 def inclusion(sub: FinPresheaf, sup: FinPresheaf):
     return nat_trans(sub, sup, lambda e, x: x)
+
+
+# ---------------------------------------------------------------------------
+# Mono squares and the checked filler search
+
+
+def naturality_violations(nt: NatTrans) -> list:
+    bad = []
+    base = nt.source.base
+    for e, table in nt.comp.items():
+        tgt_stage = set(nt.target.stage(e))
+        for x, y in table.items():
+            if y not in tgt_stage:
+                bad.append(("codomain", e, x))
+    for hi, table in nt.comp.items():
+        if not table:
+            continue
+        for lo in base.strictly_below(hi):
+            for x in table:
+                left = nt.at(lo, nt.source.restrict(x, hi, lo))
+                right = nt.target.restrict(table[x], hi, lo)
+                if left != right:
+                    bad.append(("naturality", lo, hi, x))
+    return bad
+
+
+def is_mono(g: NatTrans) -> bool:
+    """Stage-wise injectivity, which is the standard characterization of a
+    mono in a presheaf category."""
+    for e, table in g.comp.items():
+        if len(set(table.values())) != len(table):
+            return False
+    return True
+
+
+@dataclass(frozen=True)
+class MonoSquare:
+    """A commuting square over f: the mono g: P -> Q, with m: P -> F and
+    n: Q -> G satisfying f.m = n.g."""
+
+    g: NatTrans
+    m: NatTrans
+    n: NatTrans
+    f: NatTrans
+    family: str = "adhoc"
+    about: tuple = ()
+
+
+def _check_square(square: MonoSquare):
+    g, m, n, f = square.g, square.m, square.n, square.f
+    if g.source is not m.source and g.source != m.source:
+        raise PreconditionError("square legs disagree on P")
+    if g.target is not n.source and g.target != n.source:
+        raise PreconditionError("square legs disagree on Q")
+    if not is_mono(g):
+        raise PreconditionError("g is not a mono")
+    for e in g.source.base.elements:
+        for p in g.source.stage(e):
+            if f.at(e, m.at(e, p)) != n.at(e, g.at(e, p)):
+                raise PreconditionError(f"square does not commute at {e}")
+
+
+def find_filler(square: MonoSquare):
+    """The library's backtracking search (``bisimap.presheaf.find_filler``)
+    between two checks: the square's legs agree, g is mono and the square
+    commutes (else ``PreconditionError``), and the filler found is natural
+    and makes both triangles commute (else ``InternalCheckError``).  Returns
+    the filler or None."""
+    _check_square(square)
+    k = presheaf.find_filler(square)
+    if k is None:
+        return None
+    g, m, n, f = square.g, square.m, square.n, square.f
+    if naturality_violations(k):
+        raise InternalCheckError("filler search produced a non-natural map")
+    for e in k.source.base.elements:
+        for p in g.source.stage(e):
+            if k.at(e, g.at(e, p)) != m.at(e, p):
+                raise InternalCheckError("filler breaks the lower triangle")
+        for q in k.source.stage(e):
+            if f.at(e, k.at(e, q)) != n.at(e, q):
+                raise InternalCheckError("filler breaks the upper triangle")
+    return k
 
 
 # ---------------------------------------------------------------------------

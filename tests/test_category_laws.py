@@ -20,15 +20,30 @@ falls into a counted pattern:
   the lift cuts executions at their raw length, silent steps included, so
   the execution a square asks for can lie beyond the depth (item 3);
 * a map accepted by the concrete route relates each x to f(x) in
-  ``branching_bisimilarity`` on the disjoint union of source and target."""
+  ``branching_bisimilarity`` on the disjoint union of source and target.
+
+In strong mode every accepted map relates each x to f(x) in the same way
+(with no silent steps that is strong bisimilarity).  In fair mode, on
+Streett systems of at most 3 states at bounds 2/2 and depths 1-3:
+
+* the composite g∘f of two maps accepted on both routes is accepted;
+* the map onto ``forall_fair_quotient`` is accepted on both routes, or
+  refused by the filler route at a ``fiber``, ``extension`` or
+  ``chain-limit`` square over a lasso trace while the (bounded) concrete
+  route accepts: the quotient's lasso lies within the bounds, but the
+  source runs the square asks for need a longer stem than the bound, so the
+  lifted source lacks them (larger bounds move the witness to a longer
+  lasso, or remove it)."""
 
 import random
 from collections import Counter
 
 from bisimap import PreconditionError, branching_quotient, check_bisim_map
-from bisimap.equiv import branching_bisimilarity
-from bisimap.lts import Lts
-from bisimap.words import TAU
+from bisimap.equiv import (
+    PartitionRelation, branching_bisimilarity, check_forall_fair_bisim, forall_fair_quotient,
+)
+from bisimap.lts import FairLts, Lts, StreettSpec
+from bisimap.words import TAU, LassoTrace
 
 from conftest import random_fair_system, random_lts
 
@@ -160,3 +175,83 @@ def test_concretely_accepted_branching_maps_relate_bisimilar_states():
                 counts["bisimilar" if related else "false accept"] += 1
     for mode, counts in tally.items():
         assert set(counts) == {"bisimilar", "refused concretely"}, (mode, counts)
+
+
+def test_accepted_strong_maps_relate_bisimilar_states():
+    rng = random.Random(1220)
+    tally = Counter()
+    for i in range(400):
+        X = random_lts(rng, 4, ("a", "b"), density=1.5)
+        Y, f = branching_quotient(X) if i % 2 else _block_quotient(rng, X, "y")
+        bisimilar = branching_bisimilarity(_disjoint_union(X, Y))
+        related = all(bisimilar.contains(f"x:{x}", f"y:{f[x]}") for x in X.states)
+        if not _accepted(check_bisim_map(f, X, Y, "strong", i % 3 + 1)):
+            tally["refused"] += 1
+        else:
+            tally["bisimilar" if related else "false accept"] += 1
+    assert set(tally) == {"bisimilar", "refused"}, tally
+
+
+def _random_streett_system(rng) -> FairLts:
+    lts = random_lts(rng, 3, ("a", "b"), density=1.8)
+
+    def some():
+        return frozenset(s for s in lts.states if rng.random() < 0.5)
+
+    return FairLts(lts, StreettSpec(tuple((some(), some()) for _ in range(rng.randint(0, 2)))))
+
+
+def _fair_image(rng, X: FairLts):
+    """X merged by its strong bisimilarity (``branching_quotient``, as X has
+    no silent steps) or by random blocks, with each Streett pair imaged;
+    returns (image, map)."""
+    Y, name = branching_quotient(X.lts) if rng.random() < 0.5 else _block_quotient(rng, X.lts, "b")
+    pairs = tuple((frozenset(map(name.get, L)), frozenset(map(name.get, U)))
+                  for (L, U) in X.fairness.pairs)
+    return FairLts(Y, StreettSpec(pairs)), name
+
+
+def _fair_pattern(f, X, Y, depth) -> str:
+    """The outcome of ``check_bisim_map`` in fair mode at bounds 2/2."""
+    try:
+        report = check_bisim_map(f, X, Y, "fair", depth, 2, 2)
+    except PreconditionError:
+        return "refused as no fair simulation"
+    if _accepted(report):
+        return "accepted"
+    square = report.presheaf_verdict.witness
+    if report.concrete_verdict.holds and isinstance(square.about[0], LassoTrace):
+        return f"{square.family} over a lasso trace"
+    return f"unexpected: {report}"
+
+
+def test_composites_of_accepted_fair_maps_are_accepted():
+    rng = random.Random(1218)
+    tally = Counter()
+    for i in range(300):
+        X = _random_streett_system(rng)
+        Y, f = _fair_image(rng, X)
+        Z, g = _fair_image(rng, Y)
+        depth = i % 3 + 1
+        if _fair_pattern(f, X, Y, depth) == _fair_pattern(g, Y, Z, depth) == "accepted":
+            tally[_fair_pattern({x: g[f[x]] for x in X.lts.states}, X, Z, depth)] += 1
+    assert set(tally) == {"accepted"} and tally["accepted"] > 100, tally
+
+
+def test_the_map_onto_the_forall_fair_quotient_falls_into_four_patterns():
+    rng = random.Random(1219)
+    tally = Counter()
+    for i in range(300):
+        X = _random_streett_system(rng)
+        if i % 3 == 0:
+            R = branching_bisimilarity(X.lts)
+        else:
+            k = rng.randint(1, len(X.lts.states))
+            R = PartitionRelation.kernel_of({s: rng.randrange(k) for s in X.lts.states}, X.lts.states)
+        if not check_forall_fair_bisim(R, X, "exact_streett", 2, 2).holds:
+            continue
+        Q, q = forall_fair_quotient(R, X, "exact_streett", 2, 2)
+        tally[_fair_pattern(q, X, Q, i % 3 + 1)] += 1
+    assert set(tally) == {"accepted", "fiber over a lasso trace", "extension over a lasso trace",
+                          "chain-limit over a lasso trace"}, tally
+    assert tally["accepted"] > 100, tally

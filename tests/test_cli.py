@@ -19,6 +19,7 @@ from bisimap.lts import parse_aut, parse_names, parse_state_map, serialize_aut
 from conftest import stutter_fan
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+CORPUS = Path(bisimap.__file__).resolve().parent / "corpus_data"
 
 
 @pytest.fixture()
@@ -264,6 +265,44 @@ def test_unreadable_file_exits_2(argv, culprit, branch_files, chain_file, tmp_pa
     assert err.startswith("error:")
     assert "Traceback" not in err
     assert culprit.format(**paths) in err
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["check", "--kind", "strong-bisim-fn", "--map", "{golden}/ext.map", "{golden}/ext_src.aut"],
+     3, "strong-bisim-fn takes a source and a target model"),
+    (["check", "--kind", "strong-bisim-fn", "{golden}/ext_src.aut", "{golden}/ext_tgt.aut"],
+     3, "strong-bisim-fn needs --map"),
+    (["check", "--kind", "forall-fair-bisim", "--relation", "{corpus}/sys_union_r1.rel",
+      "{corpus}/sys_union.aut", "{corpus}/sys_union.aut"], 3, "forall-fair-bisim takes one model"),
+    (["check", "--kind", "forall-fair-bisim", "{corpus}/sys_union.aut"],
+     3, "forall-fair-bisim needs --relation"),
+    (["quotient", "--kind", "forall-fair", "{corpus}/sys_union.aut"],
+     3, "forall-fair quotient needs --relation"),
+    (["check", "--kind", "fair-sim", "--map", "{golden}/ext.map", "{golden}/ext_src.aut",
+      "{golden}/ext_tgt.aut"],
+     2, "no fairness sidecar {golden}/ext_src.fair.json for {golden}/ext_src.aut"),
+    (["check", "--kind", "strong-bisim-fn", "--map", "{tmp}/src.map", "{golden}/ext_src.aut",
+      "{golden}/ext_tgt.aut"], 2, "unknown source state 'zz'"),
+    (["check", "--kind", "strong-bisim-fn", "--map", "{tmp}/tgt.map", "{golden}/ext_src.aut",
+      "{golden}/ext_tgt.aut"], 2, "unknown target state 'zz'"),
+    (["check", "--kind", "bisim-map", "--depth", "-1", "--map", "{golden}/ext.map",
+      "{golden}/ext_src.aut", "{golden}/ext_tgt.aut"], 3, "depth must be >= 0"),
+    (["dump", "--semantics", "branching", "--depth", "-1", "{corpus}/chain.aut"],
+     3, "depth must be >= 0"),
+    (["check", "--kind", "fair-sim", "--stem-bound", "-1", "--map", "{golden}/loop.map",
+      "{golden}/loop_aa.aut", "{golden}/loop_tgt.aut"], 3, "stem bound must be >= 0"),
+], ids=["map-kind-one-model", "missing-map", "forall-fair-two-models", "forall-fair-no-relation",
+        "forall-fair-quotient-no-relation", "missing-fairness-sidecar", "unknown-source-state",
+        "unknown-target-state", "bisim-map-negative-depth", "dump-negative-depth",
+        "fair-negative-stem-bound"])
+def test_malformed_invocation_is_refused_in_one_line(argv, code, message, tmp_path, capsys):
+    (tmp_path / "src.map").write_text("zz -> p\n")
+    (tmp_path / "tgt.map").write_text("x1 -> zz\n")
+    paths = dict(golden=GOLDEN, corpus=CORPUS, tmp=tmp_path)
+    assert run([arg.format(**paths) for arg in argv]) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message.format(**paths)}\n"
 
 
 # garbage model files near the Aldebaran grammar: a header that may miscount

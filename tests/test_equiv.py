@@ -950,3 +950,28 @@ def test_fair_bisim_map_concrete_route_falls_back_to_bounded(corpus, monkeypatch
     direct = check_fair_bisim_fn(ident, quotient, quotient, stem_bound=2, cycle_bound=2)
     assert report.concrete_verdict == direct
     assert direct.notes and direct.certified_bounds
+
+
+def test_states_of_different_types_end_no_check_in_a_type_error():
+    # 1 and "1" never compare: every sort of states keeps the types apart
+    X = Lts.make((0, 1, "1"), {"a"}, [(0, "a", 1), (0, "a", "1")])
+    ident = {s: s for s in X.states}
+    assert check_strong_bisim_fn(ident, X, X).holds
+    report = check_bisim_map(ident, X, X, "strong")
+    assert report.presheaf_verdict.holds and report.agreement
+    silent = Lts.make(X.states, {"a"}, [(0, TAU, 1), (0, TAU, "1"), (1, "a", 1), ("1", "a", "1")])
+    for mode in ("branching", "branching_failed"):
+        report = check_bisim_map({s: s for s in silent.states}, silent, silent, mode, 3)
+        assert report.presheaf_verdict.holds and report.concrete_verdict.holds
+    lts = Lts.make(X.states, {"a"}, X.transitions | {(1, "a", 1), ("1", "a", "1")})
+    fair = FairLts(lts, StreettSpec(((frozenset({1}), frozenset({"1"})),)))
+    assert check_fair_bisim_fn(ident, fair, fair).holds
+    twins = PartitionRelation(X.states, frozenset({(s, s) for s in X.states} | {(1, "1"), ("1", 1)}))
+    verdict = check_forall_fair_bisim(twins, fair)
+    assert not verdict.holds and verdict.witness[0] == "fairness-not-transferred"
+    assert check_forall_fair_bisim(PartitionRelation(X.states, frozenset((s, s) for s in X.states)),
+                                   fair).holds
+    # the witness and error texts order mixed states by type name, then value
+    assert is_simulation({0: 0, 1: 0, "1": 0}, X, X) == (False, (0, "a", 1))
+    with pytest.raises(PreconditionError, match=r"missing \[1, '1'\]"):
+        check_strong_bisim_fn({0: 0}, X, X)

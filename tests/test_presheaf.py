@@ -9,20 +9,16 @@ from bisimap import (
     UnsupportedError,
     dump_presheaf,
     enumerate_mono_squares,
-    find_filler,
     is_bisim_map_bounded,
-    is_mono,
 )
 from bisimap.lts import Execution
 from bisimap.presheaf import (
     FinPoset,
-    MonoSquare,
     barred_source_poset,
     branching_target_poset,
     fair_target_poset,
     make_presheaf,
     nat_trans,
-    naturality_violations,
     word_poset,
 )
 from bisimap.semantics import (
@@ -41,13 +37,17 @@ from conftest import (
     word_length_presheaf,
 )
 from oracles import (
+    MonoSquare,
     MonotoneMap,
     elements_poset,
     empty_presheaf,
+    find_filler,
     hiding_map,
     identity_map,
     inclusion,
+    is_mono,
     left_kan,
+    naturality_violations,
     poset_from_leq,
     poset_leq,
     sub_presheaf,
@@ -356,6 +356,11 @@ def test_enumeration_rejects_a_base_with_a_non_chain_down_set():
     # can be one, since every base is a forest
     with pytest.raises(PreconditionError, match="the elements below 2 are not a chain"):
         poset_from_leq([0, 1, 2], lambda a, b: a == b or b == 2)
+
+
+def test_parent_links_that_form_a_cycle_are_refused_at_construction():
+    with pytest.raises(PreconditionError, match="the parent links form a cycle"):
+        FinPoset((0, 1, 2), {0: None, 1: 2, 2: 1})
 
 
 def test_enumeration_contains_chain_limit_of_alternating_lasso(corpus):

@@ -9,7 +9,7 @@ import pytest
 import bisimap
 from bisimap import InternalCheckError, PreconditionError
 from bisimap.lts import Execution, FairLts, Lts, StreettSpec, executions_up_to, restrict
-from bisimap.presheaf import _stage_sorted, branching_target_poset, naturality_violations
+from bisimap.presheaf import _stage_sorted, branching_target_poset
 from bisimap.semantics import (
     _step_images,
     base_presheaf,
@@ -33,6 +33,7 @@ from oracles import (
     map_pf,
     minimal_executions,
     mpast,
+    naturality_violations,
     validate,
 )
 

@@ -23,11 +23,9 @@ from bisimap.equiv import PartitionRelation, branching_quotient, quotient_lts
 from bisimap.errors import PreconditionError
 from bisimap.lts import FairLts, Lts, StreettSpec, is_simulation
 from bisimap.presheaf import (
-    MonoSquare,
     NatTrans,
     StreamSquare,
     enumerate_mono_squares,
-    find_filler,
     is_bisim_map_bounded,
 )
 from bisimap.semantics import (
@@ -41,8 +39,10 @@ from bisimap.words import TAU, TAU_BAR, LassoTrace, Word, element_key
 
 from conftest import build_square, random_lts, random_total_map
 from oracles import (
+    MonoSquare,
     empty_presheaf,
     filler_by_restriction,
+    find_filler,
     inclusion,
     map_pf,
     poset_leq,

@@ -731,6 +731,10 @@ def quotient_lts(lts: Lts, R: PartitionRelation):
     special casing): one state per block, named by its members joined with
     ``+``, bracketed until the name is no state's and no earlier block's, so
     the states must be strings.  Returns (quotient, map)."""
+    for s in lts.states:
+        if not isinstance(s, str):
+            raise PreconditionError("a quotient names each block by joining its members' names,"
+                                    f" so states must be strings, not {s!r}")
     blocks = R.blocks()
     taken = set(lts.states)
     names = []

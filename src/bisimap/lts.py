@@ -74,10 +74,12 @@ def transition_str(src, lab, tgt) -> str:
 
 
 def format_witness(w) -> str:
-    """A verdict's witness as text: a transition as ``p -a-> q``, a tagged
-    witness as ``tag: witness``, a stutter witness by its three states."""
+    """A verdict's witness as text: a transition, told by its shape (a label
+    between two states, neither a tuple), as ``p -a-> q``, a tagged witness
+    as ``tag: witness``, a stutter witness by its three states."""
     if isinstance(w, tuple):
-        if len(w) == 3 and isinstance(w[0], str) and isinstance(w[2], str) and not isinstance(w[1], tuple):
+        if (len(w) == 3 and (isinstance(w[1], str) or w[1] is TAU)
+                and not isinstance(w[0], tuple) and not isinstance(w[2], tuple)):
             return transition_str(*w)
         if len(w) == 2 and w[0] == "stutter":
             return "stutter: silent run through " + ", ".join(map(str, w[1]))

@@ -25,9 +25,10 @@ from bisimap.presheaf import branching_target_poset, word_poset
 from bisimap.semantics import base_presheaf, strong_sem_map
 from bisimap.words import EPSILON, TAU, TAU_BAR
 
-from conftest import brute_force_largest, fair_systems, plain_systems, random_lts, random_total_map
+from conftest import block_map, fair_systems, plain_systems, random_lts, random_total_map
 from oracles import (
-    hide, hiding_map, is_minimal_execution, left_kan, map_pf, minimal_executions, mpast,
+    brute_force_largest, hide, hiding_map, is_minimal_execution, left_kan, map_pf,
+    minimal_executions, mpast,
 )
 
 SEED = 20250809
@@ -39,15 +40,6 @@ def report(number, description, ok, detail=""):
     suffix = f" ({detail})" if detail else ""
     print(f"ACCEPTANCE {number:02d} {tag} - {description}{suffix}")
     assert ok, f"criterion {number}: {description}{suffix}"
-
-
-def _random_equivalence(rng, states):
-    k = rng.randint(1, len(states))
-    blocks = {s: rng.randrange(k) for s in states}
-    pairs = frozenset(
-        (a, b) for a in states for b in states if blocks[a] == blocks[b]
-    )
-    return PartitionRelation(tuple(states), pairs)
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +55,7 @@ def strong_sample():
         if i % 4 == 0:
             Y = X
         elif i % 4 == 1:
-            Y, qmap = quotient_lts(X, _random_equivalence(rng, X.states))
+            Y, qmap = quotient_lts(X, PartitionRelation.kernel_of(block_map(rng, X.states), X.states))
         else:
             Y = systems[(2 * i + 1) % 200]
         maps = [random_total_map(rng, X, Y) for _ in range(20)]

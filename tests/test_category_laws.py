@@ -45,7 +45,7 @@ from bisimap.equiv import (
 from bisimap.lts import FairLts, Lts, StreettSpec
 from bisimap.words import TAU, LassoTrace
 
-from conftest import random_fair_system, random_lts
+from conftest import block_map, image_system, random_fair_system, random_lts
 
 
 def _accepted(report) -> bool:
@@ -86,11 +86,8 @@ def _random_silent_system(rng):
 def _block_quotient(rng, X, prefix):
     """X quotiented by random blocks named ``<prefix><i>``, with induced
     steps and no silent step inside a block; returns (quotient, map)."""
-    k = rng.randint(1, len(X.states))
-    name = {s: f"{prefix}{rng.randrange(k)}" for s in X.states}
-    steps = {(name[x], a, name[y]) for (x, a, y) in X.transitions
-             if not (a is TAU and name[x] == name[y])}
-    return Lts.make(sorted(set(name.values())), X.alphabet, steps), name
+    name = block_map(rng, X.states, prefix)
+    return image_system(X, name), name
 
 
 def _map_pattern(f, X, Y, mode, depth) -> str:

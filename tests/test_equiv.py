@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from bisimap import PreconditionError, semantics
@@ -18,36 +16,17 @@ from bisimap.equiv import (
     check_strong_bisim_fn,
     forall_fair_quotient,
     format_witness,
-    quotient_lts,
     Verdict,
 )
 from bisimap.lts import (
     AlwaysAfterSpec, FairLts, Lts, StreettSpec, adjacency, is_simulation,
 )
-from bisimap.presheaf import is_bisim_map_bounded
-from bisimap.semantics import branching_simulation_violation, strong_sem_map
 from bisimap.words import TAU
 
-from conftest import (
-    branching_bisimilarity_fixpoint,
-    brute_force_largest,
-    fair_systems,
-    is_lasso_of,
-    lts_of,
-    plain_systems,
-    random_fair_system,
-    random_lts,
-    random_total_map,
-    stutter_fan,
-)
+from conftest import complete_system, fair_systems, is_lasso_of, lts_of, plain_systems, stutter_fan
 from oracles import (
-    eps_closure,
-    equivalence_closure_fixpoint,
-    extend_reduction,
-    first_stutter,
-    identity_relation,
-    symmetric_closure,
-    weak_reflection_violation,
+    assert_fair_witness, brute_force_largest, branching_bisimilarity_fixpoint, eps_closure,
+    extend_reduction, identity_relation, symmetric_closure,
 )
 
 
@@ -64,16 +43,6 @@ def test_partition_relation_kinds():
     eq = sym.equivalence_closure()
     assert eq.kind == "equivalence"
     assert eq.blocks() == (frozenset({"a", "b"}), frozenset({"c"}))
-
-
-def test_equivalence_closure_matches_the_pair_fixpoint():
-    rng = random.Random(5151)
-    for _ in range(300):
-        universe = tuple(f"s{i}" for i in range(rng.randint(1, 7)))
-        pairs = frozenset((rng.choice(universe), rng.choice(universe))
-                          for _ in range(rng.randint(0, 2 * len(universe))))
-        R = PartitionRelation(universe, pairs)
-        assert R.equivalence_closure() == equivalence_closure_fixpoint(R), R
 
 
 def test_equivalence_closure_of_a_long_chain():
@@ -122,16 +91,6 @@ def test_strong_collapse_fails_reflection():
     assert not any(
         lab == a and f[x2] == y for (lab, x2) in adjacency(src)[x]
     )
-
-
-def test_strong_quotient_by_largest_bisimulation_holds():
-    rng = random.Random(11)
-    for _ in range(15):
-        lts = random_lts(rng, 5, ("a", "b"), density=1.5)
-        largest = brute_force_largest(lts, "strong")
-        assert largest.kind == "equivalence"
-        quotient, f = quotient_lts(lts, largest)
-        assert check_strong_bisim_fn(f, lts, quotient).holds
 
 
 def test_strong_requires_simulation(chain):
@@ -287,44 +246,6 @@ def test_branching_weak_reflection_witness_is_recheckable(corpus):
         )
 
 
-def _random_streett_system(rng, max_states=4):
-    lts = random_lts(rng, max_states, ("a",), density=1.8)
-    pairs = []
-    for _ in range(rng.randint(0, 2)):
-        L = frozenset(s for s in lts.states if rng.random() < 0.5)
-        U = frozenset(s for s in lts.states if rng.random() < 0.5)
-        pairs.append((L, U))
-    return FairLts(lts, StreettSpec(tuple(pairs)))
-
-
-def test_exact_transfer_check_refutes_whenever_bounded_does():
-    # a bounded lasso-pair witness is a genuine run pair, so the exact
-    # end-component analysis must refuse too (the converse can differ when
-    # the only witnesses need longer lassos than the bounds)
-    rng = random.Random(1331)
-    compared = refuted = 0
-    for _ in range(60):
-        system = _random_streett_system(rng)
-        states = system.lts.states
-        k = rng.randint(1, len(states))
-        blocks = {s: rng.randrange(k) for s in states}
-        rel = PartitionRelation(
-            states,
-            frozenset((a, b) for a in states for b in states if blocks[a] == blocks[b]),
-        )
-        exact = check_forall_fair_bisim(rel, system, mode="exact_streett")
-        bounded = check_forall_fair_bisim(rel, system, mode="bounded",
-                                          stem_bound=3, cycle_bound=3)
-        compared += 1
-        if not bounded.holds:
-            refuted += 1
-            assert exact.witness is None or exact.witness[0] != "not-equivalence"
-            assert not exact.holds, (system, rel.pairs)
-        if exact.holds:
-            assert bounded.holds, (system, rel.pairs)
-    assert compared == 60 and refuted > 0
-
-
 def test_exact_fair_bisim_fn_refuses_a_fair_run_with_an_unfair_image():
     # every run of p -a-> q -a-> p is fair and no run of y -a-> y is; the
     # fair run (pq)^w needs a cycle of two steps, beyond bounds 1/1
@@ -333,7 +254,7 @@ def test_exact_fair_bisim_fn_refuses_a_fair_run_with_an_unfair_image():
     f = {"p": "y", "q": "y"}
     exact = check_fair_bisim_fn(f, X, Y, "exact_streett", stem_bound=1, cycle_bound=1)
     assert not exact.holds and exact.witness[0] == "unfair-image"
-    _assert_fair_witness(f, X, Y, exact.witness)
+    assert_fair_witness(f, X, Y, exact.witness)
     bounded = check_fair_bisim_fn(f, X, Y, "bounded", stem_bound=1, cycle_bound=1)
     assert bounded.holds
     assert bounded.certified_bounds == {"stem_bound": 1, "cycle_bound": 1}
@@ -352,54 +273,6 @@ def test_fair_bisim_map_refuses_a_non_fair_simulation_at_any_bounds():
             check_bisim_map(f, X, Y, "fair", depth=2, stem_bound=bound, cycle_bound=bound)
         assert str(refused.value) == (
             "not a fair simulation: unfair-image: p (loop: -a-> q -a-> p); y (loop: -a-> y)")
-
-
-def _assert_fair_witness(f, X, Y, witness):
-    """Re-evaluate a fair check's witness against the condition it names."""
-    tag, w = witness
-    if tag == "transition":
-        (x, a, x2) = w
-        assert X.lts.has_transition(x, a, x2) and not Y.lts.has_transition(f[x], a, f[x2])
-    elif tag in ("unfair-image", "chain-with-fair-image-but-no-fair-limit"):
-        lasso, image = w
-        assert is_lasso_of(X.lts, lasso)
-        assert image == lasso.map_states(f).canonical()
-        fair = tag == "unfair-image"
-        assert X.fairness.is_fair(lasso) == fair and Y.fairness.is_fair(image) != fair
-    else:
-        assert tag in ("not-surjective", "no-reflection")
-
-
-def test_exact_fair_checks_refute_whenever_bounded_ones_do():
-    # a bounded witness is a genuine run, so the exact decision must refuse
-    # too, in each direction; it may refuse more, with runs beyond the bounds
-    rng = random.Random(2019)
-    compared = refuted = 0
-    for _ in range(400):
-        labels = rng.choice([("a",), ("a", "b")])
-        X, Y = random_fair_system(rng, labels), random_fair_system(rng, labels)
-        f = {x: rng.choice(Y.lts.states) for x in X.lts.states}
-        exact = check_fair_bisim_fn(f, X, Y, "exact_streett")
-        bounded = check_fair_bisim_fn(f, X, Y, "bounded", stem_bound=3, cycle_bound=3)
-        assert exact.holds <= bounded.holds, (X, Y, f)
-        if not exact.holds:
-            _assert_fair_witness(f, X, Y, exact.witness)
-        verdicts = []
-        for mode in ("exact_streett", "bounded"):
-            try:
-                verdicts.append(check_fair_reflection(f, X, Y, mode, 3, 3))
-            except PreconditionError:
-                verdicts.append(None)
-        exact, bounded = verdicts
-        if bounded is None:  # a bounded fair-simulation refusal holds exactly
-            assert exact is None, (X, Y, f)
-        elif not bounded.holds:
-            assert exact is None or not exact.holds, (X, Y, f)
-        if exact is not None and not exact.holds:
-            _assert_fair_witness(f, X, Y, exact.witness)
-        compared += bounded is not None
-        refuted += bounded is not None and not bounded.holds
-    assert compared > 40 and refuted > 5, (compared, refuted)
 
 
 def test_image_fairness_builds_the_source_successor_lists_once(corpus, monkeypatch):
@@ -473,32 +346,6 @@ def test_stutter_witness_is_the_first_in_state_order(check):
     assert format_witness(v.witness) == "stutter: silent run through p, q1, r"
 
 
-def _complete(states, labels):
-    """Every step between any two states, silent ones included, so that any
-    map into it passes the step checks and only stuttering can fail."""
-    return lts_of([(y, l, z) for y in states for z in states for l in (*labels, "tau")])
-
-
-def test_stutter_search_names_the_oracle_witness():
-    rng = random.Random(1919)
-    found = held = 0
-    for i in range(600):
-        X = random_lts(rng, 3 + i % 6, ("a",), tau_prob=0.7, density=1.0 + (i % 4) / 2)
-        # a shuffled state order, so that the witness follows the order, not the names
-        X = Lts.make(rng.sample(X.states, len(X.states)), X.alphabet, X.transitions)
-        Y = _complete([f"y{j}" for j in range(1 + i % 3)], ("a",))
-        f = random_total_map(rng, X, Y)
-        expected = first_stutter(f, X)
-        v = check_branching_sim(f, X, Y)
-        if expected is None:
-            assert v.holds, (X, f)
-            held += 1
-        else:
-            assert v.witness == ("stutter", expected), (X, f)
-            found += 1
-    assert found > 80 and held > 300
-
-
 @pytest.mark.parametrize("images", [1, 2])
 def test_stutter_search_on_a_long_silent_cycle(images):
     # the triple loop took 10 s on this cycle at 500 states
@@ -506,7 +353,7 @@ def test_stutter_search_on_a_long_silent_cycle(images):
     states = [f"s{i}" for i in range(n)]
     X = lts_of([(states[i], "tau", states[(i + 1) % n]) for i in range(n)]
                + [(states[0], "a", states[0])])
-    Y = _complete(["y0", "y1"][:images], ("a",))
+    Y = complete_system(["y0", "y1"][:images], ("a",))
     f = {s: "y1" if images == 2 and i == n // 2 else "y0" for i, s in enumerate(states)}
     v = check_branching_sim(f, X, Y)
     if images == 1:
@@ -522,44 +369,11 @@ def test_weak_reflection_on_a_long_silent_cycle(labels):
     states = [f"s{i}" for i in range(n)]
     X = lts_of([(states[i], "tau", states[(i + 1) % n]) for i in range(n)]
                + [(states[0], "a", states[0])])
-    v = check_branching_bisim_fn(dict.fromkeys(states, "y0"), X, _complete(["y0"], labels))
+    v = check_branching_bisim_fn(dict.fromkeys(states, "y0"), X, complete_system(["y0"], labels))
     if labels == ("a",):
         assert v.holds
     else:
         assert v.witness == ("no-weak-reflection", ("y0", "b", "y0"))
-
-
-def _image_map(rng):
-    """A silent-step system in a shuffled state order, a map of it onto k
-    states, and a target holding the images of its steps plus a few random
-    steps: the map is a simulation, and the extra steps may go unreflected."""
-    X = random_lts(rng, 6, ("a", "b"), tau_prob=0.4, density=1.6)
-    X = Lts.make(rng.sample(X.states, len(X.states)), X.alphabet, X.transitions)
-    k = rng.randint(1, len(X.states))
-    f = {s: f"y{rng.randrange(k)}" for s in X.states}
-    ys = sorted(set(f.values()))
-    steps = {(f[u], a, f[v]) for (u, a, v) in X.transitions if a is not TAU or f[u] != f[v]}
-    for _ in range(rng.randint(0, 2)):
-        steps.add((rng.choice(ys), rng.choice(("a", "b", TAU)), rng.choice(ys)))
-    return X, Lts.make(ys, {"a", "b"}, steps), f
-
-
-def test_weak_reflection_matches_the_closure_oracle():
-    rng = random.Random(2121)
-    held = refused = 0
-    for _ in range(600):
-        X, Y, f = _image_map(rng)
-        if branching_simulation_violation(f, X, Y) is not None:
-            continue
-        v = check_branching_bisim_fn(f, X, Y)
-        w = weak_reflection_violation(f, X, Y)
-        assert v.holds == (w is None), (X, Y, f)
-        if w is None:
-            held += 1
-        else:
-            refused += 1
-            assert format_witness(v.witness) == format_witness(("no-weak-reflection", w))
-    assert held > 50 and refused > 50, (held, refused)
 
 
 def test_lift_preconditions_print_witnesses_as_verdicts_do():
@@ -637,14 +451,6 @@ def test_extend_reduction_lands_in_bisim_fn():
     assert check_branching_bisim_fn(composite, src, quotient).holds
 
 
-def test_refinement_agrees_with_fixpoint_sampled():
-    rng = random.Random(31)
-    for i in range(2100):
-        tau_prob = (0.2, 0.5, 0.8)[i % 3]
-        lts = random_lts(rng, 8, ("a", "b"), tau_prob=tau_prob, density=rng.uniform(0.5, 2.5))
-        assert branching_bisimilarity(lts).pairs == branching_bisimilarity_fixpoint(lts).pairs
-
-
 def test_refinement_on_silent_cycles():
     # p and q stutter on a silent cycle with an exit by a; l diverges
     # silently, which branching bisimilarity does not tell from deadlock
@@ -683,13 +489,6 @@ def test_brute_force_guard():
         brute_force_largest(big, "strong")
 
 
-def test_brute_force_agrees_with_fixpoint_sampled():
-    rng = random.Random(23)
-    for _ in range(25):
-        lts = random_lts(rng, 5, ("a",), tau_prob=0.4, density=1.5)
-        assert brute_force_largest(lts, "branching").pairs == branching_bisimilarity(lts).pairs
-
-
 # ---------------------------------------------------------------------------
 # Abstract map check plumbing
 
@@ -714,49 +513,6 @@ def test_bisim_map_strong_identity_agrees():
     assert report.agreement
 
 
-def _random_strong_simulations(rng, count):
-    """Seeded simulations between silent-step-free systems: into a quotient by
-    a random equivalence (some bisimulation maps, some not) or into another
-    random system."""
-    out = []
-    while len(out) < count:
-        X = random_lts(rng, 4, ("a", "b"), density=1.4)
-        if rng.random() < 0.5:
-            blocks = {s: rng.randrange(len(X.states)) for s in X.states}
-            R = PartitionRelation.kernel_of(blocks, X.states)
-            Y, f = quotient_lts(X, R)
-            candidates = [f]
-        else:
-            Y = random_lts(rng, 4, ("a", "b"), density=1.8)
-            candidates = [random_total_map(rng, X, Y) for _ in range(4)]
-        for f in candidates:
-            try:
-                ok, _ = is_simulation(f, X, Y)
-            except PreconditionError:
-                continue
-            if ok:
-                out.append((f, X, Y))
-    return out
-
-
-def test_strong_bisim_map_verdict_and_witness_hold_at_every_depth():
-    # check_bisim_map decides strong maps at depth 1; the full stream at each
-    # depth is the oracle, and both agree with the concrete check
-    rng = random.Random(1601)
-    seen = set()
-    for (f, X, Y) in _random_strong_simulations(rng, 80):
-        for depth in range(1, 6):
-            ok, square = is_bisim_map_bounded(strong_sem_map(f, X, Y, depth))
-            verdict = check_bisim_map(f, X, Y, "strong", depth=depth).presheaf_verdict
-            assert verdict.holds == ok == check_strong_bisim_fn(f, X, Y).holds
-            if ok:
-                assert verdict.certified_bounds == {"depth": depth}
-            else:
-                assert format_witness(verdict.witness) == format_witness(square)
-            seen.add(ok)
-    assert seen == {True, False}
-
-
 def test_strong_bisim_map_builds_no_stage_beyond_length_one(monkeypatch):
     import bisimap.semantics
 
@@ -765,44 +521,6 @@ def test_strong_bisim_map_builds_no_stage_beyond_length_one(monkeypatch):
     report = check_bisim_map({s: s for s in lts.states}, lts, lts, "strong", depth=4)
     assert report.presheaf_verdict.certified_bounds == {"depth": 4}
     assert calls and all(depth <= 1 for (_, depth) in calls)
-
-
-def test_bisim_map_branching_acceptance_is_sound_on_random_systems():
-    # the truncated filler check never accepts a map the concrete checker
-    # refuses: a concrete violation is always caught by an unpadded-anchor
-    # square within the depth.  (The converse direction is corpus-pinned: a
-    # padded anchor near the depth boundary can make the filler check refuse
-    # conservatively even though the concrete checker accepts.)
-    rng = random.Random(4242)
-    sims = accepted = refused_concretely = 0
-    for i in range(60):
-        X = random_lts(rng, 4, ("a", "b"), tau_prob=0.35, density=1.5)
-        if i % 2 == 0:
-            Y, qmap = branching_quotient(X)
-            candidates = [qmap]
-        else:
-            Y = random_lts(rng, 4, ("a", "b"), tau_prob=0.35, density=1.5)
-            candidates = [
-                {s: rng.choice(Y.states) for s in X.states} for _ in range(6)
-            ]
-        if not Y.states:
-            continue
-        for f in candidates:
-            try:
-                if branching_simulation_violation(f, X, Y) is not None:
-                    continue
-            except PreconditionError:
-                continue
-            sims += 1
-            concrete = check_branching_bisim_fn(f, X, Y).holds
-            report = check_bisim_map(f, X, Y, "branching", depth=4)
-            if report.presheaf_verdict.holds:
-                accepted += 1
-                assert concrete, (X, Y, f)
-            if not concrete:
-                refused_concretely += 1
-                assert not report.presheaf_verdict.holds, (X, Y, f)
-    assert sims >= 20 and accepted > 0 and refused_concretely > 0
 
 
 def test_fair_map_of_unfair_self_loop_onto_loop_splits_the_routes():
@@ -975,3 +693,26 @@ def test_states_of_different_types_end_no_check_in_a_type_error():
     assert is_simulation({0: 0, 1: 0, "1": 0}, X, X) == (False, (0, "a", 1))
     with pytest.raises(PreconditionError, match=r"missing \[1, '1'\]"):
         check_strong_bisim_fn({0: 0}, X, X)
+
+
+def test_witnesses_on_int_and_mixed_states_print_transitions_as_steps():
+    X = Lts.make((0, 1), {"a"}, [(0, "a", 1)])
+    Y = Lts.make((0, 1), {"a"}, [(0, "a", 1), (1, "a", 1)])
+    ident = {0: 0, 1: 1}
+    assert format_witness(check_strong_bisim_fn(ident, X, Y).witness) == "no-reflection: 1 -a-> 1"
+    assert format_witness(check_branching_bisim_fn(ident, X, Y).witness) == "no-weak-reflection: 1 -a-> 1"
+    mixed = Lts.make((1, "1"), {"a"}, [(1, "a", "1")])
+    assert format_witness(is_simulation({1: "1", "1": 1}, mixed, mixed)[1]) == "1 -a-> 1"
+    assert format_witness(("no-reflection", ("1", TAU, 1))) == "no-reflection: 1 -tau-> 1"
+    # string states print as before, and a tuple at either end is no step
+    assert format_witness(("no-reflection", ("p", "a", "q"))) == "no-reflection: p -a-> q"
+    assert format_witness((("p", "q"), "a", "q")) == "p: q; a; q"
+
+
+def test_quotients_refuse_states_that_are_not_strings():
+    X = Lts.make((0, 1), {"a"}, [(0, "a", 1)])
+    with pytest.raises(PreconditionError, match="states must be strings, not 0"):
+        branching_quotient(X)
+    fair = FairLts(X, StreettSpec(()))
+    with pytest.raises(PreconditionError, match="states must be strings, not 0"):
+        forall_fair_quotient(identity_relation(X.states), fair)

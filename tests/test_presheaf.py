@@ -14,6 +14,7 @@ from bisimap import (
 from bisimap.lts import Execution
 from bisimap.presheaf import (
     FinPoset,
+    _stage_sorted,
     barred_source_poset,
     branching_target_poset,
     fair_target_poset,
@@ -27,18 +28,11 @@ from bisimap.semantics import (
 )
 from bisimap.words import EPSILON, TAU, TAU_BAR, LassoTrace, StretchPoint, Word, element_key
 
-from conftest import (
-    build_square,
-    identity_trans,
-    lts_of,
-    order_isomorphic,
-    stretch_word_presheaf,
-    time_poset,
-    word_length_presheaf,
-)
+from conftest import identity_trans, lts_of
 from oracles import (
     MonoSquare,
     MonotoneMap,
+    build_square,
     elements_poset,
     empty_presheaf,
     find_filler,
@@ -53,6 +47,47 @@ from oracles import (
     sub_presheaf,
     validate,
 )
+
+
+def order_isomorphic(P: FinPoset, Q: FinPoset) -> bool:
+    """Pairing P's and Q's elements in sort order is an order isomorphism."""
+    pairs = list(zip(P.elements, Q.elements))
+    return len(P.elements) == len(Q.elements) and all(
+        poset_leq(P, a, a2) == poset_leq(Q, b, b2) for (a, b) in pairs for (a2, b2) in pairs)
+
+
+def time_poset(depth: int) -> FinPoset:
+    return poset_from_leq(range(depth + 1), lambda a, b: a <= b)
+
+
+def word_length_presheaf(labels, depth: int):
+    """Stage n holds the words of length exactly n; the action truncates."""
+    labels = tuple(labels)
+    by_len = {0: [EPSILON]}
+    for n in range(1, depth + 1):
+        by_len[n] = [w.append(l) for w in by_len[n - 1] for l in labels]
+    return make_presheaf(
+        time_poset(depth),
+        {n: _stage_sorted(ws) for n, ws in by_len.items()},
+        lambda w, frm, to: Word(w[:to]),
+    )
+
+
+def stretch_word_presheaf(labels, depth: int):
+    """As word_length_presheaf, plus the stretchable observation at every
+    positive tick; it truncates to the empty word at tick zero and stays put
+    otherwise."""
+    words = word_length_presheaf(labels, depth)
+
+    def stage(n):
+        return _stage_sorted(words.stage(n) + ((TAU_BAR,) if n > 0 else ()))
+
+    def act(x, frm, to):
+        if x is TAU_BAR:
+            return EPSILON if to == 0 else TAU_BAR
+        return Word(x[:to])
+
+    return make_presheaf(time_poset(depth), {n: stage(n) for n in range(depth + 1)}, act)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from bisimap.semantics import (
     base_presheaf,
     branching_sem,
     branching_sem_map,
-    branching_simulation_violation,
     fair_sem,
     fair_sem_map,
     strong_sem,
@@ -233,32 +232,6 @@ def test_branching_sem_agrees_with_kan_extension(chain):
         assert {v for (_, v) in K.stage(e)} == set(B.stage(e))
 
 
-def test_branching_stages_are_the_minimal_executions_restricted_by_mpast():
-    rng = random.Random(1906)
-    systems = [random_lts(rng, 4, ("a", "b"), tau_prob=0.5, density=1.2 + i % 3 / 2)
-               for i in range(30)]
-    checked = 0
-    for i, X in enumerate(systems):
-        depth = i % 5
-        for with_stretch in (True, False):
-            B = branching_sem(X, depth, with_stretch)
-            assert (TAU_BAR in B.base.elements) == with_stretch
-            for e in B.base.elements:
-                if e is TAU_BAR:
-                    silent = {p for ps in executions_up_to(X, depth).values()
-                              for p in ps if not p.trace.visible()}
-                    assert set(B.stage(e)) == silent
-                    for p in B.stage(e):
-                        assert B.restrict(p, e, EPSILON) == Execution.empty(p.start)
-                    continue
-                assert set(B.stage(e)) == minimal_executions(X, e, depth)
-                if e:
-                    for p in B.stage(e):
-                        assert B.restrict(p, e, Word(e[:-1])) == mpast(p, Word(e[:-1]))
-                        checked += 1
-    assert checked > 500
-
-
 def test_branching_lift_formats_no_execution(monkeypatch, corpus):
     # the states 1 and "1" print alike, and so do their executions
     ties = Lts.make((1, "1"), {"a"}, [(1, "a", 1), ("1", "a", "1"), (1, TAU, "1")])
@@ -348,28 +321,6 @@ def test_branching_sem_map_is_natural(corpus):
         entry.mapping, entry.source, entry.target, 3, with_stretch=False
     )
     assert naturality_violations(lifted_failed) == []
-
-
-def test_the_branching_lift_needs_no_stutter_clause():
-    # maps that keep every step but stutter, onto the image of their source:
-    # each lift is natural (no component leaves its target stage either)
-    rng = random.Random(5)
-    lifted = 0
-    for _ in range(300):
-        X = random_lts(rng, 4, ("a", "b"), tau_prob=0.5, density=2.0)
-        f = {s: rng.choice("uvw") for s in X.states}
-        steps = {(f[s], lab, f[t]) for (s, lab, t) in X.transitions
-                 if lab is not TAU or f[s] != f[t]}
-        Y = Lts.make(sorted(set(f.values())), X.alphabet, steps)
-        violation = branching_simulation_violation(f, X, Y)
-        if violation is None:
-            continue
-        assert violation[0] == "stutter"
-        for depth in (1, 2, 3):
-            for with_stretch in (True, False):
-                assert naturality_violations(branching_sem_map(f, X, Y, depth, with_stretch)) == []
-        lifted += 1
-    assert lifted > 40
 
 
 def test_branching_sem_map_functor_laws(corpus):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from operator import itemgetter
 
 from .errors import PreconditionError, UnsupportedError
@@ -205,50 +204,43 @@ def _node_key(n):
 
 
 def _sccs(nodes, adj, rank):
-    """Strongly connected components of the induced subgraph, Kosaraju-style,
-    in the order of ``rank`` (node -> position)."""
-    nodes = sorted(set(nodes), key=rank.__getitem__)
+    """Strongly connected components of the induced subgraph, by one
+    depth-first search (Tarjan, SIAM J. Comput. 1972) from the nodes in
+    ``rank`` order (node -> position).  A component leaves the search path
+    when its first-reached node finishes, so the reversed list is in
+    Kosaraju's order."""
     inside = set(nodes)
-    order = []
-    seen = set()
-    for root in nodes:
-        if root in seen:
-            continue
-        stack = [(root, iter([v for (_, v) in adj.get(root, ()) if v in inside]))]
-        seen.add(root)
+    index, low, path, on_path, stack, comps = {}, {}, [], set(), [], []
+
+    def enter(u):
+        index[u] = low[u] = len(index)
+        path.append(u)
+        on_path.add(u)
+        stack.append((u, iter(adj.get(u, ()))))
+
+    for root in sorted(inside, key=rank.__getitem__):
+        if root not in index:
+            enter(root)
         while stack:
-            u, it = stack[-1]
-            advanced = False
-            for v in it:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append((v, iter([w for (_, w) in adj.get(v, ()) if w in inside])))
-                    advanced = True
+            u, succ = stack[-1]
+            for (_, v) in succ:
+                if v in inside and v not in index:
+                    enter(v)
                     break
-            if not advanced:
-                order.append(u)
+                if v in on_path:
+                    low[u] = min(low[u], index[v])
+            else:
                 stack.pop()
-    rev = {}
-    for u in nodes:
-        for (_, v) in adj.get(u, ()):
-            if v in inside:
-                rev.setdefault(v, []).append(u)
-    comps = []
-    assigned = set()
-    for root in reversed(order):
-        if root in assigned:
-            continue
-        comp = {root}
-        stack = [root]
-        assigned.add(root)
-        while stack:
-            u = stack.pop()
-            for v in rev.get(u, ()):
-                if v not in assigned:
-                    assigned.add(v)
-                    comp.add(v)
-                    stack.append(v)
-        comps.append(frozenset(comp))
+                if stack:
+                    w = stack[-1][0]
+                    low[w] = min(low[w], low[u])
+                if low[u] == index[u]:
+                    comp = set()
+                    while u not in comp:
+                        comp.add(path.pop())
+                    on_path -= comp
+                    comps.append(frozenset(comp))
+    comps.reverse()
     return comps
 
 
@@ -491,17 +483,14 @@ class ImageFairness:
     source: FairLts
     mapping_items: tuple
 
-    @cached_property
-    def _lifting(self):  # built on first use, and not pickled
-        return dict(self.mapping_items), adjacency(self.source.lts)
-
-    def __getstate__(self):
-        return {"source": self.source, "mapping_items": self.mapping_items}
+    def __post_init__(self):
+        # set here, as in FinPoset, and so no part of equality or hash
+        object.__setattr__(self, "_f", dict(self.mapping_items))
+        object.__setattr__(self, "_adj", adjacency(self.source.lts))
 
     def is_fair(self, lasso: Lasso) -> bool:
-        f, adj = self._lifting
-        starts = [x for x in self.source.lts.states if f[x] == lasso.stem.start]
-        return _lifted_fair_run(self.source, adj, f, lasso, starts) is not None
+        starts = [x for x in self.source.lts.states if self._f[x] == lasso.stem.start]
+        return _lifted_fair_run(self.source, self._adj, self._f, lasso, starts) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -564,8 +553,10 @@ def check_fair_reflection(f: dict, source: FairLts, target: FairLts,
     simulation, is decided in the same mode."""
     transfer = _fair_transfer("fair-reflection", f, source, target, adjacency(source.lts),
                               mode, stem_bound, cycle_bound)
-    if not is_simulation(f, source.lts, target.lts)[0] or not transfer(True).holds:
-        raise PreconditionError("reflection is only defined for fair simulations")
+    ok, w = is_simulation(f, source.lts, target.lts)
+    w = transfer(True).witness if ok else ("transition", w)
+    if w is not None:
+        raise PreconditionError("reflection is only defined for fair simulations: " + format_witness(w))
     return transfer(False)
 
 
@@ -647,8 +638,9 @@ def check_hildebrandt_open(f: dict, source: FairLts, target: FairLts,
                            stem_bound: int = 4, cycle_bound: int = 4) -> Verdict:
     """Transition reflection plus lifting of fair target runs anchored at an
     image state (finite runs exactly, infinite runs over lassos in bounds)."""
-    if fair_simulation_violation(f, source, target, stem_bound, cycle_bound) is not None:
-        raise PreconditionError("only fair simulations are checked for openness")
+    w = fair_simulation_violation(f, source, target, stem_bound, cycle_bound)
+    if w is not None:
+        raise PreconditionError("only fair simulations are checked for openness: " + format_witness(w))
     adj = adjacency(source.lts)
     w = _reflection_violation(f, source.lts, target.lts, adj)
     if w is not None:
@@ -707,9 +699,9 @@ def check_forall_fair_bisim(R: PartitionRelation, system: FairLts,
 
 
 def _split_pair_lasso(lasso: Lasso):
-    left = lasso.map_states({p: p[0] for p in set(lasso.stem.states) | {s for (_, s) in lasso.cycle}})
-    right = lasso.map_states({p: p[1] for p in set(lasso.stem.states) | {s for (_, s) in lasso.cycle}})
-    return left.canonical(), right.canonical()
+    """The left and right runs of a lasso of related pairs."""
+    pairs = set(lasso.stem.states) | lasso.cycle_states
+    return tuple(lasso.map_states({p: p[i] for p in pairs}).canonical() for i in (0, 1))
 
 
 def forall_fair_quotient(R: PartitionRelation, system: FairLts,
@@ -720,7 +712,7 @@ def forall_fair_quotient(R: PartitionRelation, system: FairLts,
     onto it.  Returns (quotient system, quotient map)."""
     verdict = check_forall_fair_bisim(R, system, mode, stem_bound, cycle_bound)
     if not verdict.holds:
-        raise PreconditionError(f"not a fairness-respecting equivalence: {verdict.witness}")
+        raise PreconditionError("not a fairness-respecting equivalence: " + format_witness(verdict.witness))
     quotient, f = quotient_lts(system.lts, R)
     fair = ImageFairness(system, tuple(sorted(f.items(), key=lambda item: state_key(item[0]))))
     return FairLts(quotient, fair), f

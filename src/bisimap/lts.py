@@ -74,19 +74,25 @@ def transition_str(src, lab, tgt) -> str:
 
 
 def format_witness(w) -> str:
-    """A verdict's witness as text: a transition, told by its shape (a label
-    between two states, neither a tuple), as ``p -a-> q``, a tagged witness
-    as ``tag: witness``, a stutter witness by its three states."""
-    if isinstance(w, tuple):
-        if (len(w) == 3 and (isinstance(w[1], str) or w[1] is TAU)
-                and not isinstance(w[0], tuple) and not isinstance(w[2], tuple)):
-            return transition_str(*w)
-        if len(w) == 2 and w[0] == "stutter":
+    """A verdict's witness as text: ``tag: parts`` when it is a pair whose
+    first item is a string (a stutter names its silent run), else its parts.
+    Parts read no tag: a transition, told by its shape (a label between two
+    states, neither a tuple), is ``p -a-> q``, any other tuple its items'
+    parts joined by ``; ``, anything else its ``str``."""
+    if isinstance(w, tuple) and len(w) == 2 and isinstance(w[0], str):
+        if w[0] == "stutter":
             return "stutter: silent run through " + ", ".join(map(str, w[1]))
-        if len(w) == 2 and isinstance(w[0], str):
-            return f"{w[0]}: {format_witness(w[1])}"
-        return "; ".join(format_witness(part) for part in w)
-    return str(w)
+        return f"{w[0]}: {_witness_parts(w[1])}"
+    return _witness_parts(w)
+
+
+def _witness_parts(w) -> str:
+    if not isinstance(w, tuple):
+        return str(w)
+    if (len(w) == 3 and (isinstance(w[1], str) or w[1] is TAU)
+            and not isinstance(w[0], tuple) and not isinstance(w[2], tuple)):
+        return transition_str(*w)
+    return "; ".join(map(_witness_parts, w))
 
 
 # ---------------------------------------------------------------------------

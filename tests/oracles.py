@@ -21,7 +21,7 @@ from types import GeneratorType
 
 from bisimap.equiv import (
     _EXACT_KINDS, ImageFairness, PartitionRelation, Verdict, _aa_init, _aa_step, _bfs_path,
-    _node_key, _nontrivial, _reflection_violation, _split_pair_lasso, _steps_to,
+    _node_key, _nontrivial, _reflection_violation, _sccs, _split_pair_lasso, _steps_to,
     _transfer_violation, _unreached, branching_bisimilarity, branching_quotient, check_bisim_map,
     check_branching_bisim_fn, check_branching_sim, check_fair_bisim_fn, check_fair_reflection,
     check_fair_sim, check_forall_fair_bisim, check_hildebrandt_open, check_strong_bisim_fn,
@@ -663,6 +663,12 @@ def _sccs_by_key(nodes, adj):
     return comps
 
 
+def sccs_in_key_order(nodes, adj, rank):
+    """``_sccs_by_key``, for a ``rank`` in ``_node_key`` order."""
+    assert sorted(rank, key=rank.__getitem__) == sorted(rank, key=_node_key)
+    return _sccs_by_key(nodes, adj)
+
+
 def _streett_ec_by_key(span, adj, pairs, want):
     for comp in _sccs_by_key(span, adj):
         if not _nontrivial(comp, adj):
@@ -774,8 +780,10 @@ def fair_sim_per_direction(f, source, target, stem_bound=4, cycle_bound=4) -> Ve
 def fair_reflection_per_direction(f, source, target, mode, stem_bound=4, cycle_bound=4) -> Verdict:
     """``check_fair_reflection`` by the per-direction engine."""
     args = ("fair-reflection", f, source, target, mode, stem_bound, cycle_bound)
-    if not is_simulation(f, source.lts, target.lts)[0] or not _transfer_per_direction(*args, True).holds:
-        raise PreconditionError("reflection is only defined for fair simulations")
+    ok, w = is_simulation(f, source.lts, target.lts)
+    w = _transfer_per_direction(*args, True).witness if ok else ("transition", w)
+    if w is not None:
+        raise PreconditionError("reflection is only defined for fair simulations: " + format_witness(w))
     return _transfer_per_direction(*args, False)
 
 
@@ -850,8 +858,9 @@ def image_is_fair(source, f, lasso) -> bool:
 
 def hildebrandt_open_by_node_lifts(f, source, target, stem_bound=4, cycle_bound=4) -> Verdict:
     """``check_hildebrandt_open`` with ``_lifted_fair_run``."""
-    if fair_simulation_violation(f, source, target, stem_bound, cycle_bound) is not None:
-        raise PreconditionError("only fair simulations are checked for openness")
+    w = fair_simulation_violation(f, source, target, stem_bound, cycle_bound)
+    if w is not None:
+        raise PreconditionError("only fair simulations are checked for openness: " + format_witness(w))
     adj = adjacency(source.lts)
     w = _reflection_violation(f, source.lts, target.lts, adj)
     if w is not None:
@@ -1092,7 +1101,7 @@ def forall_fair_quotient_by_parts(R, system):
     are judged by ``image_is_fair``."""
     verdict = forall_fair_bisim_per_direction(R, system, "exact_streett")
     if not verdict.holds:
-        raise PreconditionError(f"not a fairness-respecting equivalence: {verdict.witness}")
+        raise PreconditionError("not a fairness-respecting equivalence: " + format_witness(verdict.witness))
     return quotient_lts(system.lts, R)
 
 
@@ -1253,6 +1262,19 @@ def both_by_mode(row, case):
     """``both``, each outcome named with the case's mode (its third-last
     argument, before the two lasso bounds)."""
     return [(case[-3], name) for name in both(row, case)]
+
+
+def same_components(row, case):
+    """``both`` on the component lists, order included; a case is named
+    ``several`` with more than one nontrivial component, ``self-loop`` with
+    a one-node component that steps to itself, ``long`` with more than 1,000
+    components."""
+    both(row, case)
+    _, adj, _ = case
+    comps = row.entry(*case)
+    looped = [comp for comp in comps if _nontrivial(comp, adj)]
+    return (["several"] * (len(looped) > 1) + ["self-loop"] * any(len(c) == 1 for c in looped)
+            + ["long"] * (len(comps) > 1000))
 
 
 def same_run(row, case):
@@ -1511,6 +1533,27 @@ def graph_lasso_cases(rng):
         yield (lts.states, adjacency(lts), rng.randint(0, 3), rng.randint(1, 4))
 
 
+def component_cases(rng):
+    """(nodes, adj, rank): a 20,000-node chain, then random graphs of up to
+    14 nodes, some without an entry in adj and some with self-loops, each
+    searched on all its nodes or an induced subset, listed shuffled; rank
+    orders every node by ``_node_key``."""
+    n = 20_000
+    yield range(n), {i: (("a", i + 1),) for i in range(n - 1)}, _key_rank(range(n))
+    while True:
+        n = rng.randint(1, 14)
+        adj = {u: tuple(("a", rng.randrange(n)) for _ in range(rng.randint(0, 3)))
+                  + (("b", u),) * (rng.random() < 0.2)
+               for u in range(n) if rng.random() < 0.9}
+        nodes = [u for u in range(n) if rng.random() < 0.75] if rng.random() < 0.5 else list(range(n))
+        rng.shuffle(nodes)
+        yield nodes, adj, _key_rank(range(n))
+
+
+def _key_rank(nodes):
+    return {u: i for (i, u) in enumerate(sorted(nodes, key=_node_key))}
+
+
 def _fair_maps(rng):
     """(X, Y, f): fair systems X, over {a, b} and {a} in turn, each with a
     map f onto the image system of a block map, with random fairness, half
@@ -1751,6 +1794,8 @@ ORACLES = (
         505, 150, same_run, {"found": 25, "none": 45}),
     Row("fair-run", exists_fair_run, violating_run_by_lassos, fair_run_cases,
         606, 150, same_run, {"found": 50, "none": 25}),
+    Row("components", _sccs, sccs_in_key_order, component_cases,
+        1972, 1500, same_components, {"several": 700, "self-loop": 900, "long": 1}),
     Row("graph-lassos", enumerate_graph_lassos, enumerate_graph_lassos_recursive, graph_lasso_cases,
         341, 300, both, {"found": 140, "none": 9}),
     # one product per fair check, against a fresh product per direction

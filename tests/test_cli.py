@@ -305,6 +305,28 @@ def test_malformed_invocation_is_refused_in_one_line(argv, code, message, tmp_pa
     assert err == f"error: {message.format(**paths)}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["quotient", "--kind", "forall-fair", "--relation", "{golden}/union_r1_r2.rel",
+      "--close", "equivalence", "--output", "{tmp}/q", "{corpus}/sys_union.aut"],
+     "not a fairness-respecting equivalence: fairness-not-transferred:"
+     " x2 (loop: -a-> y2 -a-> x2); x1 (loop: -a-> x1)"),
+    (["check", "--kind", "fair-reflection", "--map", "{golden}/rem_onto_loop.map",
+      "{golden}/rem_src.aut", "{golden}/loop_streett.aut"],
+     "reflection is only defined for fair simulations: unfair-image:"
+     " xp (loop: -a-> xp); x (loop: -a-> x)"),
+    (["check", "--kind", "hildebrandt-open", "--map", "{golden}/rem_onto_loop.map",
+      "{golden}/rem_src.aut", "{golden}/loop_streett.aut"],
+     "only fair simulations are checked for openness: unfair-image:"
+     " x -a-> x -a-> x -a-> x -a-> xp (loop: -a-> xp); x (loop: -a-> x)"),
+], ids=["forall-fair-quotient", "fair-reflection", "hildebrandt-open"])
+def test_fair_refusals_name_their_witness(argv, message, tmp_path, capsys):
+    # one error line, naming the witness, and no traceback
+    paths = dict(golden=GOLDEN, corpus=CORPUS, tmp=tmp_path)
+    assert run([arg.format(**paths) for arg in argv]) == 3
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {message}\n")
+
+
 # garbage model files near the Aldebaran grammar: a header that may miscount
 # or be malformed, transition lines with bad indices or labels, a stray line
 # of free text, names with duplicates and the quotient's block separator,

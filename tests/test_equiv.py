@@ -276,8 +276,8 @@ def test_fair_bisim_map_refuses_a_non_fair_simulation_at_any_bounds():
 
 
 def test_image_fairness_builds_the_source_successor_lists_once(corpus, monkeypatch):
-    # judging every bounded lasso of a quotient builds the source's successor
-    # lists once, not once per lasso
+    # judging every bounded lasso of a quotient builds no successor lists:
+    # the quotient's fairness builds the source's once, when it is built
     import pickle
 
     import bisimap.equiv
@@ -285,14 +285,16 @@ def test_image_fairness_builds_the_source_successor_lists_once(corpus, monkeypat
 
     sys = corpus.union_sys.system
     r2 = corpus.union_sys.relations["R2"].reflexive_closure()
-    quotient, f = forall_fair_quotient(r2, sys)
-    fresh = pickle.dumps(quotient.fairness)
     calls = []
     counted = bisimap.equiv.adjacency
     monkeypatch.setattr(bisimap.equiv, "adjacency", lambda lts: calls.append(lts) or counted(lts))
+    quotient, f = forall_fair_quotient(r2, sys)
+    fresh = pickle.dumps(quotient.fairness)
+    # one build for the check of R2, one for the quotient's fairness
+    assert calls == [sys.lts, sys.lts]
     assert len(fair_lassos(quotient, 3, 3)) == 80
-    assert len(calls) == 1
-    # what is built on first use is not part of equality, hash or pickle
+    assert len(calls) == 2
+    # what is built with it is not part of equality, hash or pickle
     again = forall_fair_quotient(r2, sys)[0].fairness
     assert quotient.fairness == again and hash(quotient.fairness) == hash(again)
     assert pickle.dumps(quotient.fairness) == fresh
@@ -706,7 +708,21 @@ def test_witnesses_on_int_and_mixed_states_print_transitions_as_steps():
     assert format_witness(("no-reflection", ("1", TAU, 1))) == "no-reflection: 1 -tau-> 1"
     # string states print as before, and a tuple at either end is no step
     assert format_witness(("no-reflection", ("p", "a", "q"))) == "no-reflection: p -a-> q"
-    assert format_witness((("p", "q"), "a", "q")) == "p: q; a; q"
+    assert format_witness((("p", "q"), "a", "q")) == "p; q; a; q"
+
+
+@pytest.mark.parametrize("p, q, r", [("p", "q", "r"), (0, 1, 2)])
+def test_witnesses_read_a_tag_only_at_the_top(p, q, r):
+    # a related pair and a lifted state print by parts, whatever the states
+    X = FairLts(Lts.make((p, q, r), {"a"}, [(p, "a", r)]), StreettSpec(()))
+    R = PartitionRelation(X.lts.states, frozenset({(p, p), (q, q), (r, r), (p, q), (q, p)}))
+    v = check_forall_fair_bisim(R, X)
+    assert format_witness(v.witness) == f"no-transfer: {p}; {q}; {p} -a-> {r}"
+    # a source without fair runs cannot lift the target's fair loop
+    src = FairLts(Lts.make((p,), {"a"}, [(p, "a", p)]), StreettSpec(((frozenset({p}), frozenset()),)))
+    tgt = FairLts(Lts.make((q,), {"a"}, [(q, "a", q)]), StreettSpec(()))
+    v = check_hildebrandt_open({p: q}, src, tgt)
+    assert format_witness(v.witness) == f"unliftable-fair-run: {p}; {q} (loop: -a-> {q})"
 
 
 def test_quotients_refuse_states_that_are_not_strings():

@@ -11,7 +11,7 @@ enumeration otherwise or on request (such verdicts carry their bounds).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .errors import PreconditionError, UnsupportedError
@@ -482,11 +482,13 @@ class ImageFairness:
 
     source: FairLts
     mapping_items: tuple
+    _adj: dict = field(default=None, compare=False, repr=False)  # the source's, if built
 
     def __post_init__(self):
         # set here, as in FinPoset, and so no part of equality or hash
         object.__setattr__(self, "_f", dict(self.mapping_items))
-        object.__setattr__(self, "_adj", adjacency(self.source.lts))
+        if self._adj is None:
+            object.__setattr__(self, "_adj", adjacency(self.source.lts))
 
     def is_fair(self, lasso: Lasso) -> bool:
         starts = [x for x in self.source.lts.states if self._f[x] == lasso.stem.start]
@@ -656,19 +658,19 @@ def check_hildebrandt_open(f: dict, source: FairLts, target: FairLts,
 
 def check_forall_fair_bisim(R: PartitionRelation, system: FairLts,
                             mode: str = "exact_streett",
-                            stem_bound: int = 4, cycle_bound: int = 4) -> Verdict:
+                            stem_bound: int = 4, cycle_bound: int = 4, *, _adj=None) -> Verdict:
     """The two transfer properties of a fairness-respecting equivalence.
 
     Condition (1): related states match transitions into related states.
     Condition (2): no pair of pointwise-related infinite runs where the left
     is fair and the right is not; decided on the synchronized product of
     related pairs (exactly for Streett/positional fairness, by bounded lasso
-    pairs otherwise).
+    pairs otherwise).  ``_adj``: the system's successor lists, if built.
     """
     kind = R.kind
     if kind != "equivalence":
         return Verdict("forall-fair-bisim", False, ("not-equivalence", kind))
-    adjX = adjacency(system.lts)
+    adjX = adjacency(system.lts) if _adj is None else _adj
     nodes = sorted(R.pairs, key=lambda xy: (state_key(xy[0]), state_key(xy[1])))
     for (x, y) in nodes:
         for (a, x2) in adjX[x]:
@@ -710,11 +712,12 @@ def forall_fair_quotient(R: PartitionRelation, system: FairLts,
     """Quotient by a fairness-respecting equivalence: block transitions are
     induced, and a quotient lasso is fair iff some related source run maps
     onto it.  Returns (quotient system, quotient map)."""
-    verdict = check_forall_fair_bisim(R, system, mode, stem_bound, cycle_bound)
+    adj = adjacency(system.lts)
+    verdict = check_forall_fair_bisim(R, system, mode, stem_bound, cycle_bound, _adj=adj)
     if not verdict.holds:
         raise PreconditionError("not a fairness-respecting equivalence: " + format_witness(verdict.witness))
     quotient, f = quotient_lts(system.lts, R)
-    fair = ImageFairness(system, tuple(sorted(f.items(), key=lambda item: state_key(item[0]))))
+    fair = ImageFairness(system, tuple(sorted(f.items(), key=lambda item: state_key(item[0]))), adj)
     return FairLts(quotient, fair), f
 
 

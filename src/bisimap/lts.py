@@ -160,16 +160,17 @@ def execution_tree(lts: Lts, depth: int) -> list:
 
     A node is ``(execution, text, visible, anchor, parent)``.  The text is
     ``str(execution)``, the parent's text plus one ``" -a-> s"``; the
-    visible word is the trace without its silent letters; the anchor is the
-    last execution before it on its path that is a root or ends in a
-    visible step, and a root is its own anchor.  The parent is the position
-    in the returned list of the node one step shorter, None for a root.
+    visible word is the trace without its silent letters.  The anchor is the
+    position in the returned list of the last node before it on its path
+    that is a root (its own, for a root) or ends in a visible step, the
+    parent that of the node one step shorter (None for a root).  The roots
+    come first, in state order.
     """
     if depth < 0:
         raise PreconditionError("depth must be >= 0")
     adj = adjacency(lts)
     steps = {s: [(lab, t, _step_text(lab, t)) for (lab, t) in adj[s]] for s in lts.states}
-    level = [(p, str(p.last), EPSILON, p, None) for p in map(Execution.empty, lts.states)]
+    level = [(Execution.empty(s), str(s), EPSILON, i, None) for i, s in enumerate(lts.states)]
     trusted = Execution.trusted
     nodes = list(level)
     for _ in range(depth):
@@ -177,7 +178,7 @@ def execution_tree(lts: Lts, depth: int) -> list:
         for i, (p, text, visible, anchor, _) in enumerate(level, len(nodes) - len(level)):
             trace, states = p
             if not trace or trace[-1] is not TAU:
-                anchor = p
+                anchor = i
             for (lab, t, step) in steps[states[-1]]:
                 grown.append((trusted((Word(trace + (lab,)), states + (t,))), text + step,
                               visible if lab is TAU else Word(visible + (lab,)), anchor, i))

@@ -7,20 +7,21 @@ word, a stretch point the one before it, a lasso trace its longest prefix),
 so every down-set is a chain.  A poset stores only the parent links and
 computes its down-sets from them at construction; the last branching target
 base built is shared by the lifts over its label set and depth.  A presheaf
-stores only its nonempty stages, so its size is that of its elements, not of
-its base.  Restriction tables are stored only along the parent links; every
-other restriction is their composite, as functoriality forces.  Each natural
-transformation indexes its fibers, stage by stage, at construction.  Nothing
-is filled in later, so a built object can be shared between threads.
+is stored as its category of elements (Mac Lane & Moerdijk, I.5), a forest
+too: its elements are ints, its nonempty stages list them, and one parent
+array gives each one's restriction to the stage below, whose composites are
+the other restrictions.  A natural transformation is one array of ints, its
+fibers indexed at construction.  Nothing is filled in later, so a built
+object can be shared between threads.
 
 The squares that ``enumerate_mono_squares`` streams have a Q generated by one
 element, so by Yoneda a filler is fixed by its value at that generator; over
 a forest, a square with two generators is filled as soon as the stream's
 squares are.  ``is_bisim_map_bounded`` therefore decides every square from
 its generator (``StreamSquare.has_filler``) and builds no square at all: the
-stream walks the preimages of each target element down its chain of
-restrictions once and hands every square the set at its own stage, so a
-decision is one look-up.  A refusal returns the failing ``StreamSquare``,
+stream walks each target element and its preimages down the two parent
+arrays once and hands every square the set at its own stage, so a decision
+is one look-up among ints.  A refusal returns the failing ``StreamSquare``,
 whose text names its family and generators.  Verdicts and witnesses are
 reproducible.
 
@@ -62,8 +63,7 @@ class FinPoset:
     Every down-set is the chain of parents from an element to its root.  The
     down-sets, each element's position and the longest word's length
     (``word_budget``) are computed at construction, so parent links that form
-    a cycle are refused there; the strict down-sets are read off the
-    down-sets."""
+    a cycle are refused there."""
 
     elements: tuple
     parent: dict
@@ -92,10 +92,6 @@ class FinPoset:
     def down(self, e) -> tuple:
         """The elements below e, from its root up to e itself."""
         return self._down.get(e, ())
-
-    def strictly_below(self, e) -> tuple:
-        """The elements strictly below e, from its root up."""
-        return self._down.get(e, ())[:-1]
 
 
 def _prefix_poset(labels, depth, extras=(), parent=None) -> FinPoset:
@@ -195,109 +191,106 @@ def _stage_sorted(xs) -> tuple:
 
 @dataclass(frozen=True)
 class FinPresheaf:
-    """Stage sets indexed by poset elements, with a restriction table
-    ``res[hi]`` from hi to its parent for each non-root hi whose stage is
-    nonempty.  ``stages`` holds the nonempty stages only, in base order;
-    ``stage`` reads a missing one as empty.  Every other restriction is the
-    composite of tables down the parent links (identities are implicit)."""
+    """A presheaf as its category of elements: an element is an int x in one
+    stage, printed as ``elements[x]``.  ``stages`` lists the nonempty stages'
+    elements, in base order and stage order; ``stage`` reads a missing one as
+    empty.  ``parent[x]`` is x restricted to its stage's parent (unread at a
+    root stage).  An int in no stage is unused."""
 
     base: FinPoset
+    elements: list
     stages: dict
-    res: dict
+    parent: list
 
     def stage(self, e) -> tuple:
         return self.stages.get(e, ())
 
     def restrict(self, x, frm, to):
-        """x at frm restricted to ``to`` below it, table by table down the
-        parent links."""
-        parent = self.base.parent
-        while frm != to:
-            lo = parent.get(frm)
-            if lo is None:
-                raise PreconditionError(f"{to} is not below {frm}")
-            x = self.res[frm][x]
-            frm = lo
+        """x at frm restricted to ``to`` below it, parent by parent."""
+        down = self.base.down(frm)
+        if to not in down:
+            raise PreconditionError(f"{to} is not below {frm}")
+        for _ in down[down.index(to) + 1:]:
+            x = self.parent[x]
         return x
 
     def total_elements(self) -> int:
         return sum(len(s) for s in self.stages.values())
 
 
-def _cover_tables(base: FinPoset, stages: dict, rule) -> dict:
-    """The restriction tables along the cover edges below each nonempty
-    stage, each value asked of ``rule(x, frm, to)`` and checked to lie in
-    the lower stage."""
-    res = {}
-    lower = {}
-    for hi, xs in stages.items():
-        lo = base.parent[hi]
-        if lo is None:
-            continue
-        lo_stage = lower.get(lo)
-        if lo_stage is None:
-            lo_stage = lower[lo] = set(stages.get(lo, ()))
-        table = {}
-        for x in xs:
-            y = rule(x, hi, lo)
-            if y not in lo_stage:
-                raise PreconditionError(
-                    f"restriction of {x} from {hi} to {lo} leaves its stage"
-                )
-            table[x] = y
-        res[hi] = table
-    return res
-
-
-def make_presheaf(base: FinPoset, stages: dict, restrict_to) -> FinPresheaf:
+def make_presheaf(base: FinPoset, stages: dict, restrict_to, elements=None) -> FinPresheaf:
     """Materialize a presheaf from its stages, a dict from base elements to
-    stages, and a restriction rule ``restrict_to(x, frm, to)``.
-
-    Each stage keeps the order it is given in; the library's constructions
-    give stage order (``_by_text``).  Only the nonempty stages are stored, in
-    base order, and a key outside the base is refused.  The rule is asked
-    only along the cover edges (``to`` a cover of frm); ``FinPresheaf.restrict``
-    composes the rest, so the rule is assumed to be functorial."""
+    stages in stage order (``_by_text``); only the nonempty ones are kept, in
+    base order, and a key outside the base is refused.  With ``elements``
+    the stages hold ints into it and ``restrict_to`` is their parent array.
+    Otherwise they hold the printed elements, numbered here stage by stage,
+    and ``restrict_to(x, frm, to)`` is a functorial rule, asked only along
+    cover edges; a value outside the lower stage is refused."""
     position = base._position
     if not stages.keys() <= position.keys():
         e = next(e for e in stages if e not in position)
         raise PreconditionError(f"{e} is not an element of the base")
     kept = sorted(filter(stages.get, stages), key=position.__getitem__)
-    stages = {e: tuple(stages[e]) for e in kept}
-    return FinPresheaf(base, stages, _cover_tables(base, stages, restrict_to))
+    if elements is not None:
+        return FinPresheaf(base, elements, {e: tuple(stages[e]) for e in kept}, restrict_to)
+    elements, numbered = [], {}
+    for e in kept:
+        numbered[e] = range(len(elements), len(elements) + len(stages[e]))
+        elements += stages[e]
+    parent, index = [], {}  # index: a lower stage's printed elements to their ints
+    for hi in kept:
+        lo = base.parent[hi]
+        if lo is None:
+            parent += [None] * len(numbered[hi])
+            continue
+        lower = index.get(lo)
+        if lower is None:
+            lower = index[lo] = dict(zip(stages.get(lo, ()), numbered.get(lo, ())))
+        for x in stages[hi]:
+            y = lower.get(restrict_to(x, hi, lo))
+            if y is None:
+                raise PreconditionError(f"restriction of {x} from {hi} to {lo} leaves its stage")
+            parent.append(y)
+    return FinPresheaf(base, elements, numbered, parent)
 
 
 @dataclass(frozen=True)
 class NatTrans:
-    """Components ``comp[e][x]`` from the source stage at e to the target
-    stage at e, one table per nonempty source stage, with the fibers of each
-    table indexed at construction."""
+    """A natural transformation as one array: ``at[x]`` is the target element
+    that the source element x goes to, in x's stage.  The fibers of each
+    source stage are indexed at construction."""
 
     source: FinPresheaf
     target: FinPresheaf
-    comp: dict
+    at: list
 
     def __post_init__(self):
+        at = self.at
         fibers = {}
-        for e, table in self.comp.items():
+        for e, xs in self.source.stages.items():
             fib = fibers[e] = {}
-            for x, image in table.items():
-                fib.setdefault(image, []).append(x)
+            for x in xs:
+                fib.setdefault(at[x], []).append(x)
         object.__setattr__(self, "_fibers", fibers)
 
-    def at(self, e, x):
-        return self.comp[e][x]
-
     def fiber(self, e, y) -> list:
-        """The elements of the source stage at e mapped to y, in stage order
-        (the order of ``comp[e]``); a missing stage reads as empty."""
+        """The elements of the source stage at e mapped to y, in stage order;
+        a missing stage reads as empty."""
         fib = self._fibers.get(e)
         return [] if fib is None else fib.get(y, [])
 
 
 def nat_trans(source: FinPresheaf, target: FinPresheaf, component) -> NatTrans:
-    comp = {e: {x: component(e, x) for x in xs} for e, xs in source.stages.items()}
-    return NatTrans(source, target, comp)
+    """Each source element, printed x at e, goes to the target element printed
+    ``component(e, x)`` at e; one outside the target stage is refused."""
+    at, printed = [None] * len(source.elements), source.elements
+    for e, xs in source.stages.items():
+        index = {target.elements[y]: y for y in target.stage(e)}
+        for x in xs:
+            at[x] = index.get(component(e, printed[x]))
+            if at[x] is None:
+                raise PreconditionError(f"image of {printed[x]} at {e} leaves the target stage")
+    return NatTrans(source, target, at)
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +304,7 @@ def find_filler(square):
     The search is exhaustive backtracking over stage functions, constrained by
     naturality and the two triangle identities, visiting stages and elements in
     a fixed deterministic order; it returns the first filler found or None.
+    Stages come parents first, so naturality is checked along parents alone.
     It checks neither the square nor the filler: ``tests/oracles.py`` wraps it
     with both checks and holds ``StreamSquare.has_filler`` to it.
     """
@@ -318,42 +312,40 @@ def find_filler(square):
     Q, F = g.target, f.source
     base = Q.base
 
-    forced = {e: {g.at(e, p): m.at(e, p) for p in ps} for e, ps in g.source.stages.items()}
+    forced = {g.at[p]: m.at[p] for ps in g.source.stages.values() for p in ps}
 
     slots = [(e, q) for e, qs in Q.stages.items() for q in qs]
     assign = {}
 
     def candidates(e, q):
-        if q in forced.get(e, ()):
-            opts = [forced[e][q]]
-        else:
-            opts = f.fiber(e, n.at(e, q))
-        return [v for v in opts
-                if all(assign[(lo, Q.restrict(q, e, lo))] == F.restrict(v, e, lo)
-                       for lo in base.strictly_below(e))]
+        opts = [forced[q]] if q in forced else f.fiber(e, n.at[q])
+        if base.parent[e] is None:
+            return opts
+        return [v for v in opts if assign[Q.parent[q]] == F.parent[v]]
 
     def search(i):
         if i == len(slots):
             return True
         e, q = slots[i]
         for v in candidates(e, q):
-            assign[(e, q)] = v
+            assign[q] = v
             if search(i + 1):
                 return True
-            del assign[(e, q)]
+            del assign[q]
         return False
 
     if not search(0):
         return None
-    return NatTrans(Q, F, {e: {q: assign[(e, q)] for q in Q.stage(e)} for e in Q.stages})
+    return NatTrans(Q, F, [assign.get(q) for q in range(len(Q.elements))])
 
 
 class StreamSquare:
     """A square of ``enumerate_mono_squares``, held as its generators.
 
-    ``family`` and ``about`` fix the square over f; its text is
-    ``<family> square [<about items, comma-separated>]``.  ``lifts`` holds
-    the candidates for the filler's value that the stream carries: for a
+    ``family`` and ``about``, (e, w) or (e, w, e2, x) with w a target and x a
+    source element, fix the square over f; its text is ``<family> square
+    [<about items, printed, comma-separated>]``.  ``lifts`` holds the
+    candidates for the filler's value that the stream carries: for a
     ``fiber`` square the preimages of w at e, otherwise their restrictions
     to e2.
     """
@@ -367,7 +359,11 @@ class StreamSquare:
         self.lifts = lifts
 
     def __str__(self):
-        return f"{self.family} square [{', '.join(str(a) for a in self.about)}]"
+        e, w, *below = self.about
+        items = [e, self.f.target.elements[w]]
+        if below:
+            items += [below[0], self.f.source.elements[below[1]]]
+        return f"{self.family} square [{', '.join(map(str, items))}]"
 
     def has_filler(self) -> bool:
         """Decide the square at its generator, without building it.
@@ -416,13 +412,14 @@ def enumerate_mono_squares(f: NatTrans):
     The items are ``StreamSquare``s: the stream computes only their ``about``
     data, from the base's down-sets and f's fiber index, and builds no
     presheaf.  For each (e, w) it walks w and the preimages of w down the
-    chain below e once, one restriction table per step, and each square
+    chain below e once, through the two parent arrays, and each square
     carries the set of preimage restrictions at its own e2 (``lifts``).
     """
     F, G = f.source, f.target
     base = G.base
     word_budget = base.word_budget
     fiber = f.fiber
+    source_parent, target_parent, printed = F.parent.__getitem__, G.parent, F.elements
 
     def trace_limit(e, e2):
         """The longest trace of an x at e2 whose square under e stays within
@@ -433,8 +430,7 @@ def enumerate_mono_squares(f: NatTrans):
 
     for e, stage in G.stages.items():
         chain = base.down(e)[::-1]
-        # the restriction tables of G and F down the chain, one per cover
-        tables = [(G.res[hi], F.res.get(hi, {})) for hi in chain[:-1]]
+        below = range(len(chain) - 1)
         top_family = "chain-limit" if isinstance(e, LassoTrace) else "extension"
         levels = [(i, chain[i], top_family if i == 1 else "extension", trace_limit(e, chain[i]))
                   for i in range(len(chain) - 1, 0, -1)]
@@ -442,12 +438,12 @@ def enumerate_mono_squares(f: NatTrans):
             preimages = fiber(e, w)
             yield StreamSquare(f, "fiber", (e, w), preimages)
             history, lifts = [w], [preimages]
-            for (down_g, down_f) in tables:
-                history.append(down_g[history[-1]])
-                lifts.append(set(map(down_f.__getitem__, lifts[-1])))
+            for _ in below:
+                history.append(target_parent[history[-1]])
+                lifts.append(set(map(source_parent, lifts[-1])))
             for (i, e2, family, limit) in levels:
                 for x in fiber(e2, history[i]):
-                    if limit is None or len(x.trace) <= limit:
+                    if limit is None or len(printed[x].trace) <= limit:
                         yield StreamSquare(f, family, (e, w, e2, x), lifts[i])
 
 
@@ -482,12 +478,12 @@ def is_bisim_map_bounded(f: NatTrans):
 
 def dump_presheaf(F: FinPresheaf) -> str:
     """Stable textual dump: one line per stage, one per restriction entry."""
-    lines = []
+    lines, printed = [], F.elements
     for e in F.base.elements:
-        inner = ", ".join(str(x) for x in F.stage(e))
+        inner = ", ".join(str(printed[x]) for x in F.stage(e))
         lines.append(f"stage {e}: {{{inner}}}")
     for hi in F.base.elements:
-        for lo in F.base.strictly_below(hi):
+        for lo in F.base.down(hi)[:-1]:
             for x in F.stage(hi):
-                lines.append(f"res {hi} -> {lo}: {x} |-> {F.restrict(x, hi, lo)}")
+                lines.append(f"res {hi} -> {lo}: {printed[x]} |-> {printed[F.restrict(x, hi, lo)]}")
     return "\n".join(lines) + "\n"

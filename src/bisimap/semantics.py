@@ -9,24 +9,24 @@ only shortens words, so truncation is closed):
 * branching: stages over visible words hold minimal executions (no trailing
   silent steps), and an extra stage holds the purely silent executions,
   restricting to their start states.  Both are read off one walk of the
-  execution tree (``execution_tree``): a restriction is a node's anchor
-  link, back to its last visible step but one, or to its root.  The
-  branching lift is a map of execution trees: a node's image is its
-  parent's image, extended by the image of its last step unless f collapses
-  that step.
+  execution tree (``execution_tree``): its positions are the elements, and
+  an element's parent is its node's anchor.  The branching lift is a map of
+  execution trees, and so an array of positions: a node's image is its
+  parent's image, extended by the image of its last step unless f
+  collapses that step.
 
 Each rule is written once: one builder (``_execution_presheaf``) with one
 restriction rule makes the strong and fair presheaves and the bases, and
 ``_step_images`` alone states the step clauses of a branching simulation.
 
 Each construction lifts suitable state maps to natural transformations, and
-hands ``make_presheaf`` only the stages its executions reach.
-``make_presheaf`` asks each restriction rule only along the cover edges of
-the base: from a word to the word one letter shorter, from a lasso trace to
-its longest prefix in the base, from a stretch point to the one below it or
-to the empty word, and from ``tau_bar`` to the empty word.  Every stage is
-handed over in stage order (``_stage_sorted``, or for the branching stages
-one ``_by_text`` over every node kept, on the text each node carries).
+hands ``make_presheaf`` only the stages its executions reach: tree positions
+with the anchor column as parents, or printed stages that it numbers, asking
+the restriction rule only along the cover edges of the base (from a word to
+the word one letter shorter, from a lasso trace to its longest prefix in the
+base, from a stretch point to the one below it or to the empty word).  Every
+stage is handed over in stage order (``_stage_sorted``, or for the branching
+stages one ``_by_text`` over every node kept, on the text each node carries).
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ def _pointwise(f: dict, e, x):
     state of an execution, or of a lasso, which is then made canonical."""
     if isinstance(e, LassoTrace):
         return x.map_states(f).canonical()
-    return Execution(x.trace, tuple(f[s] for s in x.states))
+    return Execution.trusted((x.trace, tuple(map(f.__getitem__, x.states))))
 
 
 def strong_sem(lts: Lts, depth: int) -> FinPresheaf:
@@ -193,40 +193,36 @@ def base_presheaf(lts: Lts, depth: int, barred: bool = False) -> FinPresheaf:
 # Branching semantics
 
 
-def _branching_base(labels, depth: int, with_stretch: bool):
-    if with_stretch:
-        return branching_target_poset(labels, depth)
-    return word_poset(labels, depth)
-
-
 def _minimal_presheaf(base, tree) -> FinPresheaf:
     """The minimal executions among the nodes of an execution tree
     (``execution_tree``) over a branching base, with the purely silent ones
-    at the stretchable observation if the base has it.
+    at the stretchable observation if the base has it.  The elements are the
+    positions, and there a copy of each root, numbered after the nodes.
 
     The stage at a visible word rho holds the nodes with visible word rho
     that end in a visible step, the stage at the empty word the roots, and
     the stretch stage the nodes with no visible step.  The kept nodes are
     sorted once (``_by_text``) and dealt to their stages in one pass, which
     orders every stage as its own sort would: a tie anywhere breaks every
-    stage by ``repr``, which keeps a tie-free stage's order.  Each
-    restriction is the anchor link: cutting a minimal execution back after
-    its last visible step but one, or a silent one back to its start."""
+    stage by ``repr``, which keeps a tie-free stage's order.  Each parent is
+    the anchor: a minimal execution cut back after its last visible step but
+    one, or a silent one back to its start."""
     stretch = TAU_BAR in base.parent
+    executions, _, _, anchors, _ = zip(*tree) if tree else ((),) * 5
     named = []
-    for (p, text, rho, up, _) in tree:
+    for i, (p, text, rho, _, _) in enumerate(tree):
         trace = p.trace
-        at = (TAU_BAR,) if stretch and not rho else ()
+        at = ((TAU_BAR, i if trace else len(tree) + i),) if stretch and not rho else ()
         if not trace or trace[-1] is not TAU:
-            at += (rho,)
+            at += ((rho, i),)
         if at:
-            named.append((text, p, at, up))
-    stages, anchor = {}, {}
-    for (_, p, at, up) in _by_text(named):
-        anchor[p] = up
-        for e in at:
-            stages.setdefault(e, []).append(p)
-    return make_presheaf(base, stages, lambda x, frm, to: anchor[x])
+            named.append((text, p, at))
+    stages = {}
+    for (_, _, at) in _by_text(named):
+        for (e, i) in at:
+            stages.setdefault(e, []).append(i)
+    roots = len(stages.get(EPSILON, ())) if stretch else 0
+    return make_presheaf(base, stages, anchors + anchors[:roots], executions + executions[:roots])
 
 
 def branching_sem(lts: Lts, depth: int, with_stretch: bool = True) -> FinPresheaf:
@@ -237,7 +233,7 @@ def branching_sem(lts: Lts, depth: int, with_stretch: bool = True) -> FinPreshea
     silent executions; without it one obtains the coarser variant that forgets
     silent steps entirely.
     """
-    base = _branching_base(_joint_alphabet(lts), depth, with_stretch)
+    base = (branching_target_poset if with_stretch else word_poset)(_joint_alphabet(lts), depth)
     return _minimal_presheaf(base, execution_tree(lts, depth))
 
 
@@ -298,36 +294,40 @@ def branching_sem_map(f: dict, source: Lts, target: Lts, depth: int,
     step imaged once (``_step_images``).  A source node's image is a target
     node: a root's is the root at f of its state; a step that collapses
     keeps its parent's image; any other step goes to the child of its
-    parent's image that the mapped step reaches.  The components are the
-    target tree's own executions."""
+    parent's image that the mapped step reaches.  That array is the lift;
+    roots' copies, and silent runs collapsed onto roots, go to copies."""
     steps, missing = _step_images(f, source, target)
     if missing is not None:
         raise PreconditionError("not a branching simulation: " + format_witness(missing))
     source_tree = execution_tree(source, depth)
     target_tree = execution_tree(target, depth)
-    roots, children = {}, {}
-    for j, (q, _, _, _, up) in enumerate(target_tree):
-        trace, states = q
-        if up is None:
-            roots[states[0]] = j
-        else:
-            children[up, trace[-1], states[-1]] = j
-    at, image = [], {}
+    # a target root's copy at the stretch stage has the root's children
+    n, copies = len(target_tree), len(target.states) if with_stretch else 0
+    roots, children = {s: j for j, s in enumerate(target.states)}, {}
+    for j, ((trace, states), _, _, _, up) in enumerate(target_tree[len(roots):], len(roots)):
+        children[up, trace[-1], states[-1]] = j
+        if up < copies:
+            children[n + up, trace[-1], states[-1]] = j
+    at = []
     for (p, _, _, _, up) in source_tree:
         trace, states = p
         if up is None:
             j = roots[f[states[0]]]
         else:
             mapped = steps[states[-2], trace[-1], states[-1]]
-            j = at[up] if mapped is None else children.get((at[up], *mapped))
-            if j is None:
-                raise InternalCheckError(f"image of {p} missing in the target tree")
+            if mapped is None:
+                j = at[up]
+                if j < copies:  # a silent run collapsed onto a root
+                    j += n
+            else:
+                j = children.get((at[up], *mapped))
+                if j is None:
+                    raise InternalCheckError(f"image of {p} missing in the target tree")
         at.append(j)
-        image[p] = target_tree[j][0]
-    base = _branching_base(_joint_alphabet(source, target), depth, with_stretch)
-    FX = _minimal_presheaf(base, source_tree)
-    FY = _minimal_presheaf(base, target_tree)
-    return nat_trans(FX, FY, lambda e, p: image[p])
+    at += [n + j for j in at[:len(source.states) if with_stretch else 0]]
+    labels = _joint_alphabet(source, target)
+    base = (branching_target_poset if with_stretch else word_poset)(labels, depth)
+    return NatTrans(_minimal_presheaf(base, source_tree), _minimal_presheaf(base, target_tree), at)
 
 
 def _step_images(f: dict, source: Lts, target: Lts):

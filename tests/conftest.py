@@ -179,4 +179,5 @@ def identity_trans(F: FinPresheaf) -> NatTrans:
 def compose_trans(outer: NatTrans, inner: NatTrans) -> NatTrans:
     if outer.source is not inner.target and outer.source != inner.target:
         raise PreconditionError("composition mismatch")
-    return nat_trans(inner.source, outer.target, lambda e, x: outer.at(e, inner.at(e, x)))
+    return NatTrans(inner.source, outer.target,
+                    [None if y is None else outer.at[y] for y in inner.at])

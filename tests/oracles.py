@@ -4,7 +4,8 @@ The library keeps the decision engine: bases, presheaves, natural
 transformations, the square stream and its generator decision.  What is
 here builds presheaves and relations the tests compare the engine with (the
 paper's left Kan extension along a hiding map, the category of elements,
-sub-presheaves and inclusions for full squares), checks its outputs
+sub-presheaves and inclusions for full squares, and presheaves held as
+stage and restriction tables, ``TablePresheaf``), checks its outputs
 (``validate``, ``naturality_violations``), holds full mono squares
 (``MonoSquare``) with the checks around the library's generic filler search
 (``find_filler``), and gives slower forms of the library's searches to
@@ -30,16 +31,18 @@ from bisimap.equiv import (
 from bisimap.errors import InternalCheckError, PreconditionError, UnsupportedError
 from bisimap.lts import (
     AlwaysAfterSpec, Execution, FairLts, Lasso, Lts, StreettSpec, adjacency, enumerate_graph_lassos,
-    executions_up_to, fair_lassos, format_witness, is_simulation, reach, restrict, state_key,
+    execution_tree, executions_up_to, fair_lassos, format_witness, is_simulation, reach, restrict,
+    state_key,
 )
 from bisimap import presheaf
 from bisimap.presheaf import (
-    FinPoset, FinPresheaf, NatTrans, StreamSquare, _stage_sorted, enumerate_mono_squares,
-    is_bisim_map_bounded, make_presheaf, nat_trans,
+    FinPoset, FinPresheaf, NatTrans, StreamSquare, _stage_sorted, barred_source_poset,
+    branching_target_poset, enumerate_mono_squares, fair_target_poset, is_bisim_map_bounded,
+    make_presheaf, nat_trans, word_poset,
 )
 from bisimap.semantics import (
-    branching_sem, branching_sem_map, branching_simulation_violation, fair_mismatches, fair_sem_map,
-    fair_simulation_violation, strong_sem_map,
+    base_presheaf, branching_sem, branching_sem_map, branching_simulation_violation,
+    fair_mismatches, fair_sem_map, fair_simulation_violation, strong_sem_map,
 )
 from bisimap.words import (
     EPSILON, TAU, TAU_BAR, LassoTrace, StretchPoint, Word, element_key, label_key,
@@ -142,7 +145,12 @@ def poset_leq(P: FinPoset, a, b) -> bool:
 
 
 def empty_presheaf(base: FinPoset) -> FinPresheaf:
-    return FinPresheaf(base, {}, {})
+    return FinPresheaf(base, (), {}, ())
+
+
+def element_at(F: FinPresheaf, e, printed):
+    """The element of F's stage at e that prints as ``printed``."""
+    return next(x for x in F.stage(e) if F.elements[x] == printed)
 
 
 @dataclass(frozen=True)
@@ -152,36 +160,32 @@ class PresheafReport:
 
 
 def validate(F: FinPresheaf) -> PresheafReport:
-    """Check each stored cover table: its domain is the stage above, its
-    values lie in the stage below.  Over a forest there is one cover path
-    per pair, so sound tables are all the presheaf laws ask."""
+    """Check each element's parent: an element of a non-root stage has one,
+    in the stage below.  Over a forest there is one cover path per pair, so
+    sound parents are all the presheaf laws ask."""
     bad = []
-    for hi in F.base.elements:
+    for hi, xs in F.stages.items():
         lo = F.base.parent[hi]
         if lo is None:
             continue
-        table = F.res.get(hi)
-        if table is None:
-            if F.stage(hi):
-                bad.append(("missing-restriction", lo, hi))
-            continue
-        if set(table) != set(F.stage(hi)):
-            bad.append(("domain", lo, hi))
         lo_stage = set(F.stage(lo))
-        for x, y in table.items():
-            if y not in lo_stage:
-                bad.append(("codomain", lo, hi, x))
+        for x in xs:
+            if F.parent[x] is None:
+                bad.append(("missing-restriction", lo, hi, F.elements[x]))
+            elif F.parent[x] not in lo_stage:
+                bad.append(("codomain", lo, hi, F.elements[x]))
     return PresheafReport(not bad, tuple(bad))
 
 
 def sub_presheaf(F: FinPresheaf, generators) -> FinPresheaf:
-    """Down-closure of the given (element, value) generators inside F."""
-    stages = {}
+    """Down-closure of the given (stage, element) generators inside F, with
+    F's elements and parents: each stage keeps F's stage order."""
+    kept = set()
     for (e, x) in generators:
         for lo in F.base.down(e):
-            stages.setdefault(lo, set()).add(F.restrict(x, e, lo))
-    return make_presheaf(F.base, {e: _stage_sorted(xs) for e, xs in stages.items()},
-                         F.restrict)
+            kept.add(F.restrict(x, e, lo))
+    stages = {e: [x for x in xs if x in kept] for e, xs in F.stages.items()}
+    return make_presheaf(F.base, stages, F.parent, F.elements)
 
 
 def inclusion(sub: FinPresheaf, sup: FinPresheaf):
@@ -194,31 +198,26 @@ def inclusion(sub: FinPresheaf, sup: FinPresheaf):
 
 def naturality_violations(nt: NatTrans) -> list:
     bad = []
-    base = nt.source.base
-    for e, table in nt.comp.items():
-        tgt_stage = set(nt.target.stage(e))
-        for x, y in table.items():
-            if y not in tgt_stage:
-                bad.append(("codomain", e, x))
-    for hi, table in nt.comp.items():
-        if not table:
-            continue
-        for lo in base.strictly_below(hi):
-            for x in table:
-                left = nt.at(lo, nt.source.restrict(x, hi, lo))
-                right = nt.target.restrict(table[x], hi, lo)
+    F, G = nt.source, nt.target
+    for e, xs in F.stages.items():
+        tgt_stage = set(G.stage(e))
+        for x in xs:
+            if nt.at[x] not in tgt_stage:
+                bad.append(("codomain", e, F.elements[x]))
+    for hi, xs in F.stages.items():
+        for lo in F.base.down(hi)[:-1]:
+            for x in xs:
+                left = nt.at[F.restrict(x, hi, lo)]
+                right = G.restrict(nt.at[x], hi, lo)
                 if left != right:
-                    bad.append(("naturality", lo, hi, x))
+                    bad.append(("naturality", lo, hi, F.elements[x]))
     return bad
 
 
 def is_mono(g: NatTrans) -> bool:
     """Stage-wise injectivity, which is the standard characterization of a
     mono in a presheaf category."""
-    for e, table in g.comp.items():
-        if len(set(table.values())) != len(table):
-            return False
-    return True
+    return all(len({g.at[x] for x in xs}) == len(xs) for xs in g.source.stages.values())
 
 
 @dataclass(frozen=True)
@@ -242,9 +241,9 @@ def _check_square(square: MonoSquare):
         raise PreconditionError("square legs disagree on Q")
     if not is_mono(g):
         raise PreconditionError("g is not a mono")
-    for e in g.source.base.elements:
-        for p in g.source.stage(e):
-            if f.at(e, m.at(e, p)) != n.at(e, g.at(e, p)):
+    for e, ps in g.source.stages.items():
+        for p in ps:
+            if f.at[m.at[p]] != n.at[g.at[p]]:
                 raise PreconditionError(f"square does not commute at {e}")
 
 
@@ -261,12 +260,13 @@ def find_filler(square: MonoSquare):
     g, m, n, f = square.g, square.m, square.n, square.f
     if naturality_violations(k):
         raise InternalCheckError("filler search produced a non-natural map")
-    for e in k.source.base.elements:
-        for p in g.source.stage(e):
-            if k.at(e, g.at(e, p)) != m.at(e, p):
+    for ps in g.source.stages.values():
+        for p in ps:
+            if k.at[g.at[p]] != m.at[p]:
                 raise InternalCheckError("filler breaks the lower triangle")
-        for q in k.source.stage(e):
-            if f.at(e, k.at(e, q)) != n.at(e, q):
+    for qs in k.source.stages.values():
+        for q in qs:
+            if f.at[k.at[q]] != n.at[q]:
                 raise InternalCheckError("filler breaks the upper triangle")
     return k
 
@@ -327,9 +327,9 @@ def left_kan(h: MonotoneMap, F: FinPresheaf) -> FinPresheaf:
     That index is an up-set of a forest, so each of its components is the
     up-set of one minimal element m (an element whose parent lies outside
     it), and the component's colimit is F's stage at m.  The stage is read
-    off directly: the pairs (m, x) for x in F's stage at m.  The action
-    restricts x to the first element of m's down-set with the requested
-    image.
+    off directly: the pairs (m, x) for x in F's stage at m, printed as
+    (m, x printed).  The action restricts x to the first element of m's
+    down-set with the requested image.
     """
     _check_hiding_shape(h)
     if F.base != h.source:
@@ -338,14 +338,14 @@ def left_kan(h: MonotoneMap, F: FinPresheaf) -> FinPresheaf:
 
     def stage(rho):
         index = {s for s in source.elements if poset_leq(h.target, rho, h(s))}
-        return _stage_sorted((m, x) for m in source.elements
+        return _stage_sorted((m, F.elements[x]) for m in source.elements
                              if m in index and source.parent[m] not in index
                              for x in F.stage(m))
 
     def act(pair, frm, to):
         root, value = pair
         s = next(s for s in source.down(root) if h(s) == to)
-        return (s, F.restrict(value, root, s))
+        return (s, F.elements[F.restrict(element_at(F, root, value), root, s)])
 
     return make_presheaf(h.target, {rho: stage(rho) for rho in h.target.elements}, act)
 
@@ -363,8 +363,9 @@ class ElementsPosetResult:
 
 def elements_poset(F: FinPresheaf) -> ElementsPosetResult:
     """The poset of (stage index, element) pairs of a presheaf over a time
-    poset, together with the canonical simplification that drops the index
-    wherever the element alone already determines it."""
+    poset, by pairwise comparison of restrictions, together with the
+    canonical simplification that drops the index wherever the printed
+    element alone already determines it."""
     if not all(isinstance(e, int) for e in F.base.elements):
         raise PreconditionError("category of elements is built over a time poset")
     objs = [(e, x) for e in F.base.elements for x in F.stage(e)]
@@ -377,15 +378,16 @@ def elements_poset(F: FinPresheaf) -> ElementsPosetResult:
 
     occurrences = {}
     for (e, x) in objs:
-        occurrences.setdefault(x, set()).add(e)
+        occurrences.setdefault(F.elements[x], set()).add(e)
     simplify = {}
     for (e, x) in objs:
-        if len(occurrences[x]) == 1:
-            simplify[(e, x)] = x
-        elif x is TAU_BAR:
+        printed = F.elements[x]
+        if len(occurrences[printed]) == 1:
+            simplify[(e, x)] = printed
+        elif printed is TAU_BAR:
             simplify[(e, x)] = StretchPoint(e)
         else:
-            simplify[(e, x)] = (e, x)
+            simplify[(e, x)] = (e, printed)
     simple_elems = list(simplify.values())
     if len(set(simple_elems)) != len(simple_elems):
         raise PreconditionError("simplification collapsed distinct objects")
@@ -1106,6 +1108,233 @@ def forall_fair_quotient_by_parts(R, system):
 
 
 # ---------------------------------------------------------------------------
+# Presheaves as tables: the library stores a presheaf as its category of
+# elements (ints, one parent array) and a natural transformation as one array
+# (``FinPresheaf``, ``NatTrans``); these store stage dicts of the printed
+# elements, one restriction table per cover and one component dict per
+# stage, build the lifts from the same stage sources, and stream the squares
+# over them
+
+
+@dataclass(frozen=True)
+class TablePresheaf:
+    """Stage sets indexed by poset elements, with a restriction table
+    ``res[hi]`` from hi to its parent for each non-root hi whose stage is
+    nonempty.  ``stages`` holds the nonempty stages only, in base order;
+    every other restriction is the composite of tables down the parent
+    links."""
+
+    base: FinPoset
+    stages: dict
+    res: dict
+
+    def stage(self, e) -> tuple:
+        return self.stages.get(e, ())
+
+    def restrict(self, x, frm, to):
+        parent = self.base.parent
+        while frm != to:
+            lo = parent.get(frm)
+            if lo is None:
+                raise PreconditionError(f"{to} is not below {frm}")
+            x = self.res[frm][x]
+            frm = lo
+        return x
+
+
+def table_presheaf(base: FinPoset, stages: dict, rule) -> TablePresheaf:
+    """The nonempty stages in base order, and the rule asked once per cover
+    edge and element, its value checked to lie in the lower stage."""
+    kept = sorted(filter(stages.get, stages), key=base.elements.index)
+    stages = {e: tuple(stages[e]) for e in kept}
+    res = {}
+    for hi, xs in stages.items():
+        lo = base.parent[hi]
+        if lo is not None:
+            res[hi] = {x: rule(x, hi, lo) for x in xs}
+            if not set(res[hi].values()) <= set(stages.get(lo, ())):
+                raise PreconditionError(f"a restriction from {hi} to {lo} leaves its stage")
+    return TablePresheaf(base, stages, res)
+
+
+@dataclass(frozen=True)
+class TableNatTrans:
+    """Components ``comp[e][x]``, one dict per nonempty source stage."""
+
+    source: TablePresheaf
+    target: TablePresheaf
+    comp: dict
+
+    def at(self, e, x):
+        return self.comp[e][x]
+
+    def fiber(self, e, y) -> list:
+        return [x for x, image in self.comp.get(e, {}).items() if image == y]
+
+
+def table_nat_trans(source: TablePresheaf, target: TablePresheaf, component) -> TableNatTrans:
+    return TableNatTrans(source, target,
+                         {e: {x: component(e, x) for x in xs} for e, xs in source.stages.items()})
+
+
+def tables(F: FinPresheaf) -> TablePresheaf:
+    """A presheaf's table form, read off its elements and parents."""
+    printed = F.elements
+    return TablePresheaf(
+        F.base, {e: tuple(printed[x] for x in xs) for e, xs in F.stages.items()},
+        {hi: {printed[x]: printed[F.parent[x]] for x in xs}
+         for hi, xs in F.stages.items() if F.base.parent[hi] is not None})
+
+
+def table_map(nt: NatTrans) -> TableNatTrans:
+    """A natural transformation's table form, read off its array."""
+    src, tgt = nt.source.elements, nt.target.elements
+    return TableNatTrans(tables(nt.source), tables(nt.target),
+                         {e: {src[x]: tgt[nt.at[x]] for x in xs}
+                          for e, xs in nt.source.stages.items()})
+
+
+def _table_rule(x, frm, to):
+    """The restriction rule of the execution presheaves, restated."""
+    if isinstance(frm, LassoTrace):
+        return x.unroll(len(to))
+    if isinstance(frm, StretchPoint):
+        return x if isinstance(to, StretchPoint) else restrict(x, EPSILON)
+    return restrict(x, to)
+
+
+def _table_executions(lts, base, depth, more=()) -> TablePresheaf:
+    stages = {w: _stage_sorted(ps) for w, ps in executions_up_to(lts, depth).items()}
+    stages.update(more)
+    return table_presheaf(base, stages, _table_rule)
+
+
+def _table_fair_stages(fl, bounds) -> dict:
+    by_trace = {}
+    for (lasso, ok) in fair_lassos(fl, *bounds):
+        if ok:
+            by_trace.setdefault(lasso.trace(), []).append(lasso)
+    return {e: _stage_sorted(xs) for e, xs in by_trace.items()}
+
+
+def _table_minimal(lts, base, depth) -> TablePresheaf:
+    """The minimal executions of one tree walk, as ``_minimal_presheaf``
+    deals them, restricted along anchor links held as executions."""
+    stretch = TAU_BAR in base.parent
+    tree = execution_tree(lts, depth)
+    stages, anchor = {}, {}
+    for (p, _, rho, up, _) in sorted(tree, key=lambda node: (node[1], repr(node[0]))):
+        anchor[p] = tree[up][0]
+        if stretch and not rho:
+            stages.setdefault(TAU_BAR, []).append(p)
+        if not p.trace or p.trace[-1] is not TAU:
+            stages.setdefault(rho, []).append(p)
+    return table_presheaf(base, stages, lambda x, frm, to: anchor[x])
+
+
+def _pointwise_image(f, e, x):
+    if isinstance(e, LassoTrace):
+        return x.map_states(f).canonical()
+    return Execution(x.trace, tuple(f[s] for s in x.states))
+
+
+LIFT_KINDS = ("strong", "fair", "base", "base-barred", "branching", "branching-failed")
+FAIR_BOUNDS = (2, 2)
+
+
+def id_lift(kind, f, X, Y, depth):
+    """The library's lift of f in one of ``LIFT_KINDS``; base presheaves,
+    which the library does not lift, by ``nat_trans`` with the pointwise
+    image."""
+    if kind == "strong":
+        return strong_sem_map(f, X, Y, depth)
+    if kind == "fair":
+        return fair_sem_map(f, X, Y, depth, *FAIR_BOUNDS)
+    if kind.startswith("base"):
+        barred = kind == "base-barred"
+        return nat_trans(base_presheaf(X, depth, barred), base_presheaf(Y, depth, barred),
+                         partial(_pointwise_image, f))
+    return branching_sem_map(f, X, Y, depth, kind == "branching")
+
+
+def table_lift(kind, f, X, Y, depth):
+    """The same lift in table form, from the same stage sources."""
+    if kind == "fair":
+        more = [_table_fair_stages(Z, FAIR_BOUNDS) for Z in (X, Y)]
+        base = fair_target_poset(sorted(X.lts.alphabet | Y.lts.alphabet), depth,
+                                 more[0].keys() | more[1].keys())
+        FX, FY = (_table_executions(Z.lts, base, depth, m.items()) for Z, m in zip((X, Y), more))
+        return table_nat_trans(FX, FY, partial(_pointwise_image, f))
+    labels = sorted(X.alphabet | Y.alphabet)
+    if kind in ("strong", "base"):
+        base = word_poset(labels + [TAU] * (kind == "base"), depth)
+        return table_nat_trans(_table_executions(X, base, depth), _table_executions(Y, base, depth),
+                               partial(_pointwise_image, f))
+    if kind == "base-barred":
+        base = barred_source_poset(labels + [TAU], depth)
+
+        def barred(Z):
+            silent = _stage_sorted(p for w, ps in executions_up_to(Z, depth).items()
+                                   if not w.visible() for p in ps)
+            return _table_executions(Z, base, depth,
+                                     [(StretchPoint(n), silent) for n in range(1, depth + 1)])
+
+        return table_nat_trans(barred(X), barred(Y), partial(_pointwise_image, f))
+    base = branching_target_poset(labels, depth) if kind == "branching" else word_poset(labels, depth)
+    return table_nat_trans(_table_minimal(X, base, depth), _table_minimal(Y, base, depth),
+                           lambda e, p: map_pf(f, p))
+
+
+def table_stream(f: TableNatTrans):
+    """The square stream over tables: (text, decision) of each square, the
+    preimages of each target element and their restrictions carried down
+    its chain one table at a time."""
+    F, G = f.source, f.target
+    base = G.base
+    for e, stage in G.stages.items():
+        chain = base.down(e)[::-1]
+        top_family = "chain-limit" if isinstance(e, LassoTrace) else "extension"
+        for w in stage:
+            preimages = f.fiber(e, w)
+            yield f"fiber square [{e}, {w}]", bool(preimages)
+            history, lifts = [w], [preimages]
+            for hi in chain[:-1]:
+                history.append(G.res[hi][history[-1]])
+                lifts.append({F.res[hi][v] for v in lifts[-1]})
+            for i in range(len(chain) - 1, 0, -1):
+                e2 = chain[i]
+                for x in f.fiber(e2, history[i]):
+                    if (isinstance(e, Word) and isinstance(e2, Word)
+                            and len(x.trace) > base.word_budget - (len(e) - len(e2))):
+                        continue
+                    family = top_family if i == 1 else "extension"
+                    yield f"{family} square [{e}, {w}, {e2}, {x}]", x in lifts[i]
+
+
+def same_tables(row, case):
+    """The library's lift and its table form: equal stages, every composite
+    restriction, every component, and the same square stream, square by
+    square in text and decision."""
+    got, want = row.entry(*case), row.oracle(*case)
+    out = [case[0]]
+    for F, T in ((got.source, want.source), (got.target, want.target)):
+        assert tables(F).stages == T.stages, case
+        for hi, xs in F.stages.items():
+            for lo in F.base.down(hi)[:-1]:
+                for x in xs:
+                    printed = F.elements[x]
+                    assert F.elements[F.restrict(x, hi, lo)] == T.restrict(printed, hi, lo)
+                    out.append("restriction")
+    for e, xs in got.source.stages.items():
+        for x in xs:
+            assert got.at[x] in got.target.stage(e), case
+            assert got.target.elements[got.at[x]] == want.at(e, got.source.elements[x]), case
+    stream = [(str(sq), sq.has_filler()) for sq in enumerate_mono_squares(got)]
+    assert stream == list(table_stream(want)), case
+    return out + [(case[0], text.split()[0], ok) for (text, ok) in stream]
+
+
+# ---------------------------------------------------------------------------
 # The square stream by generic search: the library decides each stream
 # square at its generator (``StreamSquare.has_filler``); these build each
 # full square and search it for a filler, and enumerate the stream and the
@@ -1123,11 +1352,15 @@ def build_square(sq) -> MonoSquare:
     n = inclusion(Q, G)
     if sq.family == "fiber":
         P0 = empty_presheaf(G.base)
-        return MonoSquare(g=NatTrans(P0, Q, {}), m=NatTrans(P0, F, {}), n=n, f=f,
+        return MonoSquare(g=NatTrans(P0, Q, ()), m=NatTrans(P0, F, ()), n=n, f=f,
                           family=sq.family, about=sq.about)
     e2, x = sq.about[2:]
     P = sub_presheaf(F, [(e2, x)])
-    g = nat_trans(P, Q, lambda lo, p: G.restrict(w, e, lo))
+    at = [None] * len(P.elements)
+    for lo, ps in P.stages.items():
+        for p in ps:
+            at[p] = G.restrict(w, e, lo)
+    g = NatTrans(P, Q, at)
     return MonoSquare(g=g, m=inclusion(P, F), n=n, f=f, family=sq.family, about=sq.about)
 
 
@@ -1149,12 +1382,12 @@ def reference_stream(f):
     out = []
     for (e, w) in gens:
         out.append(("fiber", (e, w)))
-        below = sorted(base.strictly_below(e), key=element_key)
+        below = sorted(base.down(e)[:-1], key=element_key)
         for e2 in below:
             for x in F.stage(e2):
-                if f.at(e2, x) != G.restrict(w, e, e2):
+                if f.at[x] != G.restrict(w, e, e2):
                     continue
-                trace = getattr(x, "trace", None)
+                trace = getattr(F.elements[x], "trace", None)
                 if (isinstance(e, Word) and isinstance(e2, Word) and trace is not None
                         and len(trace) + len(e) - len(e2) > budget):
                     continue
@@ -1196,7 +1429,7 @@ def pair_square(f, about) -> MonoSquare:
     G = f.target
     Q = sub_presheaf(G, [(e1, w1), (e2, w2)])
     P0 = empty_presheaf(G.base)
-    return MonoSquare(g=NatTrans(P0, Q, {}), m=NatTrans(P0, f.source, {}),
+    return MonoSquare(g=NatTrans(P0, Q, ()), m=NatTrans(P0, f.source, ()),
                       n=inclusion(Q, G), f=f, family="pair", about=about)
 
 
@@ -1407,7 +1640,7 @@ def minimal_stages(row, case):
     X, depth = case
     checked = []
     for with_stretch in (True, False):
-        B = row.entry(X, depth, with_stretch)
+        B = tables(row.entry(X, depth, with_stretch))
         assert (TAU_BAR in B.base.elements) == with_stretch
         for e in B.base.elements:
             if e is TAU_BAR:
@@ -1485,11 +1718,11 @@ def carried_data(row, case):
         decided = row.entry(square)
         assert decided == row.oracle(square), (row.name, str(square))
         out.append((square.family, decided))
-    for e, table in lifted.comp.items():
+    for e, table in table_map(lifted).comp.items():
         for p, image in table.items():
             assert image == map_pf(f, p, Y), (e, str(p))
             out += ["collapsed image"] * (len(image.trace) < len(p.trace))
-    steps = (step for stage in lifted.source.stages.values() for p in stage
+    steps = (step for stage in tables(lifted.source).stages.values() for p in stage
              for step in zip(p.states, p.trace, p.states[1:]))
     return out + ["runs a silent loop"] * any(lab is TAU and a == b for (a, lab, b) in steps)
 
@@ -1500,11 +1733,13 @@ def step_images(row, case):
     f, X, Y, quotient, with_stretch, depth = case
     lifted = row.entry(f, X, Y, depth, with_stretch)
     out = ["quotient" if quotient else "random", "stretch" if with_stretch else "plain"]
-    out += [("depth", depth)] * bool(lifted.comp)
+    out += [("depth", depth)] * bool(lifted.source.stages)
     out += ["silent loop"] * any(lab is TAU and a == b for (a, lab, b) in X.transitions)
-    for e, table in lifted.comp.items():
-        for p, image in table.items():
-            assert image == row.oracle(f, p, Y) and image in lifted.target.stage(e), (e, str(p))
+    F, G = lifted.source, lifted.target
+    for e, xs in F.stages.items():
+        for x in xs:
+            p, image = F.elements[x], G.elements[lifted.at[x]]
+            assert image == row.oracle(f, p, Y) and lifted.at[x] in G.stage(e), (e, str(p))
             out += ["collapsed" if f[a] == f[b] else "kept"
                     for (a, lab, b) in zip(p.states, p.trace, p.states[1:]) if lab is TAU]
     return out
@@ -1763,14 +1998,40 @@ def branching_lifts(rng):
     return ((branching_sem_map(f, X, Y, 3, stretch),) for (f, X, Y, _, stretch) in _branching_maps(rng))
 
 
-def fair_lifts(rng):
-    """Fair simulations between Streett systems, lifted at depth 3."""
+def _fair_simulations(rng):
+    """Fair simulations between Streett systems, within lasso bounds 2/2."""
     while True:
         X = random_fair_system(rng, ("a", "b"), streett_only=True)
         Y = X if rng.random() < 0.3 else random_fair_system(rng, ("a", "b"), 2, streett_only=True)
         for f in [random_total_map(rng, X.lts, Y.lts) for _ in range(4)]:
             if outcome(fair_simulation_violation, f, X, Y, 2, 2) is None:
-                yield (fair_sem_map(f, X, Y, 3, 2, 2),)
+                yield (f, X, Y)
+
+
+def fair_lifts(rng):
+    """Fair simulations between Streett systems, lifted at depth 3."""
+    return ((fair_sem_map(f, X, Y, 3, 2, 2),) for (f, X, Y) in _fair_simulations(rng))
+
+
+def _strong_images(rng):
+    """Silent-step systems mapped into at most two blocks, onto the images
+    of their steps, silent ones included: a simulation in the strong sense,
+    which base presheaves lift pointwise."""
+    while True:
+        X = random_lts(rng, 3, ("a", "b"), tau_prob=0.35, density=1.5)
+        f = block_map(rng, X.states, most=2)
+        steps = {(f[x], a, f[y]) for (x, a, y) in X.transitions}
+        yield f, X, Lts.make(sorted(set(f.values())), X.alphabet, steps)
+
+
+def lift_cases(rng):
+    """A map in each kind of ``LIFT_KINDS`` in turn, at depths 1-3."""
+    draws = {"strong": _strong_maps(rng), "fair": _fair_simulations(rng),
+             "base": _strong_images(rng), "branching": _branching_maps(rng)}
+    for i in count():
+        kind = LIFT_KINDS[i % len(LIFT_KINDS)]
+        f, X, Y = next(draws[kind.split("-")[0]])[:3]
+        yield (kind, f, X, Y, 1 + i // len(LIFT_KINDS) % 3)
 
 
 def carried_branching_lifts(rng):
@@ -1857,6 +2118,11 @@ ORACLES = (
     Row("step-images", branching_sem_map, map_pf, step_image_grid, 2029, 240, step_images,
         {**dict.fromkeys(("quotient", "random", "stretch", "plain", "silent loop", "collapsed",
                           "kept"), 1), **{("depth", depth): 1 for depth in range(6)}}),
+    # presheaves as elements and arrays, against stage and component tables
+    Row("presheaf-tables", id_lift, table_lift, lift_cases, 1616, 120, same_tables,
+        {"restriction": 4000, **dict.fromkeys(LIFT_KINDS, 20),
+         **{(kind, family, ok): 1 for kind in LIFT_KINDS for ok in (True, False)
+            for family in ("fiber", "extension", "chain-limit")[:2 + (kind == "fair")]}}),
     # the square stream and its generator decision, against generic search
     Row("strong-squares", is_bisim_map_bounded, generic_bounded, strong_lifts, 2024, 40,
         same_square_decisions,

@@ -28,7 +28,7 @@ from bisimap.words import EPSILON, TAU, TAU_BAR
 from conftest import block_map, fair_systems, plain_systems, random_lts, random_total_map
 from oracles import (
     brute_force_largest, hide, hiding_map, is_minimal_execution, left_kan, map_pf,
-    minimal_executions, mpast,
+    minimal_executions, mpast, tables,
 )
 
 SEED = 20250809
@@ -99,7 +99,7 @@ def test_criterion_02_accepted_maps_are_stage_surjective(strong_sample):
         accepted += 1
         lifted = strong_sem_map(f, X, Y, DEPTH)
         for e in lifted.target.base.elements:
-            image = {lifted.at(e, x) for x in lifted.source.stage(e)}
+            image = {lifted.at[x] for x in lifted.source.stage(e)}
             if image != set(lifted.target.stage(e)):
                 violations += 1
     report(
@@ -115,7 +115,7 @@ def test_criterion_03_kan_extension_matches_minimal_executions(corpus):
     for name, X in plain_systems(corpus).items():
         F = base_presheaf(X, DEPTH)
         tgt = word_poset(sorted(X.alphabet), DEPTH)
-        K = left_kan(hiding_map(F.base, tgt), F)
+        K = tables(left_kan(hiding_map(F.base, tgt), F))
         for rho in tgt.elements:
             if len(rho) > 3:
                 continue
@@ -140,7 +140,7 @@ def test_criterion_04_barred_kan_extension_stretch_stage(corpus):
     for name, X in plain_systems(corpus).items():
         F = base_presheaf(X, DEPTH, barred=True)
         tgt = branching_target_poset(sorted(X.alphabet), DEPTH)
-        K = left_kan(hiding_map(F.base, tgt), F)
+        K = tables(left_kan(hiding_map(F.base, tgt), F))
         silent = {
             p
             for w, ps in executions_up_to(X, DEPTH).items()

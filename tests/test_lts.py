@@ -146,11 +146,14 @@ def test_execution_tree_nodes_carry_text_visible_word_and_anchor():
         for i, (p, text, visible, anchor, parent) in enumerate(tree):
             assert text == str(p)
             assert visible == p.trace.visible()
-            # the longest proper prefix that is empty or ends in a visible step
+            # the position of the longest proper prefix that is empty or ends
+            # in a visible step; a root anchors to itself
             cut = max((n for n in range(len(p.trace))
                        if n == 0 or p.trace[n - 1] is not TAU), default=0)
-            assert anchor == restrict(p, Word(p.trace[:cut]))
+            assert 0 <= anchor <= i
+            assert walked[anchor] == restrict(p, Word(p.trace[:cut]))
             if not p.trace:
+                assert anchor == i
                 assert parent is None
             else:
                 # an earlier node: the prefix one step shorter

@@ -14,6 +14,7 @@ from bisimap import (
 from bisimap.lts import Execution
 from bisimap.presheaf import (
     FinPoset,
+    NatTrans,
     _stage_sorted,
     barred_source_poset,
     branching_target_poset,
@@ -33,6 +34,7 @@ from oracles import (
     MonoSquare,
     MonotoneMap,
     build_square,
+    element_at,
     elements_poset,
     empty_presheaf,
     find_filler,
@@ -45,6 +47,7 @@ from oracles import (
     poset_from_leq,
     poset_leq,
     sub_presheaf,
+    tables,
     validate,
 )
 
@@ -80,7 +83,7 @@ def stretch_word_presheaf(labels, depth: int):
     words = word_length_presheaf(labels, depth)
 
     def stage(n):
-        return _stage_sorted(words.stage(n) + ((TAU_BAR,) if n > 0 else ()))
+        return _stage_sorted(tables(words).stage(n) + ((TAU_BAR,) if n > 0 else ()))
 
     def act(x, frm, to):
         if x is TAU_BAR:
@@ -220,11 +223,10 @@ def test_poset_index_matches_relation_scan():
     assert P.elements == tuple(sorted(P.elements, key=element_key))
     for e in P.elements:
         assert P.down(e) == tuple(x for x in P.elements if poset_leq(P, x, e))
-        assert P.strictly_below(e) == tuple(x for x in P.elements if x != e and poset_leq(P, x, e))
-    assert P.down(Word.of("b")) == () and P.strictly_below(Word.of("b")) == ()
+    assert P.down(Word.of("b")) == ()
     # the public constructor: each element's parent, or None for a root
     V = FinPoset((0, 1, 2), {0: None, 1: 0, 2: 0})
-    assert V.down(2) == (0, 2) and V.strictly_below(2) == (0,) and V.parent[0] is None
+    assert V.down(2) == (0, 2) and V.parent[0] is None
     assert poset_leq(V, 0, 1) and not poset_leq(V, 1, 2) and not poset_leq(V, 2, 1)
     with pytest.raises(PreconditionError, match="cycle"):
         FinPoset((0, 1), {0: 1, 1: 0}).down(0)
@@ -245,7 +247,7 @@ def test_monotone_map_refuses_a_map_that_breaks_a_parent_link():
 def test_stage_order_breaks_print_ties_by_repr():
     # the states 1 and "1" print alike, and so do their executions
     lts = Lts.make((1, "1"), {"a"}, [(1, "a", 1), ("1", "a", "1")])
-    F = strong_sem(lts, 2)
+    F = tables(strong_sem(lts, 2))
     for e in F.base.elements:
         assert F.stage(e) == tuple(sorted(F.stage(e), key=lambda x: (str(x), repr(x))))
     tied = F.stage(Word.of("a"))
@@ -255,13 +257,13 @@ def test_stage_order_breaks_print_ties_by_repr():
         assert presheaf_mod._stage_sorted(listed) == tied
     # make_presheaf keeps each stage in the order it is given in
     G = make_presheaf(F.base, {**F.stages, Word.of("a"): tied[::-1]}, F.restrict)
-    assert G.stage(Word.of("a")) == tied[::-1]
+    assert tables(G).stage(Word.of("a")) == tied[::-1]
     # behind silent steps the tie falls inside a visible stage and inside
     # the stretch stage of the branching construction
     hidden = Lts.make((0, "0", 1, "1"), {"a"},
                       [(0, TAU, 1), ("0", TAU, "1"), (1, "a", 1), ("1", "a", "1")])
     for with_stretch in (True, False):
-        B = branching_sem(hidden, 2, with_stretch)
+        B = tables(branching_sem(hidden, 2, with_stretch))
         ties = [e for e in B.stages
                 if any(str(x) == str(y) for x, y in zip(B.stage(e), B.stage(e)[1:]))]
         assert ties == [EPSILON, Word.of("a"), Word.of("a", "a")] + [TAU_BAR] * with_stretch
@@ -275,11 +277,21 @@ def test_make_presheaf_stores_only_nonempty_stages_and_refuses_foreign_keys():
     base = word_poset(("a", "b"), 2)
     F = make_presheaf(base, {Word.of("b"): ["y"], EPSILON: ["x"], Word.of("a"): []},
                       lambda x, frm, to: "x")
-    assert F.stages == {EPSILON: ("x",), Word.of("b"): ("y",)}
-    assert F.stage(Word.of("a")) == () and F.res == {Word.of("b"): {"y": "x"}}
+    # numbered stage by stage in base order; the root stage's parent is unread
+    assert F.elements == ["x", "y"] and F.parent == [None, 0]
+    assert F.stages == {EPSILON: range(1), Word.of("b"): range(1, 2)}
+    assert F.stage(Word.of("a")) == ()
+    assert tables(F).res == {Word.of("b"): {"y": "x"}}
     for stages in ({Word.of("c"): ["x"]}, {EPSILON: ["x"], Word.of("c"): []}):
         with pytest.raises(PreconditionError, match="c is not an element of the base"):
             make_presheaf(base, stages, lambda x, frm, to: x)
+    # a rule value outside the lower stage, or a lower stage that is empty
+    for stages in ({EPSILON: ["x"], Word.of("b"): ["y"]}, {Word.of("b"): ["y"]}):
+        with pytest.raises(PreconditionError, match="restriction of y from b to eps leaves its stage"):
+            make_presheaf(base, stages, lambda x, frm, to: "z")
+    # a component value outside the target stage
+    with pytest.raises(PreconditionError, match="image of y at b leaves the target stage"):
+        nat_trans(F, F, lambda e, x: "x")
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +300,7 @@ def test_make_presheaf_stores_only_nonempty_stages_and_refuses_foreign_keys():
 
 def test_inclusions_are_mono():
     F = word_length_presheaf(("a",), 2)
-    sub = sub_presheaf(F, [(2, Word.of("a", "a"))])
+    sub = sub_presheaf(F, [(2, element_at(F, 2, Word.of("a", "a")))])
     assert is_mono(inclusion(sub, F))
 
 
@@ -316,14 +328,15 @@ def test_filler_for_identity_is_n():
     lts = two_state_step()
     F = strong_sem(lts, 2)
     ident = identity_trans(F)
-    Q = sub_presheaf(F, [(Word.of("a"), Execution(Word.of("a"), ("s", "t")))])
+    a = Word.of("a")
+    Q = sub_presheaf(F, [(a, element_at(F, a, Execution(a, ("s", "t"))))])
     n = inclusion(Q, F)
     square = MonoSquare(
         g=identity_trans(Q), m=n, n=n, f=ident, family="adhoc"
     )
     k = find_filler(square)
     assert k is not None
-    assert k.comp == n.comp
+    assert k.at == n.at
 
 
 def test_retract_section_from_initial_square(corpus):
@@ -334,10 +347,9 @@ def test_retract_section_from_initial_square(corpus):
     lifted = strong_sem_map(f, lts, tgt, 3)
     G = lifted.target
     P = empty_presheaf(G.base)
-    zero = {e: {} for e in G.base.elements}
     square = MonoSquare(
         g=nat_trans(P, G, lambda e, x: x),
-        m=dataclasses.replace(nat_trans(P, P, lambda e, x: x), target=lifted.source, comp=zero),
+        m=NatTrans(P, lifted.source, ()),
         n=identity_trans(G),
         f=lifted,
         family="initial",
@@ -346,15 +358,15 @@ def test_retract_section_from_initial_square(corpus):
     assert k is not None
     for e in G.base.elements:
         for q in G.stage(e):
-            assert lifted.at(e, k.at(e, q)) == q
+            assert lifted.at[k.at[q]] == q
 
 
 def test_filler_rejects_non_commuting_square():
     lts = two_state_step()
     F = strong_sem(lts, 1)
     a_exec = Execution(Word.of("a"), ("s", "t"))
-    Q = sub_presheaf(F, [(Word.of("a"), a_exec)])
-    P = sub_presheaf(F, [(EPSILON, Execution.empty("t"))])
+    Q = sub_presheaf(F, [(Word.of("a"), element_at(F, Word.of("a"), a_exec))])
+    P = sub_presheaf(F, [(EPSILON, element_at(F, EPSILON, Execution.empty("t")))])
     g = nat_trans(P, Q, lambda e, x: Execution.empty("s"))
     square = MonoSquare(g=g, m=inclusion(P, F), n=inclusion(Q, F),
                         f=identity_trans(F), family="adhoc")
@@ -383,7 +395,7 @@ def test_enumeration_includes_path_extension():
     extensions = [sq for sq in squares if sq.family == "extension"]
     # the only extension squares are the one-step ones
     assert {(sq.about[0], sq.about[2]) for sq in extensions} == {(Word.of("a"), EPSILON)}
-    assert any(sq.about[:2] == (Word.of("a"), a_exec) for sq in extensions)
+    assert any((sq.about[0], F.elements[sq.about[1]]) == (Word.of("a"), a_exec) for sq in extensions)
 
 
 def test_enumeration_rejects_a_base_with_a_non_chain_down_set():
@@ -408,10 +420,9 @@ def test_enumeration_contains_chain_limit_of_alternating_lasso(corpus):
     ]
     assert found
     # the alternating trace is covered by the stream
-    assert any(str(sq.about[1].cycle_states) for sq in found)
-    assert any(
-        set(sq.about[1].cycle_states) == {"x1", "y1"} for sq in found
-    )
+    lassos = [lifted.target.elements[sq.about[1]] for sq in found]
+    assert any(str(lasso.cycle_states) for lasso in lassos)
+    assert any(set(lasso.cycle_states) == {"x1", "y1"} for lasso in lassos)
 
 
 def test_identity_is_bisim_map_at_any_bound():
@@ -444,9 +455,9 @@ def test_filtered_colimit_requires_meets():
 def test_left_kan_identity_is_isomorphic():
     lts = two_state_step()
     F = strong_sem(lts, 2)
-    K = left_kan(identity_map(F.base), F)
+    K = tables(left_kan(identity_map(F.base), F))
     for e in F.base.elements:
-        assert {v for (_, v) in K.stage(e)} == set(F.stage(e))
+        assert {v for (_, v) in K.stage(e)} == set(tables(F).stage(e))
 
 
 def test_left_kan_rejects_non_hiding_maps():
@@ -461,7 +472,7 @@ def test_left_kan_rejects_non_hiding_maps():
 def test_left_kan_chain_example(chain):
     F = base_presheaf(chain, 3)
     tgt = word_poset(sorted(chain.alphabet), 3)
-    K = left_kan(hiding_map(F.base, tgt), F)
+    K = tables(left_kan(hiding_map(F.base, tgt), F))
     a = Word.of("a")
     assert {v for (_, v) in K.stage(a)} == {
         Execution(Word.of(TAU, "a"), ("x0", "x1", "x2")),
@@ -546,9 +557,10 @@ def test_dump_golden(chain):
 def test_validate_catches_codomain_escape():
     F = word_length_presheaf(("a",), 2)
     assert F.base.parent[1] == 0
-    res = {hi: dict(table) for hi, table in F.res.items()}
-    res[1][Word.of("a")] = Word.of("a")  # the cover table 1 -> 0 leaves stage 0
-    broken = dataclasses.replace(F, res=res)
+    a = element_at(F, 1, Word.of("a"))
+    parent = list(F.parent)
+    parent[a] = a  # the restriction 1 -> 0 of a leaves stage 0
+    broken = dataclasses.replace(F, parent=tuple(parent))
     report = validate(broken)
     assert not report.ok
     assert report.violations == (("codomain", 0, 1, Word.of("a")),)
@@ -580,17 +592,20 @@ def test_failed_fiber_square_witnesses_non_surjectivity(monkeypatch):
 
 
 def test_fiber_index_is_stored_only_once_complete():
+    # the index is built from the array at construction; a look-up reads
+    # only the index
     base = poset_from_leq([0, 1], lambda a, b: a <= b)
     F = make_presheaf(base, dict.fromkeys(base.elements, ["u", "v", "w"]), lambda x, frm, to: x)
-    nt = nat_trans(F, F, lambda e, x: "u" if x == "v" else x)
+    reads = []
 
-    class Watched(dict):
-        """A component table whose lookups see no index of its stage yet."""
-
+    class Watched(tuple):
         def __getitem__(self, x):
-            assert 1 not in nt._fibers, "fiber index stored before it is complete"
+            reads.append(x)
             return super().__getitem__(x)
 
-    nt.comp[1] = Watched(nt.comp[1])
-    assert nt.fiber(1, "u") == ["u", "v"]
-    assert nt.fiber(1, "w") == ["w"] and nt.fiber(1, "v") == []
+    nt = NatTrans(F, F, Watched(nat_trans(F, F, lambda e, x: "u" if x == "v" else x).at))
+    assert sorted(reads) == list(range(F.total_elements()))
+    u, v, w = F.stage(1)
+    assert nt.fiber(1, u) == [u, v]
+    assert nt.fiber(1, w) == [w] and nt.fiber(1, v) == [] and nt.fiber(2, u) == []
+    assert len(reads) == F.total_elements()
